@@ -7,6 +7,12 @@ antichain in which no two sibling intervals ``x0``, ``x1`` are both present).
 Canonical form is unique for a given point set, so equality of clopen sets is
 tuple equality.
 
+Each operation maps its operands to half-open integer ranges ``[a, b)`` of
+``[0, 2^D)``, ``D`` the deepest interval among them, combines them with one
+loop-based merge (:func:`_gaps`, the complement of a union of ranges) and cuts
+the result back into maximal aligned dyadic blocks, the canonical form.  No
+step recurses, so ``LIMITLAB_MAX_DEPTH`` is the only limit on interval depth.
+
 All measures are :class:`fractions.Fraction`; no floating point is used
 anywhere in the package.
 """
@@ -49,70 +55,55 @@ def check_bit_string(x: str) -> str:
     return x
 
 
-def _split(intervals: Iterable[str]) -> tuple[list[str], list[str]]:
-    # callers guarantee the empty string is absent
-    zero = [s[1:] for s in intervals if s[0] == "0"]
-    one = [s[1:] for s in intervals if s[0] == "1"]
-    return zero, one
+def _name(value: int, length: int) -> str:
+    # the length-bit numeral of value; setting bit `length` keeps its leading zeros
+    return bin(value | 1 << length)[3:]
 
 
-def _canon(strings: Iterable[str]) -> tuple[str, ...]:
-    pool = set(strings)
-    if not pool:
-        return ()
-    if "" in pool:
-        return ("",)
-    zero, one = _split(pool)
-    zc, oc = _canon(zero), _canon(one)
-    if zc == ("",) and oc == ("",):
-        return ("",)
-    return tuple("0" + s for s in zc) + tuple("1" + s for s in oc)
+def _ranges(strings: Iterable[str], depth: int) -> list[tuple[int, int]]:
+    """The range ``[a, b)`` of ``[0, 2^depth)`` covered by each interval, in order."""
+    out = []
+    for x in strings:
+        v, shift = int(x or "0", 2), depth - len(x)
+        out.append((v << shift, v + 1 << shift))
+    return out
 
 
-def _intersect(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    if not a or not b:
-        return ()
-    if a == ("",):
-        return b
-    if b == ("",):
-        return a
-    az, ao = _split(a)
-    bz, bo = _split(b)
-    zc = _intersect(tuple(az), tuple(bz))
-    oc = _intersect(tuple(ao), tuple(bo))
-    if zc == ("",) and oc == ("",):
-        return ("",)
-    return tuple("0" + s for s in zc) + tuple("1" + s for s in oc)
+def _gaps(ranges: list[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
+    """The merge: sorted, disjoint, non-touching complement of the ranges' union
+    inside ``[0, 2^depth)``.  Applied twice it gives the union itself."""
+    out, start = [], 0
+    for a, b in sorted(ranges):
+        if start < a:
+            out.append((start, a))
+        start = max(start, b)
+    if start < 1 << depth:
+        out.append((start, 1 << depth))
+    return out
 
 
-def _complement(a: tuple[str, ...]) -> tuple[str, ...]:
-    if not a:
-        return ("",)
-    if a == ("",):
-        return ()
-    az, ao = _split(a)
-    zc = _complement(tuple(az))
-    oc = _complement(tuple(ao))
-    if zc == ("",) and oc == ("",):
-        return ("",)
-    return tuple("0" + s for s in zc) + tuple("1" + s for s in oc)
+def _clopen(ranges: list[tuple[int, int]], depth: int) -> "ClopenSet":
+    """Canonical set of :func:`_gaps` output: ranges cut into maximal aligned blocks."""
+    out = []
+    for a, b in ranges:
+        while a < b:
+            size = min(a & -a or 1 << depth, 1 << (b - a).bit_length() - 1)
+            shift = size.bit_length() - 1
+            out.append(_name(a >> shift, depth - shift))
+            a += size
+    return ClopenSet(tuple(out))
 
 
-def _leftmost(a: tuple[str, ...], length: int) -> Optional[str]:
-    if a == ("",):
-        return None
-    if not a:
-        return "0" * length
-    if length == 0:
-        return None
-    az, ao = _split(a)
-    hit = _leftmost(tuple(az), length - 1)
-    if hit is not None:
-        return "0" + hit
-    hit = _leftmost(tuple(ao), length - 1)
-    if hit is not None:
-        return "1" + hit
-    return None
+def _lift(*sets: "ClopenSet", depth: int = 0) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Shared scale (deepest interval, at least ``depth``) and each operand's ranges."""
+    depth = max([depth] + [len(x) for s in sets for x in s.intervals])
+    return depth, [_ranges(s.intervals, depth) for s in sets]
+
+
+def _mass(depths: list[int]) -> Fraction:
+    """Exact sum of 2^-n over ``depths``, added as integers at the deepest scale."""
+    top = max(depths, default=0)
+    return Fraction(sum(1 << top - n for n in depths), 1 << top)
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ class ClopenSet:
 
     def measure(self) -> Fraction:
         """Exact uniform measure: sum of 2^-len over the intervals."""
-        return sum((Fraction(1, 2 ** len(x)) for x in self.intervals), Fraction(0))
+        return _mass([len(x) for x in self.intervals])
 
     def is_empty(self) -> bool:
         return not self.intervals
@@ -137,16 +128,20 @@ class ClopenSet:
         return self.intervals == ("",)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet(_canon(self.intervals + other.intervals))
+        depth, (a, b) = _lift(self, other)
+        return _clopen(_gaps(_gaps(a + b, depth), depth), depth)
 
     def intersection(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet(_intersect(self.intervals, other.intervals))
+        depth, (a, b) = _lift(self, other)
+        return _clopen(_gaps(_gaps(a, depth) + _gaps(b, depth), depth), depth)
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(_complement(self.intervals))
+        depth, (a,) = _lift(self)
+        return _clopen(_gaps(a, depth), depth)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet(_intersect(self.intervals, _complement(other.intervals)))
+        depth, (a, b) = _lift(self, other)
+        return _clopen(_gaps(_gaps(a, depth) + b, depth), depth)
 
     def covers_string(self, x: str) -> bool:
         """True iff the whole interval of ``x`` lies inside this set."""
@@ -161,16 +156,19 @@ class ClopenSet:
         for i in self.intervals:
             if x.startswith(i):
                 return Fraction(1, 2 ** len(x))
-        return sum(
-            (Fraction(1, 2 ** len(i)) for i in self.intervals if i.startswith(x)),
-            Fraction(0),
-        )
+        return _mass([len(i) for i in self.intervals if i.startswith(x)])
 
     def leftmost_avoiding(self, length: int) -> Optional[str]:
         """Least string of the given length whose interval misses this set."""
         if length < 0:
             raise ValueError("length must be a natural number")
-        return _leftmost(self.intervals, length)
+        depth, (ranges,) = _lift(self, depth=length)
+        shift = depth - length
+        for a, b in _gaps(ranges, depth):
+            first = -(-a >> shift)  # the first length-bit block starting at or after a
+            if first + 1 << shift <= b:
+                return _name(first, length)
+        return None
 
     def __contains__(self, x: str) -> bool:
         return self.covers_string(x)
@@ -187,7 +185,8 @@ FULL = ClopenSet(("",))
 def normalize(intervals: Iterable[str]) -> ClopenSet:
     """Canonical clopen set denoting the union of the given intervals."""
     checked = [check_bit_string(x) for x in intervals]
-    return ClopenSet(_canon(checked))
+    depth = max(map(len, checked), default=0)
+    return _clopen(_gaps(_gaps(_ranges(checked, depth), depth), depth), depth)
 
 
 def interval(x: str) -> ClopenSet:

@@ -28,7 +28,9 @@ class PartialTrace:
         if not self.period:
             raise ValueError("period must be nonempty")
         for slot in self.prefix + self.period:
-            if slot is not None and (not isinstance(slot, int) or slot < 0):
+            if slot is not None and (
+                not isinstance(slot, int) or isinstance(slot, bool) or slot < 0
+            ):
                 raise ValueError(f"trace values must be naturals or None, got {slot!r}")
 
     def term(self, i: int) -> Slot:

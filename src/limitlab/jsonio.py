@@ -44,10 +44,9 @@ def _one_line(payload: Any) -> str:
 
 def _parse_spec(obj: dict, where: str) -> IndexSpec:
     kind = obj.get("kind")
-    index = obj.get("index")
-    if kind not in ("single", "tail") or not isinstance(index, int):
+    if kind not in ("single", "tail"):
         raise ValueError(f"{where}: index spec needs kind single|tail and a natural index")
-    return IndexSpec(kind, index)
+    return IndexSpec(kind, _require_int(obj, "index", where))
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -122,7 +121,7 @@ def parse_presentation(text: str) -> Presentation:
             if not isinstance(granularity, list) or not all(
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(isinstance(v, int) for v in pair)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
                 for pair in granularity
             ):
                 raise ValueError("header: 'granularity' must be a list of [n, c] pairs")

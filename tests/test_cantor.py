@@ -7,8 +7,35 @@ import limitlab as ll
 from oracles import all_strings, measure_by_counting, member
 
 
-def rand_intervals(rng, count, max_len=5):
-    return ["".join(rng.choice("01") for _ in range(rng.randint(0, max_len))) for _ in range(count)]
+def rand_intervals(rng, count, max_len=5, min_len=0):
+    return [
+        "".join(rng.choice("01") for _ in range(rng.randint(min_len, max_len)))
+        for _ in range(count)
+    ]
+
+
+def sample_points(rng, intervals, count, depth):
+    """Random depth-bit points, half of them steered into or beside the given intervals."""
+    points = []
+    for _ in range(count):
+        stem = ""
+        if intervals and rng.random() < 0.5:
+            near = rng.choice(intervals)
+            stem = near[: rng.randint(max(len(near) - 2, 0), len(near))]
+        points.append(stem + "".join(rng.choice("01") for _ in range(depth - len(stem))))
+    return points
+
+
+OPS = {
+    "union": lambda x, y: x or y,
+    "intersection": lambda x, y: x and y,
+    "difference": lambda x, y: x and not y,
+    "complement": lambda x, y: not x,
+}
+
+
+def apply_op(a, b, kind):
+    return a.complement() if kind == "complement" else ll.boolean_op(a, b, kind)
 
 
 def test_normalize_empty():
@@ -103,23 +130,33 @@ def test_boolean_examples():
         assert member(w, got.intervals) == (member(w, ["0", "10"]) and member(w, ["1"]))
 
 
-@pytest.mark.parametrize("kind", ["union", "intersection", "difference"])
+@pytest.mark.parametrize("kind", list(OPS))
 def test_boolean_ops_match_membership(kind):
     rng = random.Random(hash(kind) % 1000)
-    checks = {
-        "union": lambda x, y: x or y,
-        "intersection": lambda x, y: x and y,
-        "difference": lambda x, y: x and not y,
-    }
     for _ in range(120):
         a = ll.normalize(rand_intervals(rng, rng.randint(0, 5)))
         b = ll.normalize(rand_intervals(rng, rng.randint(0, 5)))
-        got = ll.boolean_op(a, b, kind)
+        got = apply_op(a, b, kind)
         depth = max(
             [len(x) for x in a.intervals + b.intervals + got.intervals] or [0]
         ) + 2
         for w in all_strings(depth):
-            expect = checks[kind](member(w, a.intervals), member(w, b.intervals))
+            expect = OPS[kind](member(w, a.intervals), member(w, b.intervals))
+            assert member(w, got.intervals) == expect
+
+
+@pytest.mark.parametrize("kind", list(OPS))
+def test_boolean_ops_match_membership_at_mixed_depths(kind):
+    # one operand 40-60 bits deep, the other 0-3: both must be rescaled to a common depth
+    rng = random.Random(kind)
+    for _ in range(40):
+        deep = ll.normalize(rand_intervals(rng, rng.randint(1, 4), max_len=60, min_len=40))
+        shallow = ll.normalize(rand_intervals(rng, rng.randint(0, 3), max_len=3))
+        a, b = (deep, shallow) if rng.random() < 0.5 else (shallow, deep)
+        got = apply_op(a, b, kind)
+        assert ll.normalize(got.intervals) == got
+        for w in sample_points(rng, a.intervals + b.intervals + got.intervals, 300, 62):
+            expect = OPS[kind](member(w, a.intervals), member(w, b.intervals))
             assert member(w, got.intervals) == expect
 
 

@@ -310,6 +310,56 @@ def test_depth_cap_env_applies_to_validation(tmp_path, monkeypatch):
     assert "deeper" in json.loads(body)["problems"][0]
 
 
+def test_deep_intervals_run_without_recursion_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "5000")
+    stem = "0" * 2999
+    family = tmp_path / "deep.jsonl"
+    family.write_text(
+        '{"type": "open-family", "epsilon": "1/2", "granularity": null}\n'
+        + "".join(
+            json.dumps({"stage": 0, "kind": "tail", "index": 0, "interval": stem + bit}) + "\n"
+            for bit in "01"
+        )
+    )
+    forcing = tmp_path / "forcing.json"
+    forcing.write_text(
+        json.dumps({"initialU": ["0" * 3000], "queries": [{"label": "T", "intervals": ["1" * 3000]}]})
+    )
+    code, body = run(["validate", "--input", str(family)], tmp_path)
+    assert code == 0 and json.loads(body)["valid"]
+    code, body = run(
+        ["lowbasis", "--input", str(forcing), "--witness-length", "3000"], tmp_path, name="out2"
+    )
+    assert code == 0
+    assert json.loads(body)["witness"] == "0" * 2999 + "1"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        (
+            "validate",
+            "family.jsonl",
+            '{"type": "open-family", "epsilon": "1/2", "granularity": null}\n'
+            '{"stage": 0, "kind": "tail", "index": true, "interval": "0"}\n',
+        ),
+        (
+            "decompose",
+            "family.jsonl",
+            '{"type": "open-family", "epsilon": "1/2", "granularity": [[true, 3]]}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "interval": "0"}\n',
+        ),
+        ("freq", "trace.json", '{"prefix": [], "period": [true, false]}\n'),
+    ],
+    ids=["index", "granularity", "trace-slot"],
+)
+def test_json_booleans_are_not_naturals(command, name, text, tmp_path):
+    source = tmp_path / name
+    source.write_text(text)
+    assert main([command, "--input", str(source), "--output", str(tmp_path / "out")]) == 2
+
+
 def test_line_format_table_parses():
     table = jsonio.parse_complexity_table((FIXTURES / "table_lines.txt").read_text())
     assert table.mode == "conditional"
