@@ -43,13 +43,15 @@ def max_interval_depth() -> int:
     return depth
 
 
-def check_bit_string(x: str) -> str:
-    """Validate a finite bit string; returns it unchanged."""
+def check_bit_string(x: str, cap: Optional[int] = None) -> str:
+    """Validate a finite bit string of depth at most ``cap`` (by default
+    :func:`max_interval_depth`); returns it unchanged."""
     if not isinstance(x, str):
         raise ValueError(f"bit string expected, got {type(x).__name__}")
     if set(x) - _BITS:
         raise ValueError(f"bit string may contain only 0 and 1, got {x!r}")
-    cap = max_interval_depth()
+    if cap is None:
+        cap = max_interval_depth()
     if len(x) > cap:
         raise ValueError(f"interval {x!r} deeper than the configured cap {cap}")
     return x
@@ -184,7 +186,8 @@ FULL = ClopenSet(("",))
 
 def normalize(intervals: Iterable[str]) -> ClopenSet:
     """Canonical clopen set denoting the union of the given intervals."""
-    checked = [check_bit_string(x) for x in intervals]
+    cap = max_interval_depth()
+    checked = [check_bit_string(x, cap) for x in intervals]
     depth = max(map(len, checked), default=0)
     return _clopen(_gaps(_gaps(_ranges(checked, depth), depth), depth), depth)
 

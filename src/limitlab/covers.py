@@ -17,6 +17,18 @@ presented family while obeying the same budget the family members do:
 The enumeration order (index threshold ascending, then element order, then
 value ascending) is fixed so that runs are reproducible; any computable order
 would do, and only the guarantees above are contractual.
+
+The family is constant on each breakpoint segment ``[b_i, b_(i+1))`` (the
+last one runs to ``nmax + 1``), so the first three constructions keep one
+working copy per segment, not per index.  Copies inside a segment start
+equal and only grow, so a budget check that fails at the segment's start
+fails again at every later threshold of it, while an operation accepted at
+the start has left its element, value or interval in every later copy and is
+accepted again as a no-op.  Operations are therefore tried only at segment
+starts, and the log repeats a start's accepted list, in the same order, for
+every threshold of its segment: the log is exactly the per-index one, and
+the cost grows with the number of breakpoints and the size of the output,
+not with the value of an index.
 """
 
 from __future__ import annotations
@@ -77,6 +89,13 @@ def _effective_nmax(p, nmax: Optional[int]) -> int:
     return nmax
 
 
+def _segments(p, nmax: Optional[int]) -> list[tuple[int, int]]:
+    """The ranges ``[start, end)`` of thresholds ``0..nmax`` on which the
+    family is constant: one per breakpoint, the last one ending at nmax + 1."""
+    starts = breakpoints(p)
+    return list(zip(starts, starts[1:] + [_effective_nmax(p, nmax) + 1]))
+
+
 def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet:
     """Grow a single small set containing the liminf of a set family.
 
@@ -88,21 +107,20 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     tail member, so there are fewer than 2^k of them.
     """
     require_valid(p)
-    nmax = _effective_nmax(p, nmax)
+    segments = _segments(p, nmax)
     cap = 2**p.k
-    working = [set(family_at(p, n)) for n in range(nmax + 1)]
-    # index nmax stands for every n >= nmax: all thresholds at play are <= nmax
+    working = [set(family_at(p, start)) for start, _ in segments]
+    # the last copy stands for every n >= its start: all thresholds at play are <= nmax
     accepted: list[tuple[int, str]] = []
-    for big_n in range(nmax + 1):
+    for i, (start, end) in enumerate(segments):
+        later = working[i:]
+        here = []
         for u in p.universe:
-            ok = all(
-                u in working[n] or len(working[n]) < cap - 1
-                for n in range(big_n, nmax + 1)
-            )
-            if ok:
-                for n in range(big_n, nmax + 1):
-                    working[n].add(u)
-                accepted.append((big_n, u))
+            if all(u in w or len(w) < cap - 1 for w in later):
+                for w in later:
+                    w.add(u)
+                here.append(u)
+        accepted.extend((n, u) for n in range(start, end) for u in here)
     elements = frozenset(u for _, u in accepted)
     assert len(elements) < cap
     assert liminf_family(p) <= elements
@@ -125,14 +143,17 @@ def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) ->
 
 
 def _raise_with_closure(table: dict[str, Fraction], u: str, r: Fraction) -> None:
-    # minimal tree repair: only ancestors of u can fall below their children
-    if r > table.get(u, Fraction(0)):
-        table[u] = r
+    # minimal repair of a closed table: only ancestors of u can fall below
+    # their children, and none above the first one that does not
+    if r <= table.get(u, Fraction(0)):
+        return
+    table[u] = r
     for i in range(len(u) - 1, -1, -1):
         y = u[:i]
         kids = table.get(y + "0", Fraction(0)) + table.get(y + "1", Fraction(0))
-        if kids > table.get(y, Fraction(0)):
-            table[y] = kids
+        if kids <= table.get(y, Fraction(0)):
+            return
+        table[y] = kids
 
 
 def _root_after_raise(table: dict[str, Fraction], u: str, r: Fraction) -> Fraction:
@@ -172,44 +193,44 @@ def cover_semimeasure(
     within the same mass budget.
     """
     require_valid(p)
-    nmax = _effective_nmax(p, nmax)
+    segments = _segments(p, nmax)
     rgrid = _prepare_grid(p, grid)
     elements = _sorted_elements(p)
     zero = Fraction(0)
     if p.tree:
-        working = [tree_closure(family_at(p, n)) for n in range(nmax + 1)]
+        working = [tree_closure(family_at(p, start)) for start, _ in segments]
     else:
-        working = [dict(family_at(p, n)) for n in range(nmax + 1)]
+        working = [dict(family_at(p, start)) for start, _ in segments]
         totals = [sum(t.values(), zero) for t in working]
     accepted: list[tuple[Fraction, int, str]] = []
     built: dict[str, Fraction] = {}
-    for big_n in range(nmax + 1):
+    for i, (start, end) in enumerate(segments):
+        later = range(i, len(segments))
+        here = []
         for u in elements:
             for r in rgrid:
                 if p.tree:
-                    ok = all(
-                        _root_after_raise(working[n], u, r) <= 1
-                        for n in range(big_n, nmax + 1)
-                    )
+                    ok = all(_root_after_raise(working[j], u, r) <= 1 for j in later)
                 else:
                     ok = all(
-                        totals[n] + max(zero, r - working[n].get(u, zero)) <= 1
-                        for n in range(big_n, nmax + 1)
+                        totals[j] + max(zero, r - working[j].get(u, zero)) <= 1
+                        for j in later
                     )
                 if ok:
-                    for n in range(big_n, nmax + 1):
+                    for j in later:
                         if p.tree:
-                            _raise_with_closure(working[n], u, r)
+                            _raise_with_closure(working[j], u, r)
                         else:
-                            gain = r - working[n].get(u, zero)
+                            gain = r - working[j].get(u, zero)
                             if gain > 0:
-                                working[n][u] = r
-                                totals[n] += gain
-                    accepted.append((r, big_n, u))
+                                working[j][u] = r
+                                totals[j] += gain
+                    here.append((r, u))
                     if p.tree:
                         _raise_with_closure(built, u, r)
                     elif r > built.get(u, zero):
                         built[u] = r
+        accepted.extend((r, n, u) for n in range(start, end) for r, u in here)
     values = {u: v for u, v in built.items() if v > 0}
     if p.tree:
         assert built.get("", zero) <= 1
@@ -270,23 +291,25 @@ def cover_open(
     cap = max_interval_depth()
     if lmax > cap:
         raise ValueError(f"Lmax = {lmax} exceeds the interval depth cap {cap}")
-    nmax = _effective_nmax(p, nmax)
-    working = [family_at(p, n) for n in range(nmax + 1)]
+    segments = _segments(p, nmax)
+    working = [family_at(p, start) for start, _ in segments]
     mu = [w.measure() for w in working]
+    candidates = _candidates(lmax)
     accepted: list[tuple[str, int]] = []
-    for big_n in range(nmax + 1):
-        for x in _candidates(lmax):
+    for i, (start, end) in enumerate(segments):
+        later = range(i, len(segments))
+        here = []
+        for x in candidates:
             gain = Fraction(1, 2 ** len(x))
-            ok = all(
-                mu[n] + gain - working[n].interval_overlap(x) <= p.epsilon
-                for n in range(big_n, nmax + 1)
-            )
-            if ok:
+            overlaps = [working[j].interval_overlap(x) for j in later]
+            if all(mu[j] + gain - overlap <= p.epsilon for j, overlap in zip(later, overlaps)):
                 piece = interval(x)
-                for n in range(big_n, nmax + 1):
-                    working[n] = working[n].union(piece)
-                    mu[n] = working[n].measure()
-                accepted.append((x, big_n))
+                for j, overlap in zip(later, overlaps):
+                    if overlap != gain:  # otherwise the union changes nothing
+                        working[j] = working[j].union(piece)
+                        mu[j] += gain - overlap
+                here.append(x)
+        accepted.extend((x, n) for n in range(start, end) for x in here)
     region = normalize(x for x, _ in accepted)
     assert region.measure() <= p.epsilon
     assert liminf_family(p).difference(region).is_empty()

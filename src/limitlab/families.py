@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cantor import ClopenSet, check_bit_string, format_fraction, normalize
+from .cantor import ClopenSet, check_bit_string, format_fraction, max_interval_depth, normalize
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,14 @@ def tree_root_mass(table: dict[str, Fraction]) -> Fraction:
 
 def _structural_problems(p: Presentation) -> list[str]:
     problems = []
+    cap = max_interval_depth()
     universe = set(p.universe) if isinstance(p, SetFamilyPresentation) else None
     if isinstance(p, SetFamilyPresentation):
         if p.k < 0:
             problems.append(f"capacity exponent k must be a natural number, got {p.k}")
         for u in p.universe:
             try:
-                check_bit_string(u)
+                check_bit_string(u, cap)
             except ValueError as exc:
                 problems.append(f"universe: {exc}")
     if isinstance(p, OpenFamilyPresentation):
@@ -244,7 +245,7 @@ def _structural_problems(p: Presentation) -> list[str]:
                 problems.append(f"{where}: element {ev.element!r} not in the universe")
         if isinstance(ev, ValueEvent):
             try:
-                check_bit_string(ev.element)
+                check_bit_string(ev.element, cap)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
             if not Fraction(0) <= ev.value <= Fraction(1):
@@ -253,7 +254,7 @@ def _structural_problems(p: Presentation) -> list[str]:
                 )
         if isinstance(ev, IntervalEvent):
             try:
-                check_bit_string(ev.interval)
+                check_bit_string(ev.interval, cap)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
     return problems

@@ -301,8 +301,10 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     (conditional is the default).
     """
     body = text.lstrip()
-    if body.startswith("{"):
+    if body.startswith(("{", "[")):
         obj = json.loads(body)
+        if not isinstance(obj, dict):
+            raise ValueError("table JSON must be an object with an 'entries' list")
         mode = obj.get("conditionMode", "conditional")
         raw = obj.get("entries")
         if mode not in ("conditional", "plain") or not isinstance(raw, list):
@@ -313,8 +315,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
                 isinstance(row, list)
                 and len(row) == 3
                 and isinstance(row[0], str)
-                and isinstance(row[1], int)
-                and isinstance(row[2], int)
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in row[1:])
             ):
                 raise ValueError(f"bad table entry {row!r}")
             entries[(row[0], row[1])] = row[2]

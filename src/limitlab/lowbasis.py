@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import ClopenSet
+from .cantor import ClopenSet, max_interval_depth
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     """Decide every query while keeping the complement nonempty.
 
     Requires a witness length at least the deepest interval in play, so that
-    the leftmost string avoiding the final U is guaranteed to exist.
+    the leftmost string avoiding the final U is guaranteed to exist, and at
+    most the interval depth cap, so that the witness is no longer than any
+    interval may be.
     """
     if instance.initial_u.is_full():
         raise ValueError("initial U must have nonempty complement")
@@ -48,6 +50,11 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     if witness_length < deepest:
         raise ValueError(
             f"witness length {witness_length} below the deepest interval ({deepest})"
+        )
+    cap = max_interval_depth()
+    if witness_length > cap:
+        raise ValueError(
+            f"witness length {witness_length} exceeds the interval depth cap {cap}"
         )
     u = instance.initial_u
     answers = []

@@ -7,7 +7,10 @@ questions.  Keeping these separate from the implementation is the point.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import lcm
+from operator import or_
 
 
 def all_strings(length):
@@ -50,6 +53,89 @@ def open_member_intervals(events, n):
 
 def _covers(spec, n):
     return n == spec.index if spec.kind == "single" else n >= spec.index
+
+
+# The covers by their definition: one working copy for every index 0..nmax,
+# every tentative operation checked against every copy from its threshold on
+# and each budget recomputed from scratch.  Same enumeration order as the
+# library, so the whole result, accepted-ops log included, must agree.
+
+
+def cover_sets_by_index(p, nmax):
+    """(elements, accepted ops) of the set cover."""
+    cap = 2**p.k
+    working = [set_family_member(p.events, n) for n in range(nmax + 1)]
+    accepted = []
+    for big_n in range(nmax + 1):
+        for u in p.universe:
+            if all(u in w or len(w) + 1 < cap for w in working[big_n:]):
+                for w in working[big_n:]:
+                    w.add(u)
+                accepted.append((big_n, u))
+    return frozenset(u for _, u in accepted), tuple(accepted)
+
+
+def least_tree_semimeasure(table):
+    """Every node gets the larger of its own bound and its children's sum."""
+    nodes = {u[:i] for u in table for i in range(len(u) + 1)}
+    closed = {}
+    for y in sorted(nodes, key=len, reverse=True):
+        closed[y] = max(table.get(y, 0), closed.get(y + "0", 0) + closed.get(y + "1", 0))
+    return closed
+
+
+def cover_semimeasure_by_index(p, grid, nmax):
+    """(positive values, accepted ops) of the flat or tree semimeasure cover."""
+    # exact integer arithmetic: every value counted in units of 1/scale
+    grid = sorted(set(map(Fraction, grid)))
+    scale = lcm(*(v.denominator for v in grid + [ev.value for ev in p.events]))
+
+    def mass(table):
+        return least_tree_semimeasure(table).get("", 0) if p.tree else sum(table.values())
+
+    elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
+    working = [
+        {u: int(v * scale) for u, v in semimeasure_member(p.events, n).items()}
+        for n in range(nmax + 1)
+    ]
+    accepted = []
+    for big_n in range(nmax + 1):
+        for u in elements:
+            for r in grid:
+                units = int(r * scale)
+                if all(mass({**w, u: max(units, w.get(u, 0))}) <= scale for w in working[big_n:]):
+                    for w in working[big_n:]:
+                        w[u] = max(units, w.get(u, 0))
+                    accepted.append((r, big_n, u))
+    built = {}
+    for r, _, u in accepted:
+        built[u] = max(r, built.get(u, 0))
+    if p.tree:
+        built = least_tree_semimeasure(built)
+    return {u: v for u, v in built.items() if v > 0}, tuple(accepted)
+
+
+def points_at_depth(intervals, depth):
+    """Bit i set iff the length-``depth`` string numbered i extends an interval."""
+
+    def points(x):
+        shift = depth - len(x)
+        return ((1 << (1 << shift)) - 1) << (int(x or "0", 2) << shift)
+
+    return reduce(or_, map(points, intervals), 0)
+
+
+def cover_open_by_index(p, lmax, nmax):
+    """(points of the region at depth lmax, accepted ops) of the open cover."""
+    working = [points_at_depth(open_member_intervals(p.events, n), lmax) for n in range(nmax + 1)]
+    accepted = []
+    for big_n in range(nmax + 1):
+        for x in strings_up_to(lmax):
+            grown = [w | points_at_depth([x], lmax) for w in working[big_n:]]
+            if all(Fraction(w.bit_count(), 2**lmax) <= p.epsilon for w in grown):
+                working[big_n:] = grown
+                accepted.append((x, big_n))
+    return points_at_depth([x for x, _ in accepted], lmax), tuple(accepted)
 
 
 def m0_reference(program, condition):

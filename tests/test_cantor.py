@@ -237,6 +237,20 @@ def test_depth_cap_env_override(monkeypatch):
         ll.max_interval_depth()
 
 
+def test_depth_cap_env_read_once_per_call(monkeypatch):
+    reads = []
+    real = ll.cantor.max_interval_depth
+    count = lambda: reads.append(1) or real()  # noqa: E731
+    monkeypatch.setattr("limitlab.cantor.max_interval_depth", count)
+    monkeypatch.setattr("limitlab.families.max_interval_depth", count)
+    ll.normalize(f"{n:07b}" for n in range(100))
+    assert len(reads) == 1
+    universe = tuple(f"{n:05b}" for n in range(20))
+    events = tuple(ll.SetEvent(0, ll.tail(0), u) for u in universe[:3])
+    assert ll.validate(ll.SetFamilyPresentation(k=3, universe=universe, events=events)).ok
+    assert len(reads) == 2
+
+
 def test_fraction_round_trip():
     for text, value in [("1/2", Fraction(1, 2)), ("3", Fraction(3)), ("-2/4", Fraction(-1, 2))]:
         assert ll.parse_fraction(text) == value

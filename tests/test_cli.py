@@ -134,6 +134,15 @@ def test_lowbasis_output_values(tmp_path):
     assert payload["witness"] == "11"
 
 
+def test_lowbasis_witness_length_beyond_depth_cap_exits_two(tmp_path, capsys):
+    code, body = run(
+        ["lowbasis", "--input", str(FIXTURES / "forcing.json"), "--witness-length", "5000"],
+        tmp_path,
+    )
+    assert (code, body) == (2, b"")
+    assert "exceeds the interval depth cap 64" in capsys.readouterr().err
+
+
 def test_parse_error_exits_two(tmp_path):
     assert main(["cover-open", "--input", "/does/not/exist", "--lmax", "2"]) == 2
     bad = tmp_path / "bad.jsonl"
@@ -358,6 +367,39 @@ def test_json_booleans_are_not_naturals(command, name, text, tmp_path):
     source = tmp_path / name
     source.write_text(text)
     assert main([command, "--input", str(source), "--output", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"entries": [["0", true, 2]]}', "bad table entry"),
+        ('{"entries": [["", 1, false]]}', "bad table entry"),
+        ("[1, 2]", "table JSON must be an object"),
+    ],
+    ids=["condition-bool", "value-bool", "json-array"],
+)
+def test_table_json_is_checked_strictly(text, message, tmp_path, capsys):
+    source = tmp_path / "table.json"
+    source.write_text(text)
+    argv = ["deficiency", "--input", str(source), "--omega", "0", "--horizon", "1", "--c", "0"]
+    assert run(argv, tmp_path) == (2, b"")
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--input", str(FIXTURES / "set_family.jsonl")],
+        ["cover-sets", "--input", str(FIXTURES / "set_family.jsonl")],
+        ["lowbasis", "--input", str(FIXTURES / "forcing.json"), "--witness-length", "2"],
+    ],
+    ids=["validate", "cover-sets", "lowbasis"],
+)
+def test_invalid_depth_cap_env_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "junk")
+    assert run(argv, tmp_path)[0] == 2
+    err = capsys.readouterr().err
+    assert err == "error: LIMITLAB_MAX_DEPTH must be an integer, got 'junk'\n"
 
 
 def test_line_format_table_parses():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import limitlab as ll
+import oracles
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
 
 
@@ -350,3 +351,64 @@ def test_cover_runs_do_not_disturb_each_other():
     first = ll.cover_open(p, lmax=lmax)
     second = ll.cover_open(p, lmax=lmax)
     assert first == second
+
+
+def _cover_and_oracle(kind, rng, index):
+    """For a seeded family of the kind: (library result, oracle result) per nmax."""
+    if kind == "set":
+        p = gen_set_family(rng)
+    elif kind == "open":
+        p = gen_open_family(rng, max_depth=4)
+        lmax = max((len(ev.interval) for ev in p.events), default=0) + index % 2
+    else:
+        p = gen_semimeasure_family(rng, tree=kind == "tree")
+    last = max(ll.breakpoints(p))
+    for nmax in range(last, last + 4):
+        if kind == "set":
+            cover = ll.cover_sets(p, nmax=nmax)
+            yield (cover.elements, cover.accepted_ops), oracles.cover_sets_by_index(p, nmax)
+        elif kind == "open":
+            cover = ll.cover_open(p, lmax=lmax, nmax=nmax)
+            assert cover.slack_report is None
+            got = (oracles.points_at_depth(cover.region.intervals, lmax), cover.accepted_ops)
+            yield got, oracles.cover_open_by_index(p, lmax, nmax)
+        else:
+            cover = ll.cover_semimeasure(p, EIGHTHS, nmax=nmax)
+            assert cover.tree == p.tree
+            got = (dict(cover.values), cover.accepted_ops)
+            yield got, oracles.cover_semimeasure_by_index(p, EIGHTHS, nmax)
+
+
+@pytest.mark.parametrize("kind", ["set", "flat", "tree", "open"])
+def test_covers_match_per_index_oracles(kind):
+    # the segment-wise loops must reproduce the per-index definition exactly,
+    # accepted-ops log included, also for thresholds past the last breakpoint
+    rng = random.Random(f"per-index:{kind}")
+    for index in range(200):
+        for got, expected in _cover_and_oracle(kind, rng, index):
+            assert got == expected
+
+
+@pytest.mark.parametrize("kind", ["set", "flat", "tree", "open"])
+def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
+    # a single tail(1000) event: two breakpoints, so two members, not 1001
+    spec = ll.tail(1000)
+    if kind == "set":
+        p = set_presentation(2, ["0", "1"], ll.SetEvent(0, spec, "0"))
+        run = lambda: ll.cover_sets(p)  # noqa: E731
+    elif kind == "open":
+        p = open_presentation(Fraction(1, 2), ll.IntervalEvent(0, spec, "0"))
+        run = lambda: ll.cover_open(p, lmax=1)  # noqa: E731
+    else:
+        p = ll.SemimeasureFamilyPresentation(
+            events=(ll.ValueEvent(0, spec, "0", Fraction(1, 2)),), tree=kind == "tree"
+        )
+        run = lambda: ll.cover_semimeasure(p, EIGHTHS)  # noqa: E731
+    calls = []
+    monkeypatch.setattr(
+        "limitlab.covers.family_at", lambda *args: calls.append(args) or ll.family_at(*args)
+    )
+    cover = run()
+    assert 0 < len(calls) <= len(ll.breakpoints(p))
+    # the log still names every threshold up to the last breakpoint
+    assert cover.accepted_ops[-1][0 if kind == "set" else 1] == 1000

@@ -43,6 +43,16 @@ def test_force_rejects_short_witness():
         ll.force(instance, witness_length=2)
 
 
+def test_force_rejects_witness_beyond_depth_cap(monkeypatch):
+    instance = ll.ForcingInstance(initial_u=ll.interval("0"), queries=())
+    assert len(ll.force(instance, witness_length=64).witness_prefix) == 64
+    with pytest.raises(ValueError, match="depth cap 64"):
+        ll.force(instance, witness_length=65)
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "8")
+    with pytest.raises(ValueError, match="depth cap 8"):
+        ll.force(instance, witness_length=9)
+
+
 def test_force_stepwise_invariants_randomized():
     rng = random.Random(301)
     for _ in range(60):
