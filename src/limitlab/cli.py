@@ -3,13 +3,19 @@
 One command per process; exit status 0 on success, 1 when the input fails
 validation, 2 on parse or configuration errors.  Identical input and flags
 produce byte-identical output.
+
+Every command is one entry of ``COMMANDS``: its help text, its required and
+optional flags, a run function returning the JSON payload (or the text of an
+event log), and, for the row-shaped reports, a CSV writer of that payload.
+A command accepts only the flags its entry names, plus ``--output``, and
+``--format`` when it has a CSV writer.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import jsonio
 from .cantor import parse_fraction
@@ -33,6 +39,7 @@ from .families import (
     SetFamilyPresentation,
     ValidationError,
     liminf_family,
+    require_valid,
     validate,
 )
 from .freq import limit_frequency, trace_to_family
@@ -41,6 +48,43 @@ from .lowbasis import force
 
 class ConfigError(ValueError):
     pass
+
+
+# argparse names a type in its message: "argument --c: invalid natural value: '-1'"
+def natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def rational(text: str):
+    return parse_fraction(text)
+
+
+def grid(text: str) -> list:
+    values = [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+FLAGS: dict[str, dict[str, Any]] = {
+    "input": {"help": "input file"},
+    "output": {"help": "output file (stdout when absent)"},
+    "k": {"type": natural, "help": "capacity exponent override"},
+    "epsilon": {"type": rational, "help": "measure bound override, num/den"},
+    "epsilon-prime": {"type": rational, "help": "enlarged bound, num/den"},
+    "c": {"type": natural, "help": "deficiency / measure exponent parameter"},
+    "lmax": {"type": natural, "help": "candidate interval depth / max string length"},
+    "nmax": {"type": natural, "help": "largest index threshold / condition / level"},
+    "nmin": {"type": natural, "help": "smallest level"},
+    "horizon": {"type": natural, "help": "extension horizon for dbar"},
+    "grid": {"type": grid, "help": "comma-separated rationals, e.g. 0,1/8,1/4"},
+    "omega": {"help": "sequence prefix under study"},
+    "witness-length": {"type": natural, "help": "witness prefix length"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+}
 
 
 def _read(path: str) -> str:
@@ -62,27 +106,13 @@ def _write(text: str, path: Optional[str]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _need(args, name: str):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        raise ConfigError(f"--{name} is required for this command")
-    return value
-
-
-def _parse_grid(text: str):
-    parts = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not parts:
-        raise ConfigError("--grid must list at least one rational")
-    return [parse_fraction(piece) for piece in parts]
-
-
 def _presentation(args, expected=None):
-    p = jsonio.parse_presentation(_read(_need(args, "input")))
+    p = jsonio.parse_presentation(_read(args.input))
     if getattr(args, "k", None) is not None and isinstance(p, SetFamilyPresentation):
         p = SetFamilyPresentation(k=args.k, universe=p.universe, events=p.events)
     if getattr(args, "epsilon", None) is not None and isinstance(p, OpenFamilyPresentation):
         p = OpenFamilyPresentation(
-            epsilon=parse_fraction(args.epsilon), events=p.events, granularity=p.granularity
+            epsilon=args.epsilon, events=p.events, granularity=p.granularity
         )
     if expected is not None and not isinstance(p, expected):
         raise ConfigError(
@@ -91,146 +121,107 @@ def _presentation(args, expected=None):
     return p
 
 
-def _emit(args, payload, csv_text: Optional[str] = None) -> None:
-    if args.format == "csv":
-        if csv_text is None:
-            raise ConfigError("csv output is not supported for this command")
-        _write(csv_text, args.output)
-    else:
-        _write(jsonio.dumps_artifact(payload), args.output)
+def _table(args):
+    return jsonio.parse_complexity_table(_read(args.input))
 
 
-def _cmd_validate(args) -> int:
-    p = _presentation(args)
-    report = validate(p)
-    _emit(args, jsonio.report_to_json(report))
-    if not report.ok:
-        for problem in report.problems:
-            print(problem, file=sys.stderr)
-        return 1
-    return 0
+def _trace(args):
+    return jsonio.parse_trace(_read(args.input))
 
 
-def _cmd_liminf(args) -> int:
-    p = _presentation(args)
-    report = validate(p)
-    if not report.ok:
-        raise ValidationError(report)
-    _emit(args, jsonio.liminf_to_json(p, liminf_family(p)))
-    return 0
+def _liminf(p) -> dict:
+    require_valid(p)
+    return jsonio.liminf_to_json(p, liminf_family(p))
 
 
-def _cmd_cover_sets(args) -> int:
+def _cover_sets(args) -> dict:
     p = _presentation(args, SetFamilyPresentation)
-    cover = cover_sets(p, nmax=args.nmax)
-    _emit(args, jsonio.cover_set_to_json(cover, p.k))
-    return 0
+    return jsonio.cover_set_to_json(cover_sets(p, nmax=args.nmax), p.k)
 
 
-def _cmd_cover_semimeasure(args, want_tree: bool) -> int:
+def _cover_semimeasure(args, tree: bool) -> dict:
     p = _presentation(args, SemimeasureFamilyPresentation)
-    if p.tree != want_tree:
-        raise ConfigError(
-            "cover-tree expects a tree event log and cover-semimeasure a flat one"
-        )
-    cover = cover_semimeasure(p, _parse_grid(_need(args, "grid")), nmax=args.nmax)
-    _emit(args, jsonio.cover_semimeasure_to_json(cover))
-    return 0
+    if p.tree != tree:
+        raise ConfigError("cover-tree expects a tree event log and cover-semimeasure a flat one")
+    return jsonio.cover_semimeasure_to_json(cover_semimeasure(p, args.grid, nmax=args.nmax))
 
 
-def _cmd_cover_open(args) -> int:
-    p = _presentation(args, OpenFamilyPresentation)
-    cover = cover_open(p, lmax=_need(args, "lmax"), nmax=args.nmax)
-    _emit(args, jsonio.cover_open_to_json(cover))
-    return 0
+def _open(args):
+    return _presentation(args, OpenFamilyPresentation)
 
 
-def _cmd_cover_open_strong(args) -> int:
-    p = _presentation(args, OpenFamilyPresentation)
-    cover = cover_open_strong(p, parse_fraction(_need(args, "epsilon-prime")))
-    _emit(args, jsonio.cover_open_to_json(cover))
-    return 0
+class Command(NamedTuple):
+    help: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    run: Callable[[argparse.Namespace], Any]  # JSON payload, or event-log text
+    csv: Optional[Callable[[Any], str]] = None  # CSV text of the JSON payload
 
 
-def _cmd_decompose(args) -> int:
-    p = _presentation(args, OpenFamilyPresentation)
-    _emit(args, jsonio.decomposition_to_json(decompose_liminf(p)))
-    return 0
-
-
-def _cmd_lowbasis(args) -> int:
-    instance = jsonio.parse_forcing_instance(_read(_need(args, "input")))
-    outcome = force(instance, witness_length=_need(args, "witness-length"))
-    _emit(args, jsonio.forcing_outcome_to_json(outcome))
-    return 0
-
-
-def _cmd_complexity(args) -> int:
-    table = complexity_table(
-        max_len=_need(args, "lmax"), conditions=range(_need(args, "nmax") + 1)
-    )
-    _emit(
-        args,
-        jsonio.complexity_table_to_json(table),
-        csv_text=jsonio.complexity_table_to_csv(table),
-    )
-    return 0
-
-
-def _cmd_deficiency(args) -> int:
-    table = jsonio.parse_complexity_table(_read(_need(args, "input")))
-    report = deficiency_report(
-        table,
-        omega_prefix=_need(args, "omega"),
-        horizon=_need(args, "horizon"),
-        c=_need(args, "c"),
-    )
-    _emit(
-        args,
-        jsonio.deficiency_report_to_json(report),
-        csv_text=jsonio.deficiency_report_to_csv(report),
-    )
-    return 0
-
-
-def _cmd_deficiency_family(args) -> int:
-    table = jsonio.parse_complexity_table(_read(_need(args, "input")))
-    family = deficiency_family(
-        table, c=_need(args, "c"), n_range=(_need(args, "nmin"), _need(args, "nmax"))
-    )
-    _write(jsonio.dump_presentation(family), args.output)
-    return 0
-
-
-def _cmd_complexity_bounds(args) -> int:
-    p = _presentation(args, OpenFamilyPresentation)
-    _emit(args, jsonio.bounds_to_json(cover_to_complexity_bounds(p, c=_need(args, "c"))))
-    return 0
-
-
-def _cmd_randomness(args) -> int:
-    table = jsonio.parse_complexity_table(_read(_need(args, "input")))
-    report = randomness_report(table, omega_prefix=_need(args, "omega"), c=_need(args, "c"))
-    _emit(
-        args,
-        jsonio.randomness_report_to_json(report),
-        csv_text=jsonio.randomness_report_to_csv(report),
-    )
-    return 0
-
-
-def _cmd_freq(args) -> int:
-    trace = jsonio.parse_trace(_read(_need(args, "input")))
-    table = limit_frequency(trace)
-    _emit(args, jsonio.frequencies_to_json(table), csv_text=jsonio.frequencies_to_csv(table))
-    return 0
-
-
-def _cmd_trace_to_family(args) -> int:
-    trace = jsonio.parse_trace(_read(_need(args, "input")))
-    family = trace_to_family(trace, nmax=_need(args, "nmax"), grid=_parse_grid(_need(args, "grid")))
-    _write(jsonio.dump_presentation(family), args.output)
-    return 0
+# Run functions look library and jsonio functions up when they run, so a
+# rebinding of a module attribute (a tracer, a test double) takes effect.
+COMMANDS: dict[str, Command] = {
+    "validate": Command(
+        "check every invariant of an event log", ("input",), ("k", "epsilon"),
+        lambda a: jsonio.report_to_json(validate(_presentation(a)))),
+    "liminf": Command(
+        "exact liminf of a presented family", ("input",), ("k", "epsilon"),
+        lambda a: _liminf(_presentation(a))),
+    "cover-sets": Command(
+        "small set containing the liminf of a set family", ("input",), ("k", "nmax"),
+        _cover_sets),
+    "cover-semimeasure": Command(
+        "semimeasure dominating the liminf of a flat family", ("input", "grid"), ("nmax",),
+        lambda a: _cover_semimeasure(a, tree=False)),
+    "cover-tree": Command(
+        "tree semimeasure dominating the liminf of a tree family", ("input", "grid"), ("nmax",),
+        lambda a: _cover_semimeasure(a, tree=True)),
+    "cover-open": Command(
+        "open set of measure <= epsilon containing the liminf", ("input", "lmax"),
+        ("epsilon", "nmax"),
+        lambda a: jsonio.cover_open_to_json(cover_open(_open(a), lmax=a.lmax, nmax=a.nmax))),
+    "cover-open-strong": Command(
+        "cover the liminf within an enlarged budget", ("input", "epsilon-prime"), ("epsilon",),
+        lambda a: jsonio.cover_open_to_json(cover_open_strong(_open(a), a.epsilon_prime))),
+    "decompose": Command(
+        "disjoint decomposition of the liminf of an open family", ("input",), ("epsilon",),
+        lambda a: jsonio.decomposition_to_json(decompose_liminf(_open(a)))),
+    "lowbasis": Command(
+        "force query answers while keeping the complement nonempty",
+        ("input", "witness-length"), (),
+        lambda a: jsonio.forcing_outcome_to_json(
+            force(jsonio.parse_forcing_instance(_read(a.input)), witness_length=a.witness_length))),
+    "complexity": Command(
+        "exact description-length table of the reference machine", ("lmax", "nmax"), (),
+        lambda a: jsonio.complexity_table_to_json(
+            complexity_table(max_len=a.lmax, conditions=range(a.nmax + 1))),
+        lambda payload: jsonio.complexity_table_to_csv(payload)),
+    "deficiency": Command(
+        "per-prefix deficiency report of a sequence prefix", ("input", "omega", "horizon", "c"),
+        (),
+        lambda a: jsonio.deficiency_report_to_json(
+            deficiency_report(_table(a), omega_prefix=a.omega, horizon=a.horizon, c=a.c)),
+        lambda payload: jsonio.deficiency_report_to_csv(payload)),
+    "deficiency-family": Command(
+        "staged open family of compressible strings", ("input", "c", "nmin", "nmax"), (),
+        lambda a: jsonio.dump_presentation(
+            deficiency_family(_table(a), c=a.c, n_range=(a.nmin, a.nmax)))),
+    "complexity-bounds": Command(
+        "ordinal-coding bounds read off a small cover", ("input", "c"), ("epsilon",),
+        lambda a: jsonio.bounds_to_json(cover_to_complexity_bounds(_open(a), c=a.c))),
+    "randomness-report": Command(
+        "prefix lengths where the sequence stays incompressible", ("input", "omega", "c"), (),
+        lambda a: jsonio.randomness_report_to_json(
+            randomness_report(_table(a), omega_prefix=a.omega, c=a.c)),
+        lambda payload: jsonio.randomness_report_to_csv(payload)),
+    "freq": Command(
+        "exact limit frequencies of an eventually periodic trace", ("input",), (),
+        lambda a: jsonio.frequencies_to_json(limit_frequency(_trace(a))),
+        lambda payload: jsonio.frequencies_to_csv(payload)),
+    "trace-to-family": Command(
+        "replay a trace into a staged semimeasure family", ("input", "nmax", "grid"), (),
+        lambda a: jsonio.dump_presentation(trace_to_family(_trace(a), nmax=a.nmax, grid=a.grid))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,71 +230,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact staged-family constructions, covers and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", help="input file")
-        cmd.add_argument("--output", help="output file (stdout when absent)")
-        cmd.add_argument("--k", type=int, help="capacity exponent override")
-        cmd.add_argument("--epsilon", help="measure bound override, num/den")
-        cmd.add_argument("--epsilon-prime", dest="epsilon_prime", help="enlarged bound, num/den")
-        cmd.add_argument("--c", type=int, help="deficiency / measure exponent parameter")
-        cmd.add_argument("--lmax", type=int, help="candidate interval depth / max string length")
-        cmd.add_argument("--nmax", type=int, help="largest index threshold / condition / level")
-        cmd.add_argument("--nmin", type=int, help="smallest level (deficiency-family)")
-        cmd.add_argument("--horizon", type=int, help="extension horizon for dbar")
-        cmd.add_argument("--grid", help="comma-separated rationals, e.g. 0,1/8,1/4")
-        cmd.add_argument("--omega", help="sequence prefix under study")
-        cmd.add_argument(
-            "--witness-length", dest="witness_length", type=int, help="witness prefix length"
-        )
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        return cmd
-
-    add("validate", "check every invariant of an event log")
-    add("liminf", "exact liminf of a presented family")
-    add("cover-sets", "small set containing the liminf of a set family")
-    add("cover-semimeasure", "semimeasure dominating the liminf of a flat family")
-    add("cover-tree", "tree semimeasure dominating the liminf of a tree family")
-    add("cover-open", "open set of measure <= epsilon containing the liminf")
-    add("cover-open-strong", "cover the liminf within an enlarged budget")
-    add("decompose", "disjoint decomposition of the liminf of an open family")
-    add("lowbasis", "force query answers while keeping the complement nonempty")
-    add("complexity", "exact description-length table of the reference machine")
-    add("deficiency", "per-prefix deficiency report of a sequence prefix")
-    add("deficiency-family", "staged open family of compressible strings")
-    add("complexity-bounds", "ordinal-coding bounds read off a small cover")
-    add("randomness-report", "prefix lengths where the sequence stays incompressible")
-    add("freq", "exact limit frequencies of an eventually periodic trace")
-    add("trace-to-family", "replay a trace into a staged semimeasure family")
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        optional = (*command.optional, "output", *(("format",) if command.csv else ()))
+        for flag in command.required:
+            cmd.add_argument(f"--{flag}", required=True, **FLAGS[flag])
+        for flag in optional:
+            cmd.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "liminf": _cmd_liminf,
-    "cover-sets": _cmd_cover_sets,
-    "cover-semimeasure": lambda args: _cmd_cover_semimeasure(args, want_tree=False),
-    "cover-tree": lambda args: _cmd_cover_semimeasure(args, want_tree=True),
-    "cover-open": _cmd_cover_open,
-    "cover-open-strong": _cmd_cover_open_strong,
-    "decompose": _cmd_decompose,
-    "lowbasis": _cmd_lowbasis,
-    "complexity": _cmd_complexity,
-    "deficiency": _cmd_deficiency,
-    "deficiency-family": _cmd_deficiency_family,
-    "complexity-bounds": _cmd_complexity_bounds,
-    "randomness-report": _cmd_randomness,
-    "freq": _cmd_freq,
-    "trace-to-family": _cmd_trace_to_family,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
+    command = COMMANDS[args.command]
+    try:
+        payload = command.run(args)
+        if isinstance(payload, str):
+            text = payload
+        elif getattr(args, "format", None) == "csv":
+            text = command.csv(payload)
+        else:
+            text = jsonio.dumps_artifact(payload)
+        _write(text, args.output)
     except ValidationError as exc:
         for problem in exc.report.problems:
             print(problem, file=sys.stderr)
@@ -311,6 +262,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # validate writes its report either way and exits 1 when it is not valid
+    if isinstance(payload, dict) and payload.get("valid") is False:
+        for problem in payload["problems"]:
+            print(problem, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

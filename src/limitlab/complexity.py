@@ -17,6 +17,7 @@ description-length bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -175,16 +176,36 @@ def _require_defined(t: ComplexityTable, strings: Iterable[str]) -> None:
         raise ValueError(f"table is missing {len(missing)} entries within horizon: {shown}")
 
 
+def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
+    """Refuse unless the table defines all 2^l bit strings of every length l.
+
+    One pass over the table counts its bit strings per length, so a refusal
+    costs time in proportion to the table, not to 2^l; the scan of
+    ``lengths`` stops at the first length the table does not fill.
+    """
+    counts = Counter(
+        len(u) for u, cond in t.entries if not u.strip("01") and cond == t.condition_for(u)
+    )
+    for length in lengths:
+        if counts[length] < 2**length:
+            raise ValueError(
+                f"table is missing {2**length - counts[length]} of the {2**length} "
+                f"strings of length {length}"
+            )
+
+
 def deficiency_report(
     t: ComplexityTable, omega_prefix: str, horizon: int, c: int
 ) -> DeficiencyReport:
     """Deficiency d and horizon-truncated extension deficiency dbar per prefix."""
     if horizon < len(omega_prefix):
         raise ValueError(f"horizon {horizon} shorter than the prefix ({len(omega_prefix)})")
+    if omega_prefix.strip("01"):
+        raise ValueError(f"omega prefix must be a bit string, got {omega_prefix!r}")
+    _require_all_strings(t, range(horizon + 1))
     levels: list[list[str]] = [[""]]
     for _ in range(horizon):
         levels.append([y + b for y in levels[-1] for b in "01"])
-    _require_defined(t, (y for level in levels for y in level))
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
         for y in levels[length]:
@@ -213,10 +234,10 @@ def deficiency_family(
     n_min, n_max = n_range
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
+    _require_all_strings(t, range(n_min, n_max + 1))
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
         strings = list(_strings_of_length(n))
-        _require_defined(t, strings)
         m = n - c
         if m > 0:
             condition = n if t.mode == "conditional" else 0

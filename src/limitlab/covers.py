@@ -186,7 +186,8 @@ def cover_semimeasure(
     attempted.  The tentative increase raises every working m_n(u), n >= N,
     to r; in tree mode each prefix of u is then raised to its children's sum.
     The increase is kept iff every index keeps total mass (flat) or root mass
-    (tree) at most 1.
+    (tree) at most 1.  That mass grows with r and a refusal changes no
+    table, so the grid scan for an element stops at its first refused value.
 
     The returned values are the accepted increases replayed on an initially
     empty table, which keeps them below the final working tables, hence
@@ -230,6 +231,8 @@ def cover_semimeasure(
                         _raise_with_closure(built, u, r)
                     elif r > built.get(u, zero):
                         built[u] = r
+                else:
+                    break
         accepted.extend((r, n, u) for n in range(start, end) for r, u in here)
     values = {u: v for u, v in built.items() if v > 0}
     if p.tree:

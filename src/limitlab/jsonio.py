@@ -63,6 +63,38 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
+# The event-log format per header type: presentation class, header keys,
+# event class and event payload keys.  Every line also carries "stage",
+# "kind" and "index"; every payload field is a string.
+_EVENT_LOGS = {
+    "set-family": (SetFamilyPresentation, ("k", "universe"), SetEvent, ("element",)),
+    "semimeasure-family": (
+        SemimeasureFamilyPresentation, ("tree",), ValueEvent, ("element", "value")),
+    "open-family": (
+        OpenFamilyPresentation, ("epsilon", "granularity"), IntervalEvent, ("interval",)),
+}
+_KIND_OF = {cls: kind for kind, (cls, *_) in _EVENT_LOGS.items()}
+# fields whose log form differs from their dataclass value, both ways
+_DUMP = {
+    "universe": list,
+    "epsilon": format_fraction,
+    "value": format_fraction,
+    "granularity": lambda g: None if g is None else [list(pair) for pair in g],
+}
+_LOAD = {"value": parse_fraction}
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _json_line(no: int, line: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {no}: not JSON: {exc}") from None
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse a line-oriented event log into the presentation it describes."""
     lines = [(i + 1, line.strip()) for i, line in enumerate(text.splitlines())]
@@ -70,52 +102,32 @@ def parse_presentation(text: str) -> Presentation:
     if not lines:
         raise ValueError("empty event log: a header line is required")
     no, head_text = lines[0]
-    try:
-        header = json.loads(head_text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {no}: not JSON: {exc}") from None
+    header = _json_line(no, head_text)
     if not isinstance(header, dict) or "type" not in header:
         raise ValueError(f"line {no}: header must be an object with a 'type' field")
     kind = header["type"]
+    if not isinstance(kind, str) or kind not in _EVENT_LOGS:
+        raise ValueError(f"unknown presentation type {kind!r}")
+    cls, _, event_cls, payload_keys = _EVENT_LOGS[kind]
     events = []
     for no, line in lines[1:]:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {no}: not JSON: {exc}") from None
+        obj = _json_line(no, line)
         if not isinstance(obj, dict):
             raise ValueError(f"line {no}: event must be a JSON object")
         where = f"line {no}"
-        stage = _require_int(obj, "stage", where)
-        spec = _parse_spec(obj, where)
-        if kind == "set-family":
-            events.append(SetEvent(stage, spec, _require_str(obj, "element", where)))
-        elif kind == "semimeasure-family":
-            events.append(
-                ValueEvent(
-                    stage,
-                    spec,
-                    _require_str(obj, "element", where),
-                    parse_fraction(_require_str(obj, "value", where)),
-                )
-            )
-        elif kind == "open-family":
-            events.append(IntervalEvent(stage, spec, _require_str(obj, "interval", where)))
-        else:
-            raise ValueError(f"unknown presentation type {kind!r}")
-    if kind == "set-family":
-        k = _require_int(header, "k", "header")
+        stage, spec = _require_int(obj, "stage", where), _parse_spec(obj, where)
+        payload = [_LOAD.get(key, _same)(_require_str(obj, key, where)) for key in payload_keys]
+        events.append(event_cls(stage, spec, *payload))
+    if cls is SetFamilyPresentation:
         universe = header.get("universe")
         if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
             raise ValueError("header: 'universe' must be a list of strings")
-        return SetFamilyPresentation(k=k, universe=tuple(universe), events=tuple(events))
-    if kind == "semimeasure-family":
-        tree = header.get("tree", False)
-        if not isinstance(tree, bool):
+        fields = {"k": _require_int(header, "k", "header"), "universe": tuple(universe)}
+    elif cls is SemimeasureFamilyPresentation:
+        fields = {"tree": header.get("tree", False)}
+        if not isinstance(fields["tree"], bool):
             raise ValueError("header: 'tree' must be a boolean")
-        return SemimeasureFamilyPresentation(events=tuple(events), tree=tree)
-    if kind == "open-family":
-        epsilon = parse_fraction(_require_str(header, "epsilon", "header"))
+    else:
         granularity = header.get("granularity")
         if granularity is not None:
             if not isinstance(granularity, list) or not all(
@@ -126,66 +138,43 @@ def parse_presentation(text: str) -> Presentation:
             ):
                 raise ValueError("header: 'granularity' must be a list of [n, c] pairs")
             granularity = tuple((n, c) for n, c in granularity)
-        return OpenFamilyPresentation(
-            epsilon=epsilon, events=tuple(events), granularity=granularity
-        )
-    raise ValueError(f"unknown presentation type {kind!r}")
+        fields = {
+            "epsilon": parse_fraction(_require_str(header, "epsilon", "header")),
+            "granularity": granularity,
+        }
+    return cls(events=tuple(events), **fields)
+
+
+def _fields(obj: Any, keys: tuple[str, ...]) -> dict:
+    return {key: _DUMP.get(key, _same)(getattr(obj, key)) for key in keys}
 
 
 def dump_presentation(p: Presentation) -> str:
-    lines = []
-    if isinstance(p, SetFamilyPresentation):
-        lines.append(_one_line({"type": "set-family", "k": p.k, "universe": list(p.universe)}))
-        for ev in p.events:
-            lines.append(
-                _one_line(
-                    {
-                        "stage": ev.stage,
-                        "kind": ev.spec.kind,
-                        "index": ev.spec.index,
-                        "element": ev.element,
-                    }
-                )
-            )
-    elif isinstance(p, SemimeasureFamilyPresentation):
-        lines.append(_one_line({"type": "semimeasure-family", "tree": p.tree}))
-        for ev in p.events:
-            lines.append(
-                _one_line(
-                    {
-                        "stage": ev.stage,
-                        "kind": ev.spec.kind,
-                        "index": ev.spec.index,
-                        "element": ev.element,
-                        "value": format_fraction(ev.value),
-                    }
-                )
-            )
-    elif isinstance(p, OpenFamilyPresentation):
-        header: dict[str, Any] = {
-            "type": "open-family",
-            "epsilon": format_fraction(p.epsilon),
-            "granularity": None if p.granularity is None else [list(pair) for pair in p.granularity],
-        }
-        lines.append(_one_line(header))
-        for ev in p.events:
-            lines.append(
-                _one_line(
-                    {
-                        "stage": ev.stage,
-                        "kind": ev.spec.kind,
-                        "index": ev.spec.index,
-                        "interval": ev.interval,
-                    }
-                )
-            )
-    else:
+    kind = _KIND_OF.get(type(p))
+    if kind is None:
         raise TypeError(f"not a presentation: {type(p).__name__}")
+    _, header_keys, _, payload_keys = _EVENT_LOGS[kind]
+    lines = [_one_line({"type": kind, **_fields(p, header_keys)})]
+    lines.extend(
+        _one_line(
+            {"stage": ev.stage, "kind": ev.spec.kind, "index": ev.spec.index,
+             **_fields(ev, payload_keys)}
+        )
+        for ev in p.events
+    )
     return "\n".join(lines) + "\n"
 
 
 def clopen_to_json(s: ClopenSet) -> list[str]:
     return list(s.intervals)
+
+
+def _region(s: ClopenSet) -> dict:
+    return {"intervals": clopen_to_json(s), "measure": format_fraction(s.measure())}
+
+
+def _values(values: dict[str, Fraction]) -> dict[str, str]:
+    return {u: format_fraction(v) for u, v in sorted(values.items())}
 
 
 def report_to_json(report: ValidationReport) -> dict:
@@ -196,15 +185,8 @@ def liminf_to_json(p: Presentation, member) -> dict:
     if isinstance(p, SetFamilyPresentation):
         return {"type": "set-family", "elements": sorted(member)}
     if isinstance(p, SemimeasureFamilyPresentation):
-        return {
-            "type": "semimeasure-family",
-            "values": {u: format_fraction(v) for u, v in sorted(member.items())},
-        }
-    return {
-        "type": "open-family",
-        "intervals": clopen_to_json(member),
-        "measure": format_fraction(member.measure()),
-    }
+        return {"type": "semimeasure-family", "values": _values(member)}
+    return {"type": "open-family", **_region(member)}
 
 
 def cover_set_to_json(cover: CoverSet, k: int) -> dict:
@@ -218,34 +200,21 @@ def cover_set_to_json(cover: CoverSet, k: int) -> dict:
 def cover_semimeasure_to_json(cover: CoverSemimeasure) -> dict:
     return {
         "tree": cover.tree,
-        "values": {u: format_fraction(v) for u, v in sorted(cover.values.items())},
+        "values": _values(cover.values),
         "totalMass": format_fraction(cover.total_mass()),
         "acceptedOps": [[format_fraction(r), n, u] for r, n, u in cover.accepted_ops],
     }
 
 
 def cover_open_to_json(cover: CoverOpenSet) -> dict:
-    payload = {
-        "intervals": clopen_to_json(cover.region),
-        "measure": format_fraction(cover.region.measure()),
-        "acceptedOps": [[x, n] for x, n in cover.accepted_ops],
-    }
+    payload = {**_region(cover.region), "acceptedOps": [[x, n] for x, n in cover.accepted_ops]}
     if cover.slack_report is not None:
         payload["slack"] = [[i, format_fraction(b)] for i, b in cover.slack_report]
     return payload
 
 
 def decomposition_to_json(parts: list[ClopenSet]) -> dict:
-    return {
-        "parts": [
-            {
-                "index": i,
-                "intervals": clopen_to_json(part),
-                "measure": format_fraction(part.measure()),
-            }
-            for i, part in enumerate(parts)
-        ]
-    }
+    return {"parts": [{"index": i, **_region(part)} for i, part in enumerate(parts)]}
 
 
 def parse_forcing_instance(text: str) -> ForcingInstance:
@@ -360,12 +329,6 @@ def deficiency_report_to_json(report: DeficiencyReport) -> dict:
     }
 
 
-def deficiency_report_to_csv(report: DeficiencyReport) -> str:
-    rows = ["prefix,d,dbar"]
-    rows.extend(f"{x},{d},{dbar}" for x, d, dbar in report.per_prefix)
-    return "\n".join(rows) + "\n"
-
-
 def randomness_report_to_json(report: RandomnessReport) -> dict:
     return {
         "c": report.c,
@@ -375,30 +338,31 @@ def randomness_report_to_json(report: RandomnessReport) -> dict:
     }
 
 
-def randomness_report_to_csv(report: RandomnessReport) -> str:
-    rows = ["n"]
-    rows.extend(str(n) for n in report.qualifying)
-    return "\n".join(rows) + "\n"
-
-
 def frequencies_to_json(table: dict[int, Fraction]) -> dict:
     return {"frequencies": {str(x): format_fraction(v) for x, v in sorted(table.items())}}
 
 
-def frequencies_to_csv(table: dict[int, Fraction]) -> str:
-    rows = ["value,frequency"]
-    rows.extend(f"{x},{format_fraction(v)}" for x, v in sorted(table.items()))
-    return "\n".join(rows) + "\n"
-
-
-def complexity_table_to_csv(t: ComplexityTable) -> str:
-    rows = ["bits,condition,value"]
-    for (bits, cond), value in sorted(
-        t.entries.items(), key=lambda kv: (kv[0][1], len(kv[0][0]), kv[0][0])
-    ):
-        rows.append(f"{bits or _EMPTY_BITS},{cond},{value}")
-    return "\n".join(rows) + "\n"
-
-
 def bounds_to_json(bounds: dict[str, int]) -> dict:
     return {"bounds": {u: v for u, v in sorted(bounds.items(), key=lambda kv: (len(kv[0]), kv[0]))}}
+
+
+# The CSV writers render the rows of the matching JSON payload, in its order.
+def _csv(header: tuple[str, ...], rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def complexity_table_to_csv(payload: dict) -> str:
+    rows = ([bits or _EMPTY_BITS, cond, value] for bits, cond, value in payload["entries"])
+    return _csv(("bits", "condition", "value"), rows)
+
+
+def deficiency_report_to_csv(payload: dict) -> str:
+    return _csv(("prefix", "d", "dbar"), payload["perPrefix"])
+
+
+def randomness_report_to_csv(payload: dict) -> str:
+    return _csv(("n",), ([n] for n in payload["qualifying"]))
+
+
+def frequencies_to_csv(payload: dict) -> str:
+    return _csv(("value", "frequency"), payload["frequencies"].items())

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import limitlab as ll
 from limitlab import jsonio
-from limitlab.cli import main
+from limitlab.cli import COMMANDS, FLAGS, main
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -369,6 +375,14 @@ def test_json_booleans_are_not_naturals(command, name, text, tmp_path):
     assert main([command, "--input", str(source), "--output", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("kind", ['"tree-family"', '["open-family"]', "null"])
+def test_unknown_presentation_type_exits_two(kind, tmp_path, capsys):
+    source = tmp_path / "family.jsonl"
+    source.write_text('{"type": %s}\n{"stage": 0, "kind": "tail", "index": 0}\n' % kind)
+    assert run(["validate", "--input", str(source)], tmp_path) == (2, b"")
+    assert "unknown presentation type" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -426,3 +440,147 @@ def test_presentation_round_trip_all_kinds():
         text = (FIXTURES / name).read_text()
         parsed = jsonio.parse_presentation(text)
         assert jsonio.parse_presentation(jsonio.dump_presentation(parsed)) == parsed
+
+
+def declared_flags(name):
+    command = COMMANDS[name]
+    return {*command.required, *command.optional, "output", *(["format"] if command.csv else [])}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_help_lists_exactly_the_declared_flags(name, capsys):
+    assert main([name, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert listed == declared_flags(name) | {"help"}
+
+
+def test_readme_lists_each_commands_flags():
+    rows = {}
+    for line in (HERE.parent / "README.md").read_text().splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and re.fullmatch(r" `[a-z-]+` ", cells[0]):
+            rows[cells[0].strip(" `")] = [set(re.findall(r"--([a-z-]+)", c)) for c in cells[1:]]
+    assert rows == {
+        name: [set(command.required), declared_flags(name) - set(command.required) - {"output"}]
+        for name, command in COMMANDS.items()
+    }
+
+
+def test_format_exists_only_on_row_shaped_reports():
+    with_csv = {name for name in COMMANDS if "format" in declared_flags(name)}
+    assert with_csv == {"complexity", "deficiency", "randomness-report", "freq"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freq", "--input", str(FIXTURES / "trace.json"), "--k", "3"],
+        [
+            "deficiency-family", "--input", str(FIXTURES / "table.json"),
+            "--c", "0", "--nmin", "2", "--nmax", "4", "--format", "csv",
+        ],
+        ["complexity", "--lmax", "2", "--nmax", "2", "--input", "x"],
+        ["cover-sets", "--input", str(FIXTURES / "set_family.jsonl"), "--epsilon", "1/2"],
+    ],
+    ids=["freq-k", "deficiency-family-format", "complexity-input", "cover-sets-epsilon"],
+)
+def test_undeclared_flag_exits_two(argv, tmp_path, capsys):
+    assert run(argv, tmp_path) == (2, b"")
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deficiency-family", "--input", "table.json", "--c", "-1", "--nmin", "2", "--nmax", "4"],
+        ["complexity-bounds", "--input", "open_family_levels.jsonl", "--c", "-1"],
+        ["deficiency", "--input", "table.json", "--omega", "0a", "--horizon", "4", "--c", "1"],
+    ],
+    ids=["deficiency-family-negative-c", "complexity-bounds-negative-c", "omega-not-bits"],
+)
+def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
+    assert run(with_input_paths(argv), tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    assert "error:" in err or "usage:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deficiency", "--input", "table.json", "--omega", "0", "--horizon", "60", "--c", "1"],
+        ["deficiency-family", "--input", "table.json", "--c", "0", "--nmin", "60", "--nmax", "60"],
+    ],
+    ids=["deficiency-horizon", "deficiency-family-nmin"],
+)
+def test_table_too_short_is_refused_before_enumerating(argv, tmp_path, capsys):
+    assert run(with_input_paths(argv), tmp_path) == (2, b"")
+    assert "table is missing" in capsys.readouterr().err
+
+
+# Values tried for each flag; the integers stay small, since large ones are
+# legitimately exponential work (e.g. `cover-open --lmax 40`).
+FUZZ_VALUES = {
+    "epsilon": st.sampled_from(["1/2", "3/4", "1", "1/4", "0", "-1/2", "1/0"]),
+    "epsilon-prime": st.sampled_from(["3/4", "1", "7/8", "1/2", "-1", "q"]),
+    "grid": st.sampled_from([EIGHTHS, "0,1/4,1/2,3/4,1", "0,1/2,1", "0,1", ","]),
+    "omega": st.text(alphabet="01a", max_size=5),
+    "format": st.sampled_from(["json", "csv", "csv", "xml"]),
+}
+FUZZ_INPUTS = {argv[0]: argv[2] for _, argv, _ in GOLDEN_RUNS if "--input" in argv}
+
+
+def mutate(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        if not data:
+            break
+        at = draw(st.integers(0, len(data) - 1))
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            del data[at]
+        else:
+            data[at] = draw(st.integers(0, 255) if how == 1 else st.sampled_from(b"0123456789/-"))
+    return bytes(data)
+
+
+@st.composite
+def fuzzed_runs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    flags = [*command.required]
+    flags += [flag for flag in command.optional if draw(st.booleans())]
+    if "format" in declared_flags(name) and draw(st.booleans()):
+        flags.append("format")
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(FLAGS) - declared_flags(name)))))
+    data = None
+    if "input" in flags:
+        # mostly the command's own kind of input, sometimes another kind
+        inputs = [FUZZ_INPUTS[name]] if draw(st.integers(0, 7)) else sorted(FUZZ_INPUTS.values())
+        data = mutate(draw, (FIXTURES / draw(st.sampled_from(inputs))).read_bytes())
+    values = {
+        flag: draw(FUZZ_VALUES.get(flag, st.integers(-2, 6).map(str)))
+        for flag in flags if flag not in ("input", "output")
+    }
+    return name, flags, values, data
+
+
+@settings(derandomize=True, max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_runs())
+def test_fuzzed_runs_end_in_a_known_exit(case):
+    name, flags, values, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [name]
+        for flag in flags:
+            value = values.get(flag, f"{tmp}/{flag}")
+            argv += [f"--{flag}", value]
+        if data is not None:
+            Path(tmp, "input").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
