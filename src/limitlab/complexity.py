@@ -3,9 +3,10 @@
 The machine M0 is total and halting by construction: a program "00"+q outputs
 q literally, and "01"+q (q nonempty) outputs the periodic fill of q out to
 the length given as the condition.  All other programs produce nothing.  The
-machine is deliberately small: exact shortest-description lengths are then
-computable by exhaustive program enumeration and can be checked against an
-independent oracle, while the conditional mode makes the complexity genuinely
+machine is deliberately small: exact shortest-description lengths then have a
+closed form, C(x | n) = 2 + per(x) when |x| = n >= 1 (per the least period)
+and |x| + 2 otherwise, which the test suite checks against an exhaustive
+program enumeration; the conditional mode makes the complexity genuinely
 depend on the condition.
 
 On top of the machine sit the randomness-deficiency tools: per-prefix
@@ -17,6 +18,7 @@ description-length bounds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,30 +48,42 @@ def run_m0(program: str, condition: int) -> Optional[str]:
     return None
 
 
-def _programs_of_length(length: int) -> Iterable[str]:
-    if length == 0:
-        yield ""
-        return
-    for code in range(2**length):
-        yield format(code, f"0{length}b")
+def _least_period(x: str) -> int:
+    """Smallest p >= 1 with x[i] == x[i + p] wherever both exist (x nonempty).
+
+    The KMP prefix function gives the longest proper border of x, and the
+    least period is |x| minus its length.
+    """
+    border = [0] * len(x)
+    k = 0
+    for i in range(1, len(x)):
+        while k and x[i] != x[k]:
+            k = border[k - 1]
+        if x[i] == x[k]:
+            k += 1
+        border[i] = k
+    return len(x) - border[-1]
 
 
 def exact_complexity(x: str, condition: int) -> int:
     """Length of the shortest M0 program producing ``x`` under the condition.
 
-    Exhaustive search over all programs of length at most |x| + 2; the
-    literal mode guarantees that bound is reached.
+    The literal program "00"+x costs |x| + 2.  The periodic mode prints
+    exactly ``condition`` bits, so it can only win when |x| = condition >= 1,
+    and then its shortest payload is x[:per(x)], with per(x) <= |x|.
     """
     if len(x) > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"string of length {len(x)} exceeds the enumeration bound "
             f"{EXACT_COMPLEXITY_BOUND}"
         )
-    for length in range(len(x) + 3):
-        for program in _programs_of_length(length):
-            if run_m0(program, condition) == x:
-                return length
-    raise AssertionError("literal mode must have produced the string")
+    if x.strip("01"):
+        raise ValueError(f"M0 outputs bit strings only, got {x!r}")
+    return _m0_length(x, condition)
+
+
+def _m0_length(x: str, condition: int) -> int:
+    return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
 @dataclass(frozen=True)
@@ -99,27 +113,27 @@ class ComplexityTable:
 def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
     """Exact M0 table for all strings up to ``max_len`` per condition.
 
-    One enumeration pass per condition, programs in length order, so the
-    first program producing a string fixes its complexity.
+    Every string costs its literal length |x| + 2, except the strings of
+    length n = condition >= 1, which cost 2 + per(x) (see exact_complexity).
     """
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
         )
-    entries: dict[tuple[str, int], int] = {}
-    for condition in conditions:
-        for length in range(max_len + 3):
-            for program in _programs_of_length(length):
-                out = run_m0(program, condition)
-                if out is not None and len(out) <= max_len:
-                    entries.setdefault((out, condition), length)
+    strings = [u for n in range(max_len + 1) for u in _strings_of_length(n)]
+    entries = {(u, cond): _m0_length(u, cond) for cond in conditions for u in strings}
     return ComplexityTable(entries=entries, mode="conditional")
 
 
-def _count_below(t: ComplexityTable, condition: int, m: int) -> int:
-    return sum(
-        1 for (_, cond), v in t.entries.items() if cond == condition and v < m
-    )
+def _sorted_values(t: ComplexityTable) -> dict[int, list[int]]:
+    """The table's values grouped by condition, each group sorted once, so
+    the number of entries below m under a condition is a ``bisect_left``."""
+    groups: dict[int, list[int]] = {}
+    for (_, cond), v in t.entries.items():
+        groups.setdefault(cond, []).append(v)
+    for values in groups.values():
+        values.sort()
+    return groups
 
 
 def counting_violations(t: ComplexityTable, m_max: Optional[int] = None) -> list[str]:
@@ -133,9 +147,10 @@ def counting_violations(t: ComplexityTable, m_max: Optional[int] = None) -> list
         return problems
     top = max(t.entries.values()) + 1
     limit = top if m_max is None else min(m_max, top)
-    for condition in sorted(t.conditions()):
+    groups = _sorted_values(t)
+    for condition in sorted(groups):
         for m in range(limit + 1):
-            count = _count_below(t, condition, m)
+            count = bisect_left(groups[condition], m)
             if count >= 2**m:
                 problems.append(
                     f"counting bound violated at condition {condition}: "
@@ -235,13 +250,14 @@ def deficiency_family(
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
     _require_all_strings(t, range(n_min, n_max + 1))
+    groups = _sorted_values(t)
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
         strings = list(_strings_of_length(n))
         m = n - c
         if m > 0:
             condition = n if t.mode == "conditional" else 0
-            count = _count_below(t, condition, m)
+            count = bisect_left(groups.get(condition, ()), m)
             if count >= 2**m:
                 raise ValueError(
                     f"counting bound violated at condition {condition}: "

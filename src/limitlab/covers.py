@@ -326,19 +326,23 @@ def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
     every member from i+1 on that U_i still misses.  The parts are pairwise
     disjoint, their union is the liminf, and beyond the last breakpoint every
     part is empty (those are omitted).
+
+    Members and suffix intersections are built once per breakpoint segment:
+    inside a segment U_{i-1} = U_i contains the intersection of U_i.., so
+    only a segment's first index can receive a nonempty part.
     """
     require_valid(p)
     if p.granularity is None:
         raise ValueError("decomposition requires a granularity bound")
-    last = max(breakpoints(p))
-    members = [family_at(p, n) for n in range(last + 1)]
-    suffix = [EMPTY] * (last + 1)  # suffix[i] = intersection of members i..tail
-    suffix[last] = members[last]
-    for i in range(last - 1, -1, -1):
-        suffix[i] = suffix[i + 1].intersection(members[i])
-    parts = [suffix[0]]
-    for i in range(1, last + 1):
-        parts.append(suffix[i].difference(members[i - 1]))
+    starts = breakpoints(p)
+    members = [family_at(p, n) for n in starts]
+    suffix = members[:]  # suffix[j] = intersection of the members from starts[j] on
+    for j in range(len(starts) - 2, -1, -1):
+        suffix[j] = suffix[j + 1].intersection(members[j])
+    parts = [EMPTY] * (starts[-1] + 1)
+    parts[0] = suffix[0]
+    for j in range(1, len(starts)):
+        parts[starts[j]] = suffix[j].difference(members[j - 1])
     return parts
 
 
@@ -362,7 +366,8 @@ def cover_open_strong(
     accepted: list[tuple[str, int]] = []
     slack: list[tuple[int, Fraction]] = []
     for i, part in enumerate(parts):
-        region = region.union(part)
+        if part.intervals:
+            region = region.union(part)
         accepted.extend((x, i) for x in part.intervals)
         slack.append((i, (epsilon_prime - p.epsilon) / 2 ** (i + 1)))
     assert region.measure() <= epsilon_prime

@@ -280,11 +280,13 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             raise ValueError("table JSON needs 'conditionMode' and an 'entries' list")
         entries = {}
         for row in raw:
+            # exact types: json.loads makes no subclasses, and bool is excluded
             if not (
-                isinstance(row, list)
+                type(row) is list
                 and len(row) == 3
-                and isinstance(row[0], str)
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in row[1:])
+                and type(row[0]) is str
+                and type(row[1]) is int
+                and type(row[2]) is int
             ):
                 raise ValueError(f"bad table entry {row!r}")
             entries[(row[0], row[1])] = row[2]

@@ -164,6 +164,36 @@ def complexity_by_enumeration(x, condition):
     return best
 
 
+def complexity_table_by_enumeration(max_len, conditions):
+    """The whole (string, condition) -> length map by running every program
+    of length up to max_len + 2 under every condition, shortest first."""
+    entries = {}
+    for condition in conditions:
+        for length in range(max_len + 3):
+            for code in range(2**length):
+                program = format(code, f"0{length}b") if length else ""
+                out = m0_reference(program, condition)
+                if out is not None and len(out) <= max_len:
+                    entries.setdefault((out, condition), length)
+    return entries
+
+
+def counting_violations_by_scan(entries, m_max=None):
+    """(condition, m, count) for every m with 2^m or more entries below m,
+    counted by a full scan of the table per pair."""
+    if not entries:
+        return []
+    top = max(entries.values()) + 1
+    limit = top if m_max is None else min(m_max, top)
+    found = []
+    for condition in sorted({cond for _, cond in entries}):
+        for m in range(limit + 1):
+            count = sum(1 for (_, cond), v in entries.items() if cond == condition and v < m)
+            if count >= 2**m:
+                found.append((condition, m, count))
+    return found
+
+
 def dbar_by_scan(t, x, horizon):
     """Extension deficiency by direct enumeration of every extension."""
     best = None

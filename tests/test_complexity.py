@@ -7,6 +7,8 @@ import limitlab as ll
 from oracles import (
     all_strings,
     complexity_by_enumeration,
+    complexity_table_by_enumeration,
+    counting_violations_by_scan,
     dbar_by_scan,
     strings_up_to,
 )
@@ -81,6 +83,64 @@ def test_counting_bound_holds_for_m0(m0_table):
                 if cond == n and v < m
             )
             assert count < 2**m
+
+
+@pytest.mark.parametrize("max_len", range(9))
+def test_complexity_table_matches_program_enumeration(max_len):
+    # conditions 0..L+3 take in condition 0 and conditions beyond every length
+    conditions = range(max_len + 4)
+    table = ll.complexity_table(max_len, conditions)
+    assert table.entries == complexity_table_by_enumeration(max_len, conditions)
+
+
+def test_exact_complexity_rejects_non_bit_strings():
+    with pytest.raises(ValueError):
+        ll.exact_complexity("012", 3)
+
+
+def expected_violations(entries, m_max=None):
+    return [
+        f"counting bound violated at condition {cond}: "
+        f"{count} strings below complexity {m} (bound 2^{m} = {2**m})"
+        for cond, m, count in counting_violations_by_scan(entries, m_max)
+    ]
+
+
+COUNTING_TABLES = {
+    "m0": ll.complexity_table(5, range(7)).entries,
+    "flat": {(u, len(u)): 0 for u in strings_up_to(3)},
+    "negative": {("", 0): -2, ("0", 0): -1, ("1", 0): 3, ("00", 1): -5, ("01", 1): 1},
+    "mixed": {
+        **{(u, 4): len(u) + 2 for u in strings_up_to(4)},
+        **{(u, 4): 1 for u in all_strings(4)[:5]},
+        ("x", 2): 0,
+        ("", 9): 7,
+    },
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTING_TABLES))
+@pytest.mark.parametrize("m_max", [None, -1, 0, 1, 3, 40])
+def test_counting_violations_match_full_scan(name, m_max):
+    entries = COUNTING_TABLES[name]
+    t = ll.ComplexityTable(entries=entries)
+    expected = expected_violations(entries, m_max)
+    if m_max is None:
+        assert bool(expected) == (name in ("flat", "negative", "mixed"))
+    assert ll.counting_violations(t, m_max) == expected
+
+
+def test_counting_violations_match_full_scan_randomized():
+    rng = random.Random("counting")
+    for _ in range(300):
+        entries = {
+            (format(rng.randrange(64), "b"), rng.randrange(-1, 4)): rng.randrange(-3, 8)
+            for _ in range(rng.randrange(30))
+        }
+        m_max = rng.choice([None, rng.randrange(-1, 9)])
+        t = ll.ComplexityTable(entries=entries)
+        assert ll.counting_violations(t, m_max) == expected_violations(entries, m_max)
 
 
 def test_counting_violation_detected():

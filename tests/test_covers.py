@@ -412,3 +412,25 @@ def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
     assert 0 < len(calls) <= len(ll.breakpoints(p))
     # the log still names every threshold up to the last breakpoint
     assert cover.accepted_ops[-1][0 if kind == "set" else 1] == 1000
+
+
+@pytest.mark.parametrize("run", ["decompose", "strong"])
+def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
+    # a single tail(4000) event: two breakpoints, so two members, not 4001
+    p = open_presentation(
+        Fraction(1, 2), ll.IntervalEvent(0, ll.tail(4000), "0"), granularity=((0, 1),)
+    )
+    calls = []
+    monkeypatch.setattr(
+        "limitlab.covers.family_at", lambda *args: calls.append(args) or ll.family_at(*args)
+    )
+    if run == "decompose":
+        parts = ll.decompose_liminf(p)
+        assert len(parts) == 4001
+        assert [i for i, part in enumerate(parts) if part != ll.EMPTY] == [4000]
+        assert parts[4000].intervals == ("0",)
+    else:
+        cover = ll.cover_open_strong(p, Fraction(3, 4))
+        assert cover.accepted_ops == (("0", 4000),)
+        assert len(cover.slack_report) == 4001
+    assert 0 < len(calls) <= len(ll.breakpoints(p))
