@@ -29,15 +29,30 @@ starts, and the log repeats a start's accepted list, in the same order, for
 every threshold of its segment: the log is exactly the per-index one, and
 the cost grows with the number of breakpoints and the size of the output,
 not with the value of an index.
+
+Every accepted operation goes to all later copies, so while segment ``i``
+is processed the copy of a later segment ``j`` is its own member
+``bases[j]`` combined with everything accepted so far.  ``cover_open``
+keeps just that: members and candidates become ``int`` point masks at depth
+``lmax`` (bit ``t`` for the ``t``-th string of that length), the accepted
+region is one mask ``built``, and segment ``j``'s copy is
+``bases[j] | built``.  Nothing is deeper than ``lmax``, so the budget test
+``popcount <= floor(epsilon * 2^lmax)`` is exact.  ``cover_semimeasure``
+keeps a table per segment (a tree copy is the closure of that combination)
+and counts in integer units of ``1/scale``, ``scale`` the grid's least
+common denominator: every event value is on the grid, and closure sums of
+such values are whole units too.  Only the final guarantee checks use
+:class:`Fraction` and :class:`ClopenSet`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
-from .cantor import EMPTY, ClopenSet, interval, max_interval_depth, normalize
+from .cantor import EMPTY, ClopenSet, _ranges, format_fraction, max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -127,50 +142,40 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     return CoverSet(elements=elements, accepted_ops=tuple(accepted))
 
 
-def _sorted_elements(p: SemimeasureFamilyPresentation) -> list[str]:
-    return sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
-
-
 def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) -> list[Fraction]:
     values = sorted(set(Fraction(g) for g in grid))
-    missing = sorted(
-        {ev.value for ev in p.events if ev.value not in values}, reverse=True
-    )
+    outside = [v for v in values if not 0 <= v <= 1]
+    if outside:
+        raise ValueError(f"grid value {format_fraction(outside[0])} outside [0, 1]")
+    missing = sorted({ev.value for ev in p.events if ev.value not in values}, reverse=True)
     if missing:
-        shown = ", ".join(f"{v.numerator}/{v.denominator}" for v in missing[:4])
+        shown = ", ".join(format_fraction(v) for v in missing[:4])
         raise ValueError(f"grid is missing event values: {shown}")
     return values
 
 
-def _raise_with_closure(table: dict[str, Fraction], u: str, r: Fraction) -> None:
-    # minimal repair of a closed table: only ancestors of u can fall below
-    # their children, and none above the first one that does not
-    if r <= table.get(u, Fraction(0)):
-        return
-    table[u] = r
-    for i in range(len(u) - 1, -1, -1):
-        y = u[:i]
-        kids = table.get(y + "0", Fraction(0)) + table.get(y + "1", Fraction(0))
-        if kids <= table.get(y, Fraction(0)):
-            return
-        table[y] = kids
+def _raise(table: dict[str, int], u: str, r: int, tree: bool) -> tuple[dict[str, int], int]:
+    """(entries changed, mass gained) when ``u`` is raised to ``r``; ``table``
+    is left as it is.
 
-
-def _root_after_raise(table: dict[str, Fraction], u: str, r: Fraction) -> Fraction:
-    # root mass of the closure after raising u to r, without mutating
-    zero = Fraction(0)
-    if r <= table.get(u, zero):
-        return table.get("", zero)
-    grown = r
+    A flat table changes at ``u`` only and gains the sum of the deltas.  In a
+    closed tree table only ancestors of ``u`` can fall below their children,
+    and none above the first one that does not; the mass is the root's, so
+    the gain is the root's delta.
+    """
+    if r <= table.get(u, 0):
+        return {}, 0
+    changed = {u: r}
     node = u
-    while node:
-        parent, sibling = node[:-1], node[:-1] + ("1" if node[-1] == "0" else "0")
-        need = grown + table.get(sibling, zero)
-        if need <= table.get(parent, zero):
-            return table.get("", zero)
-        grown = need
+    while tree and node:
+        parent = node[:-1]
+        r += table.get(parent + ("1" if node[-1] == "0" else "0"), 0)  # the sibling
+        if r <= table.get(parent, 0):
+            break
+        changed[parent] = r
         node = parent
-    return grown
+    gain = sum(v - table.get(y, 0) for y, v in changed.items() if not tree or y == "")
+    return changed, gain
 
 
 def cover_semimeasure(
@@ -182,12 +187,13 @@ def cover_semimeasure(
 
     Triples (r, N, u) are attempted with N ascending, u in (length, lex)
     order over the event elements and r ascending over the grid; the grid
-    must contain every event value so that the liminf value itself is
-    attempted.  The tentative increase raises every working m_n(u), n >= N,
-    to r; in tree mode each prefix of u is then raised to its children's sum.
-    The increase is kept iff every index keeps total mass (flat) or root mass
-    (tree) at most 1.  That mass grows with r and a refusal changes no
-    table, so the grid scan for an element stops at its first refused value.
+    must lie in [0, 1] and contain every event value so that the liminf
+    value itself is attempted.  The tentative increase raises every working
+    m_n(u), n >= N, to r; in tree mode each prefix of u is then raised to its
+    children's sum.  The increase is kept iff every index keeps total mass
+    (flat) or root mass (tree) at most 1.  That mass grows with r and a
+    refusal changes no table, so the grid scan for an element stops at its
+    first refused value.
 
     The returned values are the accepted increases replayed on an initially
     empty table, which keeps them below the final working tables, hence
@@ -196,50 +202,37 @@ def cover_semimeasure(
     require_valid(p)
     segments = _segments(p, nmax)
     rgrid = _prepare_grid(p, grid)
-    elements = _sorted_elements(p)
-    zero = Fraction(0)
-    if p.tree:
-        working = [tree_closure(family_at(p, start)) for start, _ in segments]
-    else:
-        working = [dict(family_at(p, start)) for start, _ in segments]
-        totals = [sum(t.values(), zero) for t in working]
+    scale = lcm(*(r.denominator for r in rgrid))
+    steps = [(r, int(r * scale)) for r in rgrid]
+    elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
+    close = tree_closure if p.tree else dict
+    working = [
+        {y: int(v * scale) for y, v in close(family_at(p, start)).items()}
+        for start, _ in segments
+    ]
+    masses = [w.get("", 0) if p.tree else sum(w.values()) for w in working]
     accepted: list[tuple[Fraction, int, str]] = []
-    built: dict[str, Fraction] = {}
+    built: dict[str, int] = {}
     for i, (start, end) in enumerate(segments):
         later = range(i, len(segments))
         here = []
         for u in elements:
-            for r in rgrid:
-                if p.tree:
-                    ok = all(_root_after_raise(working[j], u, r) <= 1 for j in later)
-                else:
-                    ok = all(
-                        totals[j] + max(zero, r - working[j].get(u, zero)) <= 1
-                        for j in later
-                    )
-                if ok:
-                    for j in later:
-                        if p.tree:
-                            _raise_with_closure(working[j], u, r)
-                        else:
-                            gain = r - working[j].get(u, zero)
-                            if gain > 0:
-                                working[j][u] = r
-                                totals[j] += gain
-                    here.append((r, u))
-                    if p.tree:
-                        _raise_with_closure(built, u, r)
-                    elif r > built.get(u, zero):
-                        built[u] = r
-                else:
+            for r, units in steps:
+                raises = [_raise(working[j], u, units, p.tree) for j in later]
+                if any(masses[j] + gain > scale for j, (_, gain) in zip(later, raises)):
                     break
+                for j, (changed, gain) in zip(later, raises):
+                    working[j].update(changed)
+                    masses[j] += gain
+                built.update(_raise(built, u, units, p.tree)[0])
+                here.append((r, u))
         accepted.extend((r, n, u) for n in range(start, end) for r, u in here)
-    values = {u: v for u, v in built.items() if v > 0}
+    values = {u: Fraction(v, scale) for u, v in built.items()}
     if p.tree:
-        assert built.get("", zero) <= 1
+        assert values.get("", Fraction(0)) <= 1
     else:
-        assert sum(built.values(), zero) <= 1
-    assert all(built.get(u, zero) >= v for u, v in liminf_family(p).items())
+        assert sum(values.values(), Fraction(0)) <= 1
+    assert all(values.get(u, Fraction(0)) >= v for u, v in liminf_family(p).items())
     return CoverSemimeasure(values=values, accepted_ops=tuple(accepted), tree=p.tree)
 
 
@@ -295,22 +288,23 @@ def cover_open(
     if lmax > cap:
         raise ValueError(f"Lmax = {lmax} exceeds the interval depth cap {cap}")
     segments = _segments(p, nmax)
-    working = [family_at(p, start) for start, _ in segments]
-    mu = [w.measure() for w in working]
+    # canonical intervals are disjoint, so summing their point masks unites them
+    bases = [
+        sum((1 << b) - (1 << a) for a, b in _ranges(family_at(p, start).intervals, lmax))
+        for start, _ in segments
+    ]
+    budget = p.epsilon.numerator * 2**lmax // p.epsilon.denominator
     candidates = _candidates(lmax)
+    pieces = _ranges(candidates, lmax)
+    built = 0
     accepted: list[tuple[str, int]] = []
     for i, (start, end) in enumerate(segments):
-        later = range(i, len(segments))
+        later = bases[i:]
         here = []
-        for x in candidates:
-            gain = Fraction(1, 2 ** len(x))
-            overlaps = [working[j].interval_overlap(x) for j in later]
-            if all(mu[j] + gain - overlap <= p.epsilon for j, overlap in zip(later, overlaps)):
-                piece = interval(x)
-                for j, overlap in zip(later, overlaps):
-                    if overlap != gain:  # otherwise the union changes nothing
-                        working[j] = working[j].union(piece)
-                        mu[j] += gain - overlap
+        for x, (a, b) in zip(candidates, pieces):
+            grown = built | ((1 << b) - (1 << a))
+            if all((base | grown).bit_count() <= budget for base in later):
+                built = grown
                 here.append(x)
         accepted.extend((x, n) for n in range(start, end) for x in here)
     region = normalize(x for x, _ in accepted)

@@ -62,8 +62,9 @@ def gen_semimeasure_family(rng, tree=None):
     return ll.SemimeasureFamilyPresentation(events=tuple(events), tree=tree)
 
 
-def gen_open_family(rng, with_granularity=False, max_depth=6):
-    epsilon = Fraction(rng.randint(1, 8), 8)
+def gen_open_family(rng, with_granularity=False, max_depth=6, epsilon=None):
+    if epsilon is None:
+        epsilon = Fraction(rng.randint(1, 8), 8)
     events = []
     stage = 0
     for _ in range(rng.randint(0, 8)):

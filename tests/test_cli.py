@@ -505,6 +505,17 @@ def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid,shown", [("-1/2,0,1/4,1/2,3/2", "-1/2"), ("0,1/4,1/2,3/2", "3/2")])
+@pytest.mark.parametrize(
+    "command,family",
+    [("cover-semimeasure", "semimeasure_flat.jsonl"), ("cover-tree", "semimeasure_tree.jsonl")],
+)
+def test_grid_values_outside_unit_interval_exit_two(command, family, grid, shown, tmp_path, capsys):
+    argv = [command, "--input", str(FIXTURES / family), f"--grid={grid}"]
+    assert run(argv, tmp_path) == (2, b"")
+    assert capsys.readouterr().err.splitlines() == [f"error: grid value {shown} outside [0, 1]"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

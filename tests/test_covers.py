@@ -434,3 +434,58 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
         assert cover.accepted_ops == (("0", 4000),)
         assert len(cover.slack_report) == 4001
     assert 0 < len(calls) <= len(ll.breakpoints(p))
+
+
+@pytest.mark.parametrize("tree", [False, True])
+def test_cover_semimeasure_matches_oracle_on_grids_missing_closure_sums(tree):
+    # grids of mixed denominators that miss the sums of their own values:
+    # the closed tables hold such sums, and the integer units must be exact there too
+    rng = random.Random(f"off-grid:{tree}")
+    off_grid = 0
+    for _ in range(60):
+        p = gen_semimeasure_family(rng, tree=tree)
+        values = {ev.value for ev in p.events}
+        last = max(ll.breakpoints(p))
+        for extra in ({Fraction(0), Fraction(1, 4), Fraction(3, 8)},
+                      {Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)}):
+            grid = sorted(values | extra)
+            for nmax in (last, last + 2):
+                cover = ll.cover_semimeasure(p, grid, nmax=nmax)
+                got = (dict(cover.values), cover.accepted_ops)
+                assert got == oracles.cover_semimeasure_by_index(p, grid, nmax)
+                off_grid += any(v not in grid for v in cover.values.values())
+    assert off_grid > 0 if tree else off_grid == 0
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1/3", "5/7", "1"])
+def test_cover_open_matches_oracle_on_non_dyadic_budgets(epsilon):
+    # floor(epsilon * 2^lmax) is the whole budget test, at every lmax from the deepest interval on
+    epsilon = Fraction(epsilon)
+    rng = random.Random(f"budget:{epsilon}")
+    for _ in range(30):
+        p = gen_open_family(rng, max_depth=4, epsilon=epsilon)
+        deepest = max((len(ev.interval) for ev in p.events), default=0)
+        nmax = max(ll.breakpoints(p)) + 1
+        for lmax in range(deepest, deepest + 4):
+            cover = ll.cover_open(p, lmax=lmax, nmax=nmax)
+            got = (oracles.points_at_depth(cover.region.intervals, lmax), cover.accepted_ops)
+            assert got == oracles.cover_open_by_index(p, lmax, nmax)
+
+
+def test_cover_open_makes_no_clopen_union_or_overlap(monkeypatch):
+    # the budget loop works on integer point masks, not on clopen sets
+    calls = []
+    for name in ("union", "interval_overlap"):
+        original = getattr(ll.ClopenSet, name)
+        monkeypatch.setattr(
+            ll.ClopenSet, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    rng = random.Random("no-clopen-ops")
+    runs = [(gen_open_family(rng), extra) for extra in (0, 1, 2) for _ in range(10)]
+    runs.append((open_presentation(Fraction(1, 2), ll.IntervalEvent(0, ll.tail(1000), "0")), 2))
+    accepted = 0
+    for p, extra in runs:
+        lmax = max((len(ev.interval) for ev in p.events), default=0) + extra
+        accepted += len(ll.cover_open(p, lmax=lmax).accepted_ops)
+    assert accepted > 0
+    assert calls == []
