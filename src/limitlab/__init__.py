@@ -5,6 +5,11 @@ Cantor space, staged presentations of set / semimeasure / open families and
 their liminf, the acceptable-operation covering constructions, a tiny exact
 complexity lab with randomness-deficiency analysis, a forcing simulator for
 low witnesses, and limit frequencies of eventually periodic traces.
+
+Presentations, events and results are immutable ``typing.NamedTuple``
+records, chosen over dataclasses for their far lower import cost.  Being
+tuples, they iterate over their fields and compare by value alone: a record
+equals a plain tuple, or a record of another class, with the same fields.
 """
 
 from .cantor import (

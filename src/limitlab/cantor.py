@@ -20,9 +20,8 @@ anywhere in the package.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -108,8 +107,7 @@ def _mass(depths: list[int]) -> Fraction:
     return Fraction(sum(1 << top - n for n in depths), 1 << top)
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(NamedTuple):
     """Canonical finite union of basic intervals.
 
     ``intervals`` is always a lexicographically sorted prefix-free antichain

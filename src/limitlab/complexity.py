@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
+from .cantor import format_fraction
 from .families import (
     IndexSpec,
     IntervalEvent,
@@ -86,8 +86,7 @@ def _m0_length(x: str, condition: int) -> int:
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(NamedTuple):
     """Finite exact map (string, condition) -> description length.
 
     ``mode`` fixes how a string is looked up: "conditional" uses the string's
@@ -165,8 +164,7 @@ def require_counting_bound(t: ComplexityTable, m_max: Optional[int] = None) -> N
         raise ValueError(problems[0])
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     """Per-prefix deficiencies of one sequence prefix.
 
     ``dbar`` is the minimum deficiency over all extensions up to ``horizon``;
@@ -282,8 +280,7 @@ def _strings_of_length(n: int) -> Iterable[str]:
         yield format(code, f"0{n}b")
 
 
-@dataclass(frozen=True)
-class RandomnessReport:
+class RandomnessReport(NamedTuple):
     """Prefix lengths at which the sequence stays incompressible."""
 
     qualifying: tuple[int, ...]
@@ -324,7 +321,8 @@ def cover_to_complexity_bounds(
     bound = Fraction(1, 2**c)
     if p.epsilon > bound:
         raise ValueError(
-            f"measure bound violated: epsilon = {p.epsilon} exceeds 2^-{c} = {bound}"
+            f"measure bound violated: epsilon = {format_fraction(p.epsilon)} "
+            f"exceeds 2^-{c} = {format_fraction(bound)}"
         )
     for n, cn in p.granularity:
         if cn > n:

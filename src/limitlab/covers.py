@@ -47,10 +47,9 @@ such values are whole units too.  Only the final guarantee checks use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _ranges, format_fraction, max_interval_depth, normalize
 from .families import (
@@ -66,14 +65,12 @@ from .families import (
 )
 
 
-@dataclass(frozen=True)
-class CoverSet:
+class CoverSet(NamedTuple):
     elements: frozenset[str]
     accepted_ops: tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class CoverSemimeasure:
+class CoverSemimeasure(NamedTuple):
     values: Mapping[str, Fraction]
     accepted_ops: tuple[tuple[Fraction, int, str], ...]
     tree: bool
@@ -85,8 +82,7 @@ class CoverSemimeasure:
         return sum(self.values.values(), Fraction(0))
 
 
-@dataclass(frozen=True)
-class CoverOpenSet:
+class CoverOpenSet(NamedTuple):
     region: ClopenSet
     accepted_ops: tuple[tuple[str, int], ...]
     slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
@@ -353,7 +349,7 @@ def cover_open_strong(
     if epsilon_prime <= p.epsilon:
         raise ValueError(
             "epsilon' must exceed epsilon "
-            f"({epsilon_prime} <= {p.epsilon})"
+            f"({format_fraction(epsilon_prime)} <= {format_fraction(p.epsilon)})"
         )
     parts = decompose_liminf(p)
     region = EMPTY

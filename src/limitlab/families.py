@@ -9,19 +9,21 @@ and serves as the brute-force oracle for the covering constructions.
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
 open families (clopen subsets of Cantor space with a measure bound).
+
+Presentations and events are ``NamedTuple`` records, so they compare as
+tuples: a ``SetEvent`` equals an ``IntervalEvent`` with the same fields.
+Code that must tell the kinds apart does so with ``isinstance``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .cantor import ClopenSet, check_bit_string, format_fraction, max_interval_depth, normalize
 
 
-@dataclass(frozen=True)
-class IndexSpec:
+class IndexSpec(NamedTuple):
     """Which indices an event applies to."""
 
     kind: str  # "single" or "tail"
@@ -52,30 +54,26 @@ def tail(n: int) -> IndexSpec:
     return IndexSpec.tail(n)
 
 
-@dataclass(frozen=True)
-class SetEvent:
+class SetEvent(NamedTuple):
     stage: int
     spec: IndexSpec
     element: str
 
 
-@dataclass(frozen=True)
-class ValueEvent:
+class ValueEvent(NamedTuple):
     stage: int
     spec: IndexSpec
     element: str
     value: Fraction
 
 
-@dataclass(frozen=True)
-class IntervalEvent:
+class IntervalEvent(NamedTuple):
     stage: int
     spec: IndexSpec
     interval: str
 
 
-@dataclass(frozen=True)
-class SetFamilyPresentation:
+class SetFamilyPresentation(NamedTuple):
     """Staged family of finite string sets, each kept below 2^k elements."""
 
     k: int
@@ -83,8 +81,7 @@ class SetFamilyPresentation:
     events: tuple[SetEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class SemimeasureFamilyPresentation:
+class SemimeasureFamilyPresentation(NamedTuple):
     """Staged family of value tables; an event raises m_n(element) to value.
 
     With ``tree=False`` each index must carry total mass at most 1.  With
@@ -97,8 +94,7 @@ class SemimeasureFamilyPresentation:
     tree: bool = False
 
 
-@dataclass(frozen=True)
-class OpenFamilyPresentation:
+class OpenFamilyPresentation(NamedTuple):
     """Staged family of clopen sets, each of measure at most epsilon."""
 
     epsilon: Fraction
@@ -111,8 +107,7 @@ Presentation = Union[
 ]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     problems: tuple[str, ...] = ()
 
     @property

@@ -10,28 +10,35 @@ family whose liminf is exactly the (grid-floored) frequency table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .families import IndexSpec, SemimeasureFamilyPresentation, ValueEvent
 
 Slot = Optional[int]
 
 
-@dataclass(frozen=True)
-class PartialTrace:
+class _Trace(NamedTuple):
     prefix: tuple[Slot, ...]
     period: tuple[Slot, ...]
 
-    def __post_init__(self):
-        if not self.period:
+
+class PartialTrace(_Trace):
+    """A validated trace record; ``NamedTuple`` forbids ``__new__`` in its own
+    body, so the check lives in this subclass."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: tuple[Slot, ...], period: tuple[Slot, ...]) -> "PartialTrace":
+        if not period:
             raise ValueError("period must be nonempty")
-        for slot in self.prefix + self.period:
+        for slot in prefix + period:
             if slot is not None and (
                 not isinstance(slot, int) or isinstance(slot, bool) or slot < 0
             ):
                 raise ValueError(f"trace values must be naturals or None, got {slot!r}")
+        return super().__new__(cls, prefix, period)
 
     def term(self, i: int) -> Slot:
         if i < len(self.prefix):
@@ -61,12 +68,12 @@ def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
 
 
 def _grid_floor(value: Fraction, grid: Sequence[Fraction]) -> Fraction:
-    floors = [g for g in grid if g <= value]
-    if not floors:
+    i = bisect_right(grid, value)
+    if i == 0:
         raise ValueError(
             f"grid has no value at or below {value.numerator}/{value.denominator}"
         )
-    return max(floors)
+    return grid[i - 1]
 
 
 def trace_to_family(
@@ -88,27 +95,17 @@ def trace_to_family(
         )
     grid = sorted(set(Fraction(g) for g in grid))
     events: list[ValueEvent] = []
-    for n in range(1, nmax):
-        for x, share in sorted(running_frequency(trace, n).items()):
+    counts: dict[int, int] = {}  # running count of each value over the first n terms
+    for n in range(1, nmax + 1):
+        if n < nmax:
+            slot = trace.term(n - 1)
+            if slot is not None:
+                counts[slot] = counts.get(slot, 0) + 1
+            spec, shares = IndexSpec.single(n), {x: Fraction(c, n) for x, c in counts.items()}
+        else:
+            spec, shares = IndexSpec.tail(n), limit_frequency(trace)
+        for x, share in sorted(shares.items()):
             floored = _grid_floor(share, grid)
             if floored > 0:
-                events.append(
-                    ValueEvent(
-                        stage=n,
-                        spec=IndexSpec.single(n),
-                        element=format(x, "b"),
-                        value=floored,
-                    )
-                )
-    for x, share in sorted(limit_frequency(trace).items()):
-        floored = _grid_floor(share, grid)
-        if floored > 0:
-            events.append(
-                ValueEvent(
-                    stage=nmax,
-                    spec=IndexSpec.tail(nmax),
-                    element=format(x, "b"),
-                    value=floored,
-                )
-            )
+                events.append(ValueEvent(n, spec, format(x, "b"), floored))
     return SemimeasureFamilyPresentation(events=tuple(events), tree=False)

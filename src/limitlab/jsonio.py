@@ -74,7 +74,7 @@ _EVENT_LOGS = {
         OpenFamilyPresentation, ("epsilon", "granularity"), IntervalEvent, ("interval",)),
 }
 _KIND_OF = {cls: kind for kind, (cls, *_) in _EVENT_LOGS.items()}
-# fields whose log form differs from their dataclass value, both ways
+# fields whose log form differs from their record value, both ways
 _DUMP = {
     "universe": list,
     "epsilon": format_fraction,

@@ -11,19 +11,17 @@ the instance alone, never of the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cantor import ClopenSet, max_interval_depth
 
 
-@dataclass(frozen=True)
-class ForcingInstance:
+class ForcingInstance(NamedTuple):
     initial_u: ClopenSet
     queries: tuple[tuple[str, ClopenSet], ...]  # (label, query set)
 
 
-@dataclass(frozen=True)
-class ForcingOutcome:
+class ForcingOutcome(NamedTuple):
     answers: tuple[tuple[str, str], ...]  # (label, "halts" | "diverges")
     final_u: ClopenSet
     witness_prefix: str

@@ -214,3 +214,33 @@ def frequencies_by_average(prefix, period, repetitions):
         if slot is not None:
             counts[slot] = counts.get(slot, 0) + 1
     return {x: Fraction(c, len(block)) for x, c in counts.items()}
+
+
+def trace_to_family_by_index(prefix, period, nmax, grid):
+    """The trace family rebuilt per index: each n < nmax recounts the first n
+    terms from scratch and floors each share by a scan of the whole grid.
+
+    Returned as plain tuples ``(events, tree)`` with events
+    ``(stage, (kind, index), element, value)``; the library's records are
+    NamedTuples, so a presentation equals this field for field."""
+    grid = [Fraction(g) for g in grid]
+
+    def floored(share):
+        return max(g for g in grid if g <= share)
+
+    terms = list(prefix) + list(period) * (nmax // len(period) + 1)
+    events = []
+    for n in range(1, nmax):
+        counts = {}
+        for slot in terms[:n]:
+            if slot is not None:
+                counts[slot] = counts.get(slot, 0) + 1
+        for x in sorted(counts):
+            value = floored(Fraction(counts[x], n))
+            if value > 0:
+                events.append((n, ("single", n), format(x, "b"), value))
+    for x, share in sorted(frequencies_by_average(prefix, period, 1).items()):
+        value = floored(share)
+        if value > 0:
+            events.append((nmax, ("tail", nmax), format(x, "b"), value))
+    return tuple(events), False

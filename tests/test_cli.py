@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -117,6 +120,19 @@ def test_validate_bad_names_the_violation(tmp_path, capsys):
     assert not report["valid"]
     assert "capacity" in report["problems"][0] and "n=0" in report["problems"][0]
     assert "n=0" in capsys.readouterr().err
+
+
+def test_validate_names_a_negative_index_by_its_record(tmp_path, capsys):
+    log = tmp_path / "negative.jsonl"
+    log.write_text(
+        '{"type": "set-family", "k": 1, "universe": ["0", "1"]}\n'
+        '{"stage": 0, "kind": "single", "index": -1, "element": "0"}\n'
+    )
+    code, body = run(["validate", "--input", str(log)], tmp_path)
+    want = "event #0: malformed index spec IndexSpec(kind='single', index=-1)"
+    assert code == 1
+    assert json.loads(body)["problems"] == [want]
+    assert capsys.readouterr().err.splitlines() == [want]
 
 
 def test_cover_open_output_values(tmp_path):
@@ -517,6 +533,26 @@ def test_grid_values_outside_unit_interval_exit_two(command, family, grid, shown
 
 
 @pytest.mark.parametrize(
+    "argv,line",
+    [
+        (
+            ["cover-open-strong", "--epsilon", "1", "--epsilon-prime", "1"],
+            "error: epsilon' must exceed epsilon (1/1 <= 1/1)",
+        ),
+        (
+            ["complexity-bounds", "--epsilon", "2", "--c", "0"],
+            "error: measure bound violated: epsilon = 2/1 exceeds 2^-0 = 1/1",
+        ),
+    ],
+    ids=["cover-open-strong", "complexity-bounds"],
+)
+def test_rationals_in_error_messages_are_num_den(argv, line, tmp_path, capsys):
+    argv = argv + ["--input", str(FIXTURES / "open_family_gran.jsonl")]
+    assert run(argv, tmp_path) == (2, b"")
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["deficiency", "--input", "table.json", "--omega", "0", "--horizon", "60", "--c", "1"],
@@ -595,3 +631,14 @@ def test_fuzzed_runs_end_in_a_known_exit(case):
     event(f"exit {code}")
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S keeps the imports of site-packages .pth files out of the check
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    code = "import limitlab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

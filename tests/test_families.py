@@ -14,6 +14,20 @@ def test_validate_empty_log():
     assert ll.validate(ll.OpenFamilyPresentation(epsilon=Fraction(1, 2))).ok
 
 
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (ll.normalize(["0"]), "intervals"),
+        (ll.single(3), "index"),
+        (ll.OpenFamilyPresentation(epsilon=Fraction(1, 2)), "epsilon"),
+    ],
+    ids=["ClopenSet", "IndexSpec", "OpenFamilyPresentation"],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
 def test_validate_capacity_bound():
     p = ll.SetFamilyPresentation(
         k=1,

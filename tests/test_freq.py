@@ -5,7 +5,7 @@ import pytest
 
 import limitlab as ll
 from generators import gen_trace
-from oracles import frequencies_by_average
+from oracles import frequencies_by_average, trace_to_family_by_index
 
 QUARTERS = [Fraction(n, 4) for n in range(5)]
 
@@ -83,6 +83,24 @@ def test_trace_to_family_validates_by_construction():
         reps = -(-(len(trace.prefix) + plen) // plen)
         family = ll.trace_to_family(trace, plen * reps, grid)
         assert ll.validate(family).ok
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[Fraction(n, 8) for n in range(9)], ["1/2", "0", "1/3", "1/2", "2/5", "1"]],
+    ids=["eighths", "unsorted-with-repeats"],
+)
+def test_trace_to_family_matches_per_index_oracle(grid):
+    rng = random.Random(405)
+    grid = [Fraction(g) for g in grid]
+    traces = [gen_trace(rng) for _ in range(40)]
+    traces.append(ll.PartialTrace(prefix=(3,), period=(0, 1, None, 1, 2, 0, 0, 5)))
+    for trace in traces:
+        plen = len(trace.period)
+        least = -(-(len(trace.prefix) + plen) // plen)
+        for reps in (least, least + 1, least + 9):
+            want = trace_to_family_by_index(trace.prefix, trace.period, plen * reps, grid)
+            assert ll.trace_to_family(trace, plen * reps, grid) == want
 
 
 def test_trace_to_family_rejects_bad_nmax():
