@@ -61,6 +61,7 @@ from .families import (
     breakpoints,
     family_at,
     liminf_family,
+    members,
     single,
     tail,
     tree_closure,
@@ -113,6 +114,7 @@ __all__ = [
     "liminf_family",
     "limit_frequency",
     "max_interval_depth",
+    "members",
     "normalize",
     "parse_fraction",
     "randomness_report",

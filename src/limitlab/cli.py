@@ -109,11 +109,9 @@ def _write(text: str, path: Optional[str]) -> None:
 def _presentation(args, expected=None):
     p = jsonio.parse_presentation(_read(args.input))
     if getattr(args, "k", None) is not None and isinstance(p, SetFamilyPresentation):
-        p = SetFamilyPresentation(k=args.k, universe=p.universe, events=p.events)
+        p = p._replace(k=args.k)
     if getattr(args, "epsilon", None) is not None and isinstance(p, OpenFamilyPresentation):
-        p = OpenFamilyPresentation(
-            epsilon=args.epsilon, events=p.events, granularity=p.granularity
-        )
+        p = p._replace(epsilon=args.epsilon)
     if expected is not None and not isinstance(p, expected):
         raise ConfigError(
             f"this command expects a {expected.__name__} event log, got {type(p).__name__}"

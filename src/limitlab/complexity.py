@@ -28,8 +28,8 @@ from .families import (
     IndexSpec,
     IntervalEvent,
     OpenFamilyPresentation,
-    breakpoints,
-    family_at,
+    family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
+    members,
     require_valid,
 )
 
@@ -328,8 +328,7 @@ def cover_to_complexity_bounds(
         if cn > n:
             raise ValueError(f"granularity c({n}) = {cn} exceeds the level {n}")
     result: dict[str, int] = {}
-    for n in breakpoints(p):
-        member = family_at(p, n)
+    for n, _, member in members(p):
         covered = sorted(
             i + suffix
             for i in member.intervals

@@ -19,7 +19,8 @@ value ascending) is fixed so that runs are reproducible; any computable order
 would do, and only the guarantees above are contractual.
 
 The family is constant on each breakpoint segment ``[b_i, b_(i+1))`` (the
-last one runs to ``nmax + 1``), so the first three constructions keep one
+last one runs to ``nmax + 1``), and ``families.members`` yields each with its
+member from one pass over the log, so the first three constructions keep one
 working copy per segment, not per index.  Copies inside a segment start
 equal and only grow, so a budget check that fails at the segment's start
 fails again at every later threshold of it, while an operation accepted at
@@ -56,10 +57,10 @@ from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
-    breakpoints,
-    family_at,
+    family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     liminf_family,
     max_event_interval_length,
+    members,
     require_valid,
     tree_closure,
 )
@@ -88,25 +89,6 @@ class CoverOpenSet(NamedTuple):
     slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
 
 
-def _effective_nmax(p, nmax: Optional[int]) -> int:
-    last = max(breakpoints(p))
-    if nmax is None:
-        return last
-    if nmax < last:
-        raise ValueError(
-            f"Nmax = {nmax} is below the last breakpoint {last}; "
-            "the containment guarantee needs every tail threshold attempted"
-        )
-    return nmax
-
-
-def _segments(p, nmax: Optional[int]) -> list[tuple[int, int]]:
-    """The ranges ``[start, end)`` of thresholds ``0..nmax`` on which the
-    family is constant: one per breakpoint, the last one ending at nmax + 1."""
-    starts = breakpoints(p)
-    return list(zip(starts, starts[1:] + [_effective_nmax(p, nmax) + 1]))
-
-
 def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet:
     """Grow a single small set containing the liminf of a set family.
 
@@ -118,12 +100,12 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     tail member, so there are fewer than 2^k of them.
     """
     require_valid(p)
-    segments = _segments(p, nmax)
+    segments = list(members(p, nmax))
     cap = 2**p.k
-    working = [set(family_at(p, start)) for start, _ in segments]
+    working = [set(member) for _, _, member in segments]
     # the last copy stands for every n >= its start: all thresholds at play are <= nmax
     accepted: list[tuple[int, str]] = []
-    for i, (start, end) in enumerate(segments):
+    for i, (start, end, _) in enumerate(segments):
         later = working[i:]
         here = []
         for u in p.universe:
@@ -196,20 +178,19 @@ def cover_semimeasure(
     within the same mass budget.
     """
     require_valid(p)
-    segments = _segments(p, nmax)
+    segments = list(members(p, nmax))
     rgrid = _prepare_grid(p, grid)
     scale = lcm(*(r.denominator for r in rgrid))
     steps = [(r, int(r * scale)) for r in rgrid]
     elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
     close = tree_closure if p.tree else dict
     working = [
-        {y: int(v * scale) for y, v in close(family_at(p, start)).items()}
-        for start, _ in segments
+        {y: int(v * scale) for y, v in close(member).items()} for _, _, member in segments
     ]
     masses = [w.get("", 0) if p.tree else sum(w.values()) for w in working]
     accepted: list[tuple[Fraction, int, str]] = []
     built: dict[str, int] = {}
-    for i, (start, end) in enumerate(segments):
+    for i, (start, end, _) in enumerate(segments):
         later = range(i, len(segments))
         here = []
         for u in elements:
@@ -283,18 +264,18 @@ def cover_open(
     cap = max_interval_depth()
     if lmax > cap:
         raise ValueError(f"Lmax = {lmax} exceeds the interval depth cap {cap}")
-    segments = _segments(p, nmax)
+    segments = list(members(p, nmax))
     # canonical intervals are disjoint, so summing their point masks unites them
     bases = [
-        sum((1 << b) - (1 << a) for a, b in _ranges(family_at(p, start).intervals, lmax))
-        for start, _ in segments
+        sum((1 << b) - (1 << a) for a, b in _ranges(member.intervals, lmax))
+        for _, _, member in segments
     ]
     budget = p.epsilon.numerator * 2**lmax // p.epsilon.denominator
     candidates = _candidates(lmax)
     pieces = _ranges(candidates, lmax)
     built = 0
     accepted: list[tuple[str, int]] = []
-    for i, (start, end) in enumerate(segments):
+    for i, (start, end, _) in enumerate(segments):
         later = bases[i:]
         here = []
         for x, (a, b) in zip(candidates, pieces):
@@ -324,15 +305,14 @@ def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
     require_valid(p)
     if p.granularity is None:
         raise ValueError("decomposition requires a granularity bound")
-    starts = breakpoints(p)
-    members = [family_at(p, n) for n in starts]
-    suffix = members[:]  # suffix[j] = intersection of the members from starts[j] on
-    for j in range(len(starts) - 2, -1, -1):
-        suffix[j] = suffix[j + 1].intersection(members[j])
-    parts = [EMPTY] * (starts[-1] + 1)
+    segments = list(members(p))
+    suffix = [m for _, _, m in segments]  # suffix[j] = intersection of the members of j..
+    for j in range(len(segments) - 2, -1, -1):
+        suffix[j] = suffix[j + 1].intersection(suffix[j])
+    parts = [EMPTY] * segments[-1][1]
     parts[0] = suffix[0]
-    for j in range(1, len(starts)):
-        parts[starts[j]] = suffix[j].difference(members[j - 1])
+    for j in range(1, len(segments)):
+        parts[segments[j][0]] = suffix[j].difference(segments[j - 1][2])
     return parts
 
 
@@ -371,15 +351,13 @@ def replay_set_ops(
 ) -> bool:
     """Re-run a logged cover_sets schedule; True iff every op is acceptable."""
     require_valid(p)
-    nmax = _effective_nmax(p, nmax)
     cap = 2**p.k
-    working = [set(family_at(p, n)) for n in range(nmax + 1)]
+    working = [set(m) for start, end, m in members(p, nmax) for _ in range(start, end)]
     for big_n, u in ops:
-        if not all(
-            u in working[n] or len(working[n]) < cap - 1
-            for n in range(big_n, nmax + 1)
-        ):
+        if big_n < 0:
+            raise ValueError(f"operation ({big_n}, {u!r}): threshold must be a natural number")
+        if not all(u in w or len(w) < cap - 1 for w in working[big_n:]):
             return False
-        for n in range(big_n, nmax + 1):
-            working[n].add(u)
+        for w in working[big_n:]:
+            w.add(u)
     return True

@@ -5,6 +5,8 @@ specification: ``single(n)`` touches index ``n`` only, ``tail(N)`` touches
 every index ``>= N``.  Because the log is finite, every presented family is
 eventually constant in the index, so its limit inferior is computable exactly
 and serves as the brute-force oracle for the covering constructions.
+``members`` builds the member of every breakpoint segment in one pass over
+the log; ``family_at(p, n)`` is the by-definition query that rescans it.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -140,12 +142,20 @@ def breakpoints(p: Presentation) -> list[int]:
     return sorted(points)
 
 
-def _applicable(p: Presentation, n: int, stage: Optional[int]):
-    for ev in p.events:
-        if stage is not None and ev.stage > stage:
-            continue
-        if ev.spec.covers(n):
-            yield ev
+def _grow(p: Presentation, events, member=None):
+    """A new member: ``member`` (None for the empty one) with ``events`` added."""
+    if isinstance(p, SetFamilyPresentation):
+        return frozenset(member or ()).union(ev.element for ev in events)
+    if isinstance(p, SemimeasureFamilyPresentation):
+        table: dict[str, Fraction] = dict(member or {})
+        for ev in events:
+            if ev.value > table.get(ev.element, Fraction(0)):
+                table[ev.element] = ev.value
+        return table
+    if isinstance(p, OpenFamilyPresentation):
+        prior = member.intervals if member is not None else ()
+        return normalize(prior + tuple(ev.interval for ev in events))
+    raise TypeError(f"not a presentation: {type(p).__name__}")
 
 
 def family_at(p: Presentation, n: int, stage: Optional[int] = None):
@@ -155,17 +165,37 @@ def family_at(p: Presentation, n: int, stage: Optional[int] = None):
     semimeasure families and a ClopenSet for open families.  Assumes ``p``
     is valid.
     """
-    if isinstance(p, SetFamilyPresentation):
-        return frozenset(ev.element for ev in _applicable(p, n, stage))
-    if isinstance(p, SemimeasureFamilyPresentation):
-        table: dict[str, Fraction] = {}
-        for ev in _applicable(p, n, stage):
-            if ev.value > table.get(ev.element, Fraction(0)):
-                table[ev.element] = ev.value
-        return {u: v for u, v in table.items() if v > 0}
-    if isinstance(p, OpenFamilyPresentation):
-        return normalize(ev.interval for ev in _applicable(p, n, stage))
-    raise TypeError(f"not a presentation: {type(p).__name__}")
+    return _grow(
+        p, (ev for ev in p.events if (stage is None or ev.stage <= stage) and ev.spec.covers(n))
+    )
+
+
+def members(p: Presentation, nmax: Optional[int] = None):
+    """Yield ``(start, end, member)`` for each breakpoint segment of ``0..nmax``.
+
+    The last segment ends at ``nmax + 1`` (``nmax`` defaults to the last
+    breakpoint).  The events are bucketed by spec in one pass: a ``tail(N)``
+    event joins the running member at ``N``, a ``single(n)`` event only the
+    member at ``n``.  Segments may share a member, so treat members as
+    read-only.  Assumes ``p`` is valid.
+    """
+    starts = breakpoints(p)
+    if nmax is None:
+        nmax = starts[-1]
+    elif nmax < starts[-1]:
+        raise ValueError(
+            f"Nmax = {nmax} is below the last breakpoint {starts[-1]}; "
+            "the containment guarantee needs every tail threshold attempted"
+        )
+    by_spec: dict[IndexSpec, list] = {}
+    for ev in p.events:
+        by_spec.setdefault(ev.spec, []).append(ev)
+    running = _grow(p, ())
+    for start, end in zip(starts, starts[1:] + [nmax + 1]):
+        if tail(start) in by_spec:
+            running = _grow(p, by_spec[tail(start)], running)
+        here = by_spec.get(single(start))
+        yield start, end, _grow(p, here, running) if here else running
 
 
 def liminf_family(p: Presentation):
@@ -193,11 +223,6 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
         own = table.get(y, Fraction(0))
         closed[y] = max(own, kids)
     return {y: v for y, v in closed.items() if v > 0}
-
-
-def tree_root_mass(table: dict[str, Fraction]) -> Fraction:
-    closed = tree_closure(table)
-    return closed.get("", Fraction(0))
 
 
 def _structural_problems(p: Presentation) -> list[str]:
@@ -257,48 +282,40 @@ def _structural_problems(p: Presentation) -> list[str]:
 
 def _index_problems(p: Presentation) -> list[str]:
     problems = []
-    checks = breakpoints(p)
-    if isinstance(p, SetFamilyPresentation):
-        cap = 2**p.k
-        for n in checks:
-            size = len(family_at(p, n))
-            if size >= cap:
+    for n, _, member in members(p):
+        if isinstance(p, SetFamilyPresentation):
+            cap = 2**p.k
+            if len(member) >= cap:
                 problems.append(
-                    f"capacity violated at n={n}: |U_n| = {size} >= 2^{p.k} = {cap}"
+                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {cap}"
                 )
-    elif isinstance(p, SemimeasureFamilyPresentation):
-        for n in checks:
-            table = family_at(p, n)
-            if p.tree:
-                root = tree_root_mass(table)
-                if root > 1:
-                    problems.append(
-                        f"tree semimeasure violated at n={n}: root mass "
-                        f"{format_fraction(root)} > 1"
-                    )
-            else:
-                total = sum(table.values(), Fraction(0))
-                if total > 1:
-                    problems.append(
-                        f"semimeasure violated at n={n}: total mass "
-                        f"{format_fraction(total)} > 1"
-                    )
-    elif isinstance(p, OpenFamilyPresentation):
-        for n in checks:
-            mu = family_at(p, n).measure()
+        elif isinstance(p, SemimeasureFamilyPresentation) and p.tree:
+            root = tree_closure(member).get("", Fraction(0))
+            if root > 1:
+                problems.append(
+                    f"tree semimeasure violated at n={n}: root mass {format_fraction(root)} > 1"
+                )
+        elif isinstance(p, SemimeasureFamilyPresentation):
+            total = sum(member.values(), Fraction(0))
+            if total > 1:
+                problems.append(
+                    f"semimeasure violated at n={n}: total mass {format_fraction(total)} > 1"
+                )
+        else:
+            mu = member.measure()
             if mu > p.epsilon:
                 problems.append(
                     f"measure bound violated at n={n}: mu(U_n) = {format_fraction(mu)}"
                     f" > epsilon = {format_fraction(p.epsilon)}"
                 )
-        if p.granularity is not None:
-            for n, c in p.granularity:
-                for pos, ev in enumerate(p.events):
-                    if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
-                        problems.append(
-                            f"granularity violated at n={n}: event #{pos} interval "
-                            f"{ev.interval!r} longer than c(n)={c}"
-                        )
+    if isinstance(p, OpenFamilyPresentation) and p.granularity is not None:
+        for n, c in p.granularity:
+            for pos, ev in enumerate(p.events):
+                if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
+                    problems.append(
+                        f"granularity violated at n={n}: event #{pos} interval "
+                        f"{ev.interval!r} longer than c(n)={c}"
+                    )
     return problems
 
 

@@ -40,6 +40,11 @@ class PartialTrace(_Trace):
                 raise ValueError(f"trace values must be naturals or None, got {slot!r}")
         return super().__new__(cls, prefix, period)
 
+    @classmethod
+    def _make(cls, iterable) -> "PartialTrace":
+        # the inherited _make (and so _replace) builds with tuple.__new__, skipping the check
+        return cls(*iterable)
+
     def term(self, i: int) -> Slot:
         if i < len(self.prefix):
             return self.prefix[i]

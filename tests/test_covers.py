@@ -72,6 +72,14 @@ def test_cover_sets_nmax_below_last_breakpoint_rejected():
         ll.cover_sets(p, nmax=1)
 
 
+@pytest.mark.parametrize("threshold", [-1, -5])
+def test_replay_set_ops_rejects_negative_threshold(threshold):
+    # -1 would alias the last working copy and -5 would run off the list
+    p = set_presentation(2, ["0"], ll.SetEvent(0, ll.tail(3), "0"))
+    with pytest.raises(ValueError, match=rf"operation \({threshold}, '0'\)"):
+        ll.replay_set_ops(p, [(0, "0"), (threshold, "0")])
+
+
 def test_cover_sets_larger_nmax_changes_nothing():
     # thresholds past the last breakpoint see only tail copies
     rng = random.Random(211)
@@ -389,6 +397,19 @@ def test_covers_match_per_index_oracles(kind):
             assert got == expected
 
 
+def spy_on_members(monkeypatch):
+    """Record every segment the covers read from ``members``."""
+    segments = []
+
+    def spy(*args):
+        for segment in ll.members(*args):
+            segments.append(segment)
+            yield segment
+
+    monkeypatch.setattr("limitlab.covers.members", spy)
+    return segments
+
+
 @pytest.mark.parametrize("kind", ["set", "flat", "tree", "open"])
 def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
     # a single tail(1000) event: two breakpoints, so two members, not 1001
@@ -404,12 +425,9 @@ def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
             events=(ll.ValueEvent(0, spec, "0", Fraction(1, 2)),), tree=kind == "tree"
         )
         run = lambda: ll.cover_semimeasure(p, EIGHTHS)  # noqa: E731
-    calls = []
-    monkeypatch.setattr(
-        "limitlab.covers.family_at", lambda *args: calls.append(args) or ll.family_at(*args)
-    )
+    segments = spy_on_members(monkeypatch)
     cover = run()
-    assert 0 < len(calls) <= len(ll.breakpoints(p))
+    assert 0 < len(segments) <= len(ll.breakpoints(p))
     # the log still names every threshold up to the last breakpoint
     assert cover.accepted_ops[-1][0 if kind == "set" else 1] == 1000
 
@@ -420,10 +438,7 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
     p = open_presentation(
         Fraction(1, 2), ll.IntervalEvent(0, ll.tail(4000), "0"), granularity=((0, 1),)
     )
-    calls = []
-    monkeypatch.setattr(
-        "limitlab.covers.family_at", lambda *args: calls.append(args) or ll.family_at(*args)
-    )
+    segments = spy_on_members(monkeypatch)
     if run == "decompose":
         parts = ll.decompose_liminf(p)
         assert len(parts) == 4001
@@ -433,7 +448,7 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
         cover = ll.cover_open_strong(p, Fraction(3, 4))
         assert cover.accepted_ops == (("0", 4000),)
         assert len(cover.slack_report) == 4001
-    assert 0 < len(calls) <= len(ll.breakpoints(p))
+    assert 0 < len(segments) <= len(ll.breakpoints(p))
 
 
 @pytest.mark.parametrize("tree", [False, True])

@@ -229,6 +229,58 @@ def test_family_at_agrees_with_event_scan():
             assert ll.family_at(r, n) == ll.normalize(open_member_intervals(r.events, n))
 
 
+def test_members_agree_with_family_at():
+    rng = random.Random(106)
+    for _ in range(30):
+        for p in (
+            gen_set_family(rng),
+            gen_semimeasure_family(rng, tree=False),
+            gen_semimeasure_family(rng, tree=True),
+            gen_open_family(rng),
+        ):
+            last = max(ll.breakpoints(p))
+            for nmax in range(last, last + 4):
+                segments = list(ll.members(p, nmax))
+                # the segments tile 0..nmax
+                assert segments[0][0] == 0 and segments[-1][1] == nmax + 1
+                assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+                for start, end, member in segments:
+                    assert start < end
+                    for n in range(start, end):
+                        assert member == ll.family_at(p, n)
+
+
+def test_members_of_an_empty_log():
+    p = ll.OpenFamilyPresentation(epsilon=Fraction(1, 2))
+    assert list(ll.members(p)) == [(0, 1, ll.EMPTY)]
+    assert list(ll.members(p, 4)) == [(0, 5, ll.EMPTY)]
+    assert list(ll.members(ll.SetFamilyPresentation(k=1, universe=()))) == [(0, 1, frozenset())]
+
+
+def test_members_nmax_below_last_breakpoint_rejected():
+    p = ll.SetFamilyPresentation(k=2, universe=("0",), events=(ll.SetEvent(0, ll.tail(3), "0"),))
+    message = (
+        "Nmax = 2 is below the last breakpoint 3; "
+        "the containment guarantee needs every tail threshold attempted"
+    )
+    with pytest.raises(ValueError) as caught:
+        list(ll.members(p, 2))
+    assert str(caught.value) == message
+
+
+def test_validate_reads_members_without_family_at(monkeypatch):
+    # 4000 single events give 4001 breakpoints; one sweep, not one rescan each
+    p = ll.SetFamilyPresentation(
+        k=1, universe=("0",), events=tuple(ll.SetEvent(0, ll.single(n), "0") for n in range(4000))
+    )
+    calls = []
+    monkeypatch.setattr(
+        "limitlab.families.family_at", lambda *args: calls.append(args) or ll.family_at(*args)
+    )
+    assert ll.validate(p).ok
+    assert calls == []
+
+
 def test_validate_iff_every_index_satisfies_invariants():
     rng = random.Random(105)
     kept = 0

@@ -31,6 +31,14 @@ def test_period_must_be_nonempty():
         ll.PartialTrace(prefix=(), period=())
 
 
+def test_make_and_replace_check_the_trace():
+    with pytest.raises(ValueError):
+        ll.PartialTrace((), (1,))._replace(period=())
+    with pytest.raises(ValueError):
+        ll.PartialTrace._make(((), (True,)))
+    assert ll.PartialTrace((), (1,))._replace(prefix=(2,)) == ll.PartialTrace((2,), (1,))
+
+
 def test_trace_values_must_be_naturals():
     with pytest.raises(ValueError):
         ll.PartialTrace(prefix=(-1,), period=(0,))
