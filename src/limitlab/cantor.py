@@ -34,7 +34,7 @@ def max_interval_depth() -> int:
     if raw is None:
         return DEFAULT_MAX_DEPTH
     try:
-        depth = int(raw)
+        depth = parse_int(raw)
     except ValueError:
         raise ValueError(f"LIMITLAB_MAX_DEPTH must be an integer, got {raw!r}") from None
     if depth < 1:
@@ -206,6 +206,18 @@ def boolean_op(a: ClopenSet, b: ClopenSet, kind: str) -> ClopenSet:
     raise ValueError(f"unknown boolean operation {kind!r}")
 
 
+def parse_int(text: str) -> int:
+    """Parse integer text: ASCII digits with an optional leading "-".
+
+    ``int()`` would also take "_" separators, non-ASCII digits, "+" and
+    surrounding whitespace; none of these is integer text here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse exact rational text: "num/den" or a plain integer string."""
     if not isinstance(text, str):
@@ -214,9 +226,9 @@ def parse_fraction(text: str) -> Fraction:
     try:
         if "/" in body:
             num, den = body.split("/", 1)
-            value = Fraction(int(num), int(den))
+            value = Fraction(parse_int(num), parse_int(den))
         else:
-            value = Fraction(int(body))
+            value = Fraction(parse_int(body))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not an exact rational: {text!r}") from None
     return value

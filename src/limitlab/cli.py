@@ -9,16 +9,23 @@ optional flags, a run function returning the JSON payload (or the text of an
 event log), and, for the row-shaped reports, a CSV writer of that payload.
 A command accepts only the flags its entry names, plus ``--output``, and
 ``--format`` when it has a CSV writer.
+
+:func:`main` pauses the cyclic garbage collector for the command and restores
+the caller's setting when it returns.  Everything a command builds (tuples,
+lists, dicts, ``Fraction``s) is acyclic, so reference counting frees it; the
+collector's passes over 10^5 table rows and keys would find nothing.  The few
+cycles argparse makes are left for the collector once it is restored.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import jsonio
-from .cantor import parse_fraction
+from .cantor import parse_fraction, parse_int
 from .complexity import (
     complexity_table,
     cover_to_complexity_bounds,
@@ -52,7 +59,7 @@ class ConfigError(ValueError):
 
 # argparse names a type in its message: "argument --c: invalid natural value: '-1'"
 def natural(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 0:
         raise ValueError(text)
     return value
@@ -239,6 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help

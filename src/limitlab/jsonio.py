@@ -7,16 +7,27 @@ the family kind and its parameters, then one event per line with fields
 "num/den"; no floats are read or written anywhere.
 
 Emitted artifacts are deterministic: keys sorted, fixed indentation, one
-trailing newline, so identical inputs produce byte-identical outputs.
+trailing newline, so identical inputs produce byte-identical outputs.  Their
+text is exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
+(every key is a ``str``; any other key raises ``TypeError``), but ``indent``
+would make CPython fall back to its pure-Python encoder.  So
+:func:`dumps_artifact` walks dicts itself and hands every list of scalars,
+and every non-empty list of non-empty rows of scalars, to one call of the C
+encoder with the item separator ``"\n"``, then re-indents that text with
+``str.replace``.  This is exact because the C encoder escapes every newline
+inside a string (``ensure_ascii`` text holds no raw control character), so
+each ``"\n"`` in its output is an item separator, and ``"]\n["`` occurs only
+between two rows.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, starmap
 from typing import Any
 
-from .cantor import ClopenSet, format_fraction, normalize, parse_fraction
+from .cantor import ClopenSet, format_fraction, normalize, parse_fraction, parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
@@ -34,8 +45,42 @@ from .freq import PartialTrace
 from .lowbasis import ForcingInstance, ForcingOutcome
 
 
+# items separated by a bare newline; given scalars and rows of scalars only,
+# picked by exact type (subclasses, such as records, take the walk)
+_encode = json.JSONEncoder(separators=("\n", ":")).encode
+_SCALARS = {str, int, bool, type(None)}
+_LISTS = {list, tuple}
+
+
 def dumps_artifact(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _indented(payload, "") + "\n"
+
+
+def _indented(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at indentation ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise TypeError("artifact keys must be strings")
+        items = (f"{inner}{_encode(key)}: {_indented(value[key], inner)}" for key in sorted(value))
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if not isinstance(value, (list, tuple)):
+        return _encode(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds <= _SCALARS:
+        body = _encode(value)[1:-1].replace("\n", ",\n" + inner)
+        return f"[\n{inner}{body}\n{pad}]"
+    if kinds <= _LISTS and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
+        row = inner + "  "
+        body = _encode(value)[2:-2].replace("\n", ",\n" + row)
+        body = body.replace(f"],\n{row}[", f"\n{inner}],\n{inner}[\n{row}")
+        return f"[\n{inner}[\n{row}{body}\n{inner}]\n{pad}]"
+    items = (inner + _indented(item, inner) for item in value)
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
 def _one_line(payload: Any) -> str:
@@ -308,7 +353,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         bits, cond_text, value_text = fields
         bits = "" if bits == _EMPTY_BITS else bits
         try:
-            cond, value = int(cond_text), int(value_text)
+            cond, value = parse_int(cond_text), parse_int(value_text)
         except ValueError:
             raise ValueError(f"line {no}: condition and value must be integers") from None
         entries[(bits, cond)] = value
@@ -350,11 +395,12 @@ def bounds_to_json(bounds: dict[str, int]) -> dict:
 
 # The CSV writers render the rows of the matching JSON payload, in its order.
 def _csv(header: tuple[str, ...], rows) -> str:
-    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+    line = ",".join(["{}"] * len(header)) + "\n"
+    return line.format(*header) + "".join(starmap(line.format, rows))
 
 
 def complexity_table_to_csv(payload: dict) -> str:
-    rows = ([bits or _EMPTY_BITS, cond, value] for bits, cond, value in payload["entries"])
+    rows = ((bits or _EMPTY_BITS, cond, value) for bits, cond, value in payload["entries"])
     return _csv(("bits", "condition", "value"), rows)
 
 
@@ -363,7 +409,7 @@ def deficiency_report_to_csv(payload: dict) -> str:
 
 
 def randomness_report_to_csv(payload: dict) -> str:
-    return _csv(("n",), ([n] for n in payload["qualifying"]))
+    return _csv(("n",), zip(payload["qualifying"]))
 
 
 def frequencies_to_csv(payload: dict) -> str:

@@ -6,6 +6,7 @@ questions, and a from-scratch machine enumeration decides complexity
 questions.  Keeping these separate from the implementation is the point.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -244,3 +245,13 @@ def trace_to_family_by_index(prefix, period, nmax, grid):
         if value > 0:
             events.append((nmax, ("tail", nmax), format(x, "b"), value))
     return tuple(events), False
+
+
+def dumps_artifact_by_json(payload):
+    """An artifact's text by definition (CPython's pure-Python indenting encoder)."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_by_join(header, rows):
+    """CSV text: each row's fields through ``str``, joined by commas, one row a line."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))

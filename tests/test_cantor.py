@@ -232,9 +232,10 @@ def test_depth_cap_env_override(monkeypatch):
     assert ll.max_interval_depth() == 8
     with pytest.raises(ValueError):
         ll.interval("0" * 9)
-    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "junk")
-    with pytest.raises(ValueError):
-        ll.max_interval_depth()
+    for junk in ["junk", "6_4", "+8", "\u0668", "8.0"]:
+        monkeypatch.setenv("LIMITLAB_MAX_DEPTH", junk)
+        with pytest.raises(ValueError):
+            ll.max_interval_depth()
 
 
 def test_depth_cap_env_read_once_per_call(monkeypatch):
@@ -260,6 +261,6 @@ def test_fraction_round_trip():
 
 
 def test_fraction_rejects_floats_and_junk():
-    for bad in ["0.5", "1e-3", "", "1/0", "a/b"]:
+    for bad in ["0.5", "1e-3", "", "1/0", "a/b", "1_0/16", "1/1_6", "+1/2", "1 /2", "\u0663/4", "-"]:
         with pytest.raises(ValueError):
             ll.parse_fraction(bad)

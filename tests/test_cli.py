@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -417,6 +418,18 @@ def test_table_json_is_checked_strictly(text, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "row", ["0 1_0 3", "1 \u0661 4", "- 0 +2", "0 0 \uff12"],
+    ids=["underscore", "arabic-indic", "plus", "fullwidth"],
+)
+def test_table_lines_take_only_ascii_integers(row, tmp_path, capsys):
+    source = tmp_path / "table.txt"
+    source.write_text(f"- 0 2\n{row}\n")
+    argv = ["deficiency", "--input", str(source), "--omega", "0", "--horizon", "1", "--c", "0"]
+    assert run(argv, tmp_path) == (2, b"")
+    assert capsys.readouterr().err == "error: line 2: condition and value must be integers\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["validate", "--input", str(FIXTURES / "set_family.jsonl")],
@@ -511,13 +524,23 @@ def test_undeclared_flag_exits_two(argv, tmp_path, capsys):
         ["deficiency-family", "--input", "table.json", "--c", "-1", "--nmin", "2", "--nmax", "4"],
         ["complexity-bounds", "--input", "open_family_levels.jsonl", "--c", "-1"],
         ["deficiency", "--input", "table.json", "--omega", "0a", "--horizon", "4", "--c", "1"],
+        ["complexity", "--lmax", "1_0", "--nmax", "2"],
+        ["complexity", "--lmax", "\u0663", "--nmax", "2"],
+        ["complexity", "--lmax", "2", "--nmax", "+2"],
+        ["complexity", "--lmax", " 2", "--nmax", "2"],
+        ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "1_0/16"],
     ],
-    ids=["deficiency-family-negative-c", "complexity-bounds-negative-c", "omega-not-bits"],
+    ids=[
+        "deficiency-family-negative-c", "complexity-bounds-negative-c", "omega-not-bits",
+        "underscore-natural", "arabic-indic-natural", "plus-natural", "space-natural",
+        "underscore-rational",
+    ],
 )
 def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert run(with_input_paths(argv), tmp_path) == (2, b"")
     err = capsys.readouterr().err
     assert "error:" in err or "usage:" in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
 
 
@@ -631,6 +654,40 @@ def test_fuzzed_runs_end_in_a_known_exit(case):
     event(f"exit {code}")
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["complexity", "--lmax", "2", "--nmax", "2"], 0),
+        (["validate", "--input", str(FIXTURES / "set_family_bad.jsonl")], 1),
+        (["freq", "--input", str(FIXTURES / "table_lines.txt")], 2),
+        (["complexity", "--help"], 0),
+        (["complexity", "--lmax", "2"], 2),
+    ],
+    ids=["artifact", "invalid-log", "parse-error", "help", "usage"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_on_every_exit(argv, code, enabled, tmp_path, capsys):
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv + ["--output", str(tmp_path / "out")]) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path):
+    seen = []
+    real = jsonio.complexity_table_to_json
+    monkeypatch.setattr(
+        jsonio, "complexity_table_to_json", lambda t: seen.append(gc.isenabled()) or real(t)
+    )
+    assert gc.isenabled()
+    assert run(["complexity", "--lmax", "2", "--nmax", "2"], tmp_path)[0] == 0
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_cli_import_loads_no_dataclasses():
