@@ -61,6 +61,11 @@ def _name(value: int, length: int) -> str:
     return bin(value | 1 << length)[3:]
 
 
+def _strings_of_length(length: int) -> list[str]:
+    """All bit strings of one length, in lex order."""
+    return [_name(v, length) for v in range(1 << length)]
+
+
 def _ranges(strings: Iterable[str], depth: int) -> list[tuple[int, int]]:
     """The range ``[a, b)`` of ``[0, 2^depth)`` covered by each interval, in order."""
     out = []

@@ -23,14 +23,15 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .cantor import format_fraction
+from .cantor import _strings_of_length, format_fraction
 from .families import (
-    IndexSpec,
     IntervalEvent,
     OpenFamilyPresentation,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
     require_valid,
+    single,
+    tail,
 )
 
 EXACT_COMPLEXITY_BOUND = 16
@@ -104,9 +105,6 @@ class ComplexityTable(NamedTuple):
 
     def has(self, u: str) -> bool:
         return (u, self.condition_for(u)) in self.entries
-
-    def conditions(self) -> set[int]:
-        return {cond for _, cond in self.entries}
 
 
 def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
@@ -216,12 +214,9 @@ def deficiency_report(
     if omega_prefix.strip("01"):
         raise ValueError(f"omega prefix must be a bit string, got {omega_prefix!r}")
     _require_all_strings(t, range(horizon + 1))
-    levels: list[list[str]] = [[""]]
-    for _ in range(horizon):
-        levels.append([y + b for y in levels[-1] for b in "01"])
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
-        for y in levels[length]:
+        for y in _strings_of_length(length):
             best = length - t.value(y)
             if length < horizon:
                 best = min(best, dbar[y + "0"], dbar[y + "1"])
@@ -251,7 +246,6 @@ def deficiency_family(
     groups = _sorted_values(t)
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
-        strings = list(_strings_of_length(n))
         m = n - c
         if m > 0:
             condition = n if t.mode == "conditional" else 0
@@ -262,22 +256,14 @@ def deficiency_family(
                     f"{count} strings below complexity {m}; the family would "
                     f"exceed measure 2^-{c}"
                 )
-        level = sorted(u for u in strings if t.value(u) < n - c)
-        spec = IndexSpec.tail(n) if n == n_max else IndexSpec.single(n)
+        level = [u for u in _strings_of_length(n) if t.value(u) < n - c]
+        spec = tail(n) if n == n_max else single(n)
         events.extend(IntervalEvent(stage=n, spec=spec, interval=u) for u in level)
     return OpenFamilyPresentation(
         epsilon=Fraction(1, 2**c),
         events=tuple(events),
         granularity=tuple((n, n) for n in range(n_min, n_max + 1)),
     )
-
-
-def _strings_of_length(n: int) -> Iterable[str]:
-    if n == 0:
-        yield ""
-        return
-    for code in range(2**n):
-        yield format(code, f"0{n}b")
 
 
 class RandomnessReport(NamedTuple):

@@ -33,26 +33,29 @@ not with the value of an index.
 
 Every accepted operation goes to all later copies, so while segment ``i``
 is processed the copy of a later segment ``j`` is its own member
-``bases[j]`` combined with everything accepted so far.  ``cover_open``
-keeps just that: members and candidates become ``int`` point masks at depth
-``lmax`` (bit ``t`` for the ``t``-th string of that length), the accepted
-region is one mask ``built``, and segment ``j``'s copy is
-``bases[j] | built``.  Nothing is deeper than ``lmax``, so the budget test
-``popcount <= floor(epsilon * 2^lmax)`` is exact.  ``cover_semimeasure``
-keeps a table per segment (a tree copy is the closure of that combination)
-and counts in integer units of ``1/scale``, ``scale`` the grid's least
-common denominator: every event value is on the grid, and closure sums of
-such values are whole units too.  Only the final guarantee checks use
-:class:`Fraction` and :class:`ClopenSet`.
+``bases[j]`` combined with everything accepted so far.  ``cover_sets`` and
+``cover_open`` share one loop, ``_sweep``, over ``int`` point masks: the
+accepted region is one mask ``built`` and copy ``j`` is ``bases[j] | built``.
+A set cover's points are universe positions (budget ``2^k - 1``), an open
+cover's the strings of length ``lmax`` (budget ``floor(epsilon * 2^lmax)``,
+exact as nothing is deeper).  A candidate inside ``built`` changes no copy
+and is accepted unchecked, which is exact: each later copy is within budget
+already, its member by validation and ``built`` by the checks that admitted
+it.  ``cover_semimeasure`` keeps a table per segment (a tree copy is the
+closure of that combination) and counts in integer units of ``1/scale``,
+``scale`` the grid's least common denominator: every event value is on the
+grid, and closure sums of such values are whole units too.  Only the final
+guarantee checks use :class:`Fraction` and :class:`ClopenSet`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .cantor import EMPTY, ClopenSet, _ranges, format_fraction, max_interval_depth, normalize
+from .cantor import EMPTY, ClopenSet, _ranges, _strings_of_length, format_fraction
+from .cantor import max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -89,6 +92,27 @@ class CoverOpenSet(NamedTuple):
     slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
 
 
+def _sweep(segments: list, bases: list[int], pieces: list, budget: int) -> Iterator[tuple]:
+    """Yield the accepted (threshold, candidate number) pairs of a point-mask cover.
+
+    Candidate ``t`` adds the points ``[a, b)`` of ``pieces[t]`` to the copy
+    ``bases[j] | built`` of every later segment ``j``, and is kept iff each
+    then holds at most ``budget`` points (or it changes no copy).
+    """
+    built = 0
+    for i, (start, end, _) in enumerate(segments):
+        later = bases[i:]
+        here = []
+        for t, (a, b) in enumerate(pieces):
+            grown = built | ((1 << b) - (1 << a))
+            if grown == built or all((base | grown).bit_count() <= budget for base in later):
+                built = grown
+                here.append(t)
+        for n in range(start, end):
+            for t in here:
+                yield n, t
+
+
 def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet:
     """Grow a single small set containing the liminf of a set family.
 
@@ -101,19 +125,12 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     """
     require_valid(p)
     segments = list(members(p, nmax))
-    cap = 2**p.k
-    working = [set(member) for _, _, member in segments]
-    # the last copy stands for every n >= its start: all thresholds at play are <= nmax
-    accepted: list[tuple[int, str]] = []
-    for i, (start, end, _) in enumerate(segments):
-        later = working[i:]
-        here = []
-        for u in p.universe:
-            if all(u in w or len(w) < cap - 1 for w in later):
-                for w in later:
-                    w.add(u)
-                here.append(u)
-        accepted.extend((n, u) for n in range(start, end) for u in here)
+    point = {u: t for t, u in enumerate(dict.fromkeys(p.universe))}  # by first occurrence
+    # no copy outgrows the universe, so a larger k changes no decision
+    cap = 2 ** min(p.k, len(p.universe))
+    bases = [sum(1 << point[u] for u in member) for _, _, member in segments]
+    pieces = [(point[u], point[u] + 1) for u in p.universe]
+    accepted = [(n, p.universe[t]) for n, t in _sweep(segments, bases, pieces, cap - 1)]
     elements = frozenset(u for _, u in accepted)
     assert len(elements) < cap
     assert liminf_family(p) <= elements
@@ -234,15 +251,6 @@ def semimeasure_to_complexity(cover: CoverSemimeasure) -> dict[str, int]:
     }
 
 
-def _candidates(lmax: int) -> list[str]:
-    out = [""]
-    level = [""]
-    for _ in range(lmax):
-        level = [x + b for x in level for b in "01"]
-        out.extend(level)
-    return out  # already (length, lex) ordered
-
-
 def cover_open(
     p: OpenFamilyPresentation, lmax: int, nmax: Optional[int] = None
 ) -> CoverOpenSet:
@@ -271,19 +279,9 @@ def cover_open(
         for _, _, member in segments
     ]
     budget = p.epsilon.numerator * 2**lmax // p.epsilon.denominator
-    candidates = _candidates(lmax)
+    candidates = [x for n in range(lmax + 1) for x in _strings_of_length(n)]
     pieces = _ranges(candidates, lmax)
-    built = 0
-    accepted: list[tuple[str, int]] = []
-    for i, (start, end, _) in enumerate(segments):
-        later = bases[i:]
-        here = []
-        for x, (a, b) in zip(candidates, pieces):
-            grown = built | ((1 << b) - (1 << a))
-            if all((base | grown).bit_count() <= budget for base in later):
-                built = grown
-                here.append(x)
-        accepted.extend((x, n) for n in range(start, end) for x in here)
+    accepted = [(candidates[t], n) for n, t in _sweep(segments, bases, pieces, budget)]
     region = normalize(x for x, _ in accepted)
     assert region.measure() <= p.epsilon
     assert liminf_family(p).difference(region).is_empty()
@@ -351,7 +349,7 @@ def replay_set_ops(
 ) -> bool:
     """Re-run a logged cover_sets schedule; True iff every op is acceptable."""
     require_valid(p)
-    cap = 2**p.k
+    cap = 2 ** min(p.k, len(p.universe))
     working = [set(m) for start, end, m in members(p, nmax) for _ in range(start, end)]
     for big_n, u in ops:
         if big_n < 0:

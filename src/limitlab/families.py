@@ -31,14 +31,6 @@ class IndexSpec(NamedTuple):
     kind: str  # "single" or "tail"
     index: int
 
-    @staticmethod
-    def single(n: int) -> "IndexSpec":
-        return IndexSpec("single", n)
-
-    @staticmethod
-    def tail(n: int) -> "IndexSpec":
-        return IndexSpec("tail", n)
-
     def covers(self, n: int) -> bool:
         if self.kind == "single":
             return n == self.index
@@ -49,11 +41,11 @@ class IndexSpec(NamedTuple):
 
 
 def single(n: int) -> IndexSpec:
-    return IndexSpec.single(n)
+    return IndexSpec("single", n)
 
 
 def tail(n: int) -> IndexSpec:
-    return IndexSpec.tail(n)
+    return IndexSpec("tail", n)
 
 
 class SetEvent(NamedTuple):
@@ -284,10 +276,9 @@ def _index_problems(p: Presentation) -> list[str]:
     problems = []
     for n, _, member in members(p):
         if isinstance(p, SetFamilyPresentation):
-            cap = 2**p.k
-            if len(member) >= cap:
+            if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
                 problems.append(
-                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {cap}"
+                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
                 )
         elif isinstance(p, SemimeasureFamilyPresentation) and p.tree:
             root = tree_closure(member).get("", Fraction(0))

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .families import IndexSpec, SemimeasureFamilyPresentation, ValueEvent
+from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
 
 Slot = Optional[int]
 
@@ -106,9 +106,9 @@ def trace_to_family(
             slot = trace.term(n - 1)
             if slot is not None:
                 counts[slot] = counts.get(slot, 0) + 1
-            spec, shares = IndexSpec.single(n), {x: Fraction(c, n) for x, c in counts.items()}
+            spec, shares = single(n), {x: Fraction(c, n) for x, c in counts.items()}
         else:
-            spec, shares = IndexSpec.tail(n), limit_frequency(trace)
+            spec, shares = tail(n), limit_frequency(trace)
         for x, share in sorted(shares.items()):
             floored = _grid_floor(share, grid)
             if floored > 0:

@@ -133,11 +133,14 @@ def _same(value: Any) -> Any:
     return value
 
 
-def _json_line(no: int, line: str) -> Any:
+def _loads(text: str, where: str) -> Any:
+    """``json.loads``; malformed or too deeply nested text is a ValueError."""
     try:
-        return json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {no}: not JSON: {exc}") from None
+        raise ValueError(f"{where}: not JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -147,7 +150,7 @@ def parse_presentation(text: str) -> Presentation:
     if not lines:
         raise ValueError("empty event log: a header line is required")
     no, head_text = lines[0]
-    header = _json_line(no, head_text)
+    header = _loads(head_text, f"line {no}")
     if not isinstance(header, dict) or "type" not in header:
         raise ValueError(f"line {no}: header must be an object with a 'type' field")
     kind = header["type"]
@@ -156,7 +159,7 @@ def parse_presentation(text: str) -> Presentation:
     cls, _, event_cls, payload_keys = _EVENT_LOGS[kind]
     events = []
     for no, line in lines[1:]:
-        obj = _json_line(no, line)
+        obj = _loads(line, f"line {no}")
         if not isinstance(obj, dict):
             raise ValueError(f"line {no}: event must be a JSON object")
         where = f"line {no}"
@@ -263,7 +266,7 @@ def decomposition_to_json(parts: list[ClopenSet]) -> dict:
 
 
 def parse_forcing_instance(text: str) -> ForcingInstance:
-    obj = json.loads(text)
+    obj = _loads(text, "forcing instance")
     if not isinstance(obj, dict):
         raise ValueError("forcing instance must be a JSON object")
     initial = obj.get("initialU")
@@ -295,7 +298,7 @@ def forcing_outcome_to_json(outcome: ForcingOutcome) -> dict:
 
 
 def parse_trace(text: str) -> PartialTrace:
-    obj = json.loads(text)
+    obj = _loads(text, "trace")
     if not isinstance(obj, dict):
         raise ValueError("trace must be a JSON object with 'prefix' and 'period'")
     prefix = obj.get("prefix", [])
@@ -316,7 +319,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     """
     body = text.lstrip()
     if body.startswith(("{", "[")):
-        obj = json.loads(body)
+        obj = _loads(body, "table")
         if not isinstance(obj, dict):
             raise ValueError("table JSON must be an object with an 'entries' list")
         mode = obj.get("conditionMode", "conditional")

@@ -252,6 +252,28 @@ def test_k_flag_overrides_header(tmp_path):
     assert "capacity" in json.loads(body)["problems"][0]
 
 
+@pytest.mark.parametrize("where", ["header", "flag"])
+@pytest.mark.parametrize("command", ["validate", "liminf", "cover-sets"])
+def test_huge_k_decides_as_k_above_the_universe(command, where, tmp_path):
+    # no set outgrows the universe, so k = 10^12 must give the artifacts of
+    # k = |universe| + 1 (apart from "k") without building a 2^k integer
+    source = FIXTURES / "set_family.jsonl"
+    header, *events = source.read_text().splitlines(keepends=True)
+    header = json.loads(header)
+
+    def artifact(k):
+        if where == "flag":
+            argv = ["--input", str(source), "--k", str(k)]
+        else:
+            family = tmp_path / f"k{k}.jsonl"
+            family.write_text(json.dumps({**header, "k": k}) + "\n" + "".join(events))
+            argv = ["--input", str(family)]
+        code, body = run([command, *argv], tmp_path, name=f"out{k}")
+        return code, {key: value for key, value in json.loads(body).items() if key != "k"}
+
+    assert artifact(10**12) == artifact(len(header["universe"]) + 1)
+
+
 def test_csv_unsupported_exits_two():
     assert (
         main(
@@ -544,6 +566,29 @@ def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+NESTED = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["lowbasis", "--witness-length", "2"], NESTED),
+        (["freq"], NESTED),
+        (["deficiency", "--omega", "0", "--horizon", "1", "--c", "1"], NESTED),
+        (["validate"], '{"type": "set-family", "k": 2, "universe": ["0"]}\n' + NESTED),
+    ],
+    ids=["forcing-instance", "trace", "table", "event-log-line"],
+)
+def test_deeply_nested_json_exits_two(argv, text, tmp_path, capsys):
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    assert run(argv + ["--input", str(source)], tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and err.endswith(": JSON nested too deeply\n")
+
+
 @pytest.mark.parametrize("grid,shown", [("-1/2,0,1/4,1/2,3/2", "-1/2"), ("0,1/4,1/2,3/2", "3/2")])
 @pytest.mark.parametrize(
     "command,family",
@@ -589,13 +634,15 @@ def test_table_too_short_is_refused_before_enumerating(argv, tmp_path, capsys):
 
 
 # Values tried for each flag; the integers stay small, since large ones are
-# legitimately exponential work (e.g. `cover-open --lmax 40`).
+# legitimately exponential work (e.g. `cover-open --lmax 40`).  `--k` sets no
+# work of its own, so it also takes a 31-digit value.
 FUZZ_VALUES = {
     "epsilon": st.sampled_from(["1/2", "3/4", "1", "1/4", "0", "-1/2", "1/0"]),
     "epsilon-prime": st.sampled_from(["3/4", "1", "7/8", "1/2", "-1", "q"]),
     "grid": st.sampled_from([EIGHTHS, "0,1/4,1/2,3/4,1", "0,1/2,1", "0,1", ","]),
     "omega": st.text(alphabet="01a", max_size=5),
     "format": st.sampled_from(["json", "csv", "csv", "xml"]),
+    "k": st.sampled_from(["-1", "0", "1", "2", "3", "6", "1" + "0" * 30]),
 }
 FUZZ_INPUTS = {argv[0]: argv[2] for _, argv, _ in GOLDEN_RUNS if "--input" in argv}
 

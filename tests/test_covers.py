@@ -361,15 +361,57 @@ def test_cover_runs_do_not_disturb_each_other():
     assert first == second
 
 
-def _cover_and_oracle(kind, rng, index):
-    """For a seeded family of the kind: (library result, oracle result) per nmax."""
-    if kind == "set":
-        p = gen_set_family(rng)
-    elif kind == "open":
-        p = gen_open_family(rng, max_depth=4)
-        lmax = max((len(ev.interval) for ev in p.events), default=0) + index % 2
-    else:
-        p = gen_semimeasure_family(rng, tree=kind == "tree")
+def _noop_heavy_sets():
+    # 200 singles cycling over three elements, then a tail: after the first
+    # segments nearly every tentative addition is already in the cover
+    universe = ["0", "1", "10", "11"]
+    singles = [ll.SetEvent(0, ll.single(n), universe[n % 3]) for n in range(200)]
+    return set_presentation(2, universe, *singles, ll.SetEvent(0, ll.tail(150), "11"))
+
+
+# families the generators never make: repeated universe entries, k = 0,
+# k >= |universe|, and covers where most candidates change nothing
+HAND_MADE = {
+    "set": [
+        set_presentation(
+            2, ["0", "1", "0", "10", "1"],
+            ll.SetEvent(0, ll.single(0), "1"), ll.SetEvent(0, ll.tail(2), "10"),
+        ),
+        set_presentation(0, ["0", "1", "0"]),
+        set_presentation(3, ["0", "1", "11"], ll.SetEvent(0, ll.tail(1), "0"),
+                         ll.SetEvent(0, ll.single(0), "1"), ll.SetEvent(0, ll.single(3), "11")),
+        set_presentation(40, ["0", "1"], ll.SetEvent(0, ll.tail(0), "1")),
+        _noop_heavy_sets(),
+    ],
+    "open": [
+        (open_presentation(Fraction(1, 2), ll.IntervalEvent(0, ll.tail(0), "0")), 6),
+        (
+            open_presentation(
+                Fraction(1, 2), ll.IntervalEvent(0, ll.tail(0), "0"),
+                ll.IntervalEvent(1, ll.single(2), "00"), ll.IntervalEvent(1, ll.tail(4), "01"),
+            ),
+            6,
+        ),
+    ],
+}
+
+
+def _families(kind, rng):
+    """200 seeded families of the kind, then the hand-made ones (with lmax for open)."""
+    for index in range(200):
+        if kind == "set":
+            yield gen_set_family(rng)
+        elif kind == "open":
+            p = gen_open_family(rng, max_depth=4)
+            yield p, max((len(ev.interval) for ev in p.events), default=0) + index % 2
+        else:
+            yield gen_semimeasure_family(rng, tree=kind == "tree")
+    yield from HAND_MADE.get(kind, ())
+
+
+def _cover_and_oracle(kind, family):
+    """For one family of the kind: (library result, oracle result) per nmax."""
+    p, lmax = family if kind == "open" else (family, None)
     last = max(ll.breakpoints(p))
     for nmax in range(last, last + 4):
         if kind == "set":
@@ -392,8 +434,8 @@ def test_covers_match_per_index_oracles(kind):
     # the segment-wise loops must reproduce the per-index definition exactly,
     # accepted-ops log included, also for thresholds past the last breakpoint
     rng = random.Random(f"per-index:{kind}")
-    for index in range(200):
-        for got, expected in _cover_and_oracle(kind, rng, index):
+    for family in _families(kind, rng):
+        for got, expected in _cover_and_oracle(kind, family):
             assert got == expected
 
 
