@@ -28,7 +28,10 @@ print("liminf =", sorted(ll.liminf_family(p)), " (the members from the last brea
 
 print("\n== covering the liminf with one small set ==")
 cover = ll.cover_sets(p)
-print("accepted operations (threshold, element):")
+print("runs (start, end, elements accepted at every threshold in [start, end)):")
+for run in cover.runs:
+    print("  ", run)
+print("the same log per threshold (threshold, element):")
 for op in cover.accepted_ops:
     print("  ", op)
 print("cover elements:", sorted(cover.elements), f" (bound: fewer than 2^{p.k} = {2**p.k})")

@@ -18,6 +18,7 @@ description-length bounds.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -237,11 +238,19 @@ def deficiency_family(
     below n - c; index n receives the union of their intervals.  The family
     is truncated by replicating the last level as a tail, and its measure
     bound epsilon = 2^-c follows from the counting bound, which is checked
-    up front.
+    up front.  A ``c`` whose 2^c has more decimal digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits``) is refused,
+    since the family's epsilon could not be written.
     """
     n_min, n_max = n_range
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and c >= (10**limit).bit_length():  # i.e. 2^c >= 10^limit
+        raise ValueError(
+            f"c = {c} is too large: epsilon = 2^-{c} needs more than {limit} digits, "
+            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
+        )
     _require_all_strings(t, range(n_min, n_max + 1))
     groups = _sorted_values(t)
     events: list[IntervalEvent] = []

@@ -26,10 +26,13 @@ equal and only grow, so a budget check that fails at the segment's start
 fails again at every later threshold of it, while an operation accepted at
 the start has left its element, value or interval in every later copy and is
 accepted again as a no-op.  Operations are therefore tried only at segment
-starts, and the log repeats a start's accepted list, in the same order, for
-every threshold of its segment: the log is exactly the per-index one, and
-the cost grows with the number of breakpoints and the size of the output,
-not with the value of an index.
+starts, and each construction logs one *run* ``(start, end, ops)`` per
+segment: ``ops`` is the list accepted at ``start``, in order, and it is
+accepted again, unchanged, at every threshold up to ``end - 1``.  A cover's
+``accepted_ops`` is the *expanded view* of its runs, one row per threshold
+and operation, exactly the per-index log; it is built only when read, so the
+cost of a construction grows with the number of breakpoints and the size of
+its output, not with the value of an index.
 
 Every accepted operation goes to all later copies, so while segment ``i``
 is processed the copy of a later segment ``j`` is its own member
@@ -69,15 +72,28 @@ from .families import (
 )
 
 
+def _expand(runs: tuple, row) -> tuple:
+    """The per-threshold log of ``runs``: ``row(n, op)`` for each ``n`` of a run, then each op."""
+    return tuple(row(n, op) for start, end, ops in runs for n in range(start, end) for op in ops)
+
+
 class CoverSet(NamedTuple):
     elements: frozenset[str]
-    accepted_ops: tuple[tuple[int, str], ...]
+    runs: tuple[tuple[int, int, tuple[str, ...]], ...]
+
+    @property
+    def accepted_ops(self) -> tuple[tuple[int, str], ...]:
+        return _expand(self.runs, lambda n, u: (n, u))
 
 
 class CoverSemimeasure(NamedTuple):
     values: Mapping[str, Fraction]
-    accepted_ops: tuple[tuple[Fraction, int, str], ...]
+    runs: tuple[tuple[int, int, tuple[tuple[Fraction, str], ...]], ...]
     tree: bool
+
+    @property
+    def accepted_ops(self) -> tuple[tuple[Fraction, int, str], ...]:
+        return _expand(self.runs, lambda n, op: (op[0], n, op[1]))
 
     def value(self, u: str) -> Fraction:
         return self.values.get(u, Fraction(0))
@@ -88,12 +104,19 @@ class CoverSemimeasure(NamedTuple):
 
 class CoverOpenSet(NamedTuple):
     region: ClopenSet
-    accepted_ops: tuple[tuple[str, int], ...]
+    runs: tuple[tuple[int, int, tuple[str, ...]], ...]
     slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
 
+    @property
+    def accepted_ops(self) -> tuple[tuple[str, int], ...]:
+        return _expand(self.runs, lambda n, x: (x, n))
 
-def _sweep(segments: list, bases: list[int], pieces: list, budget: int) -> Iterator[tuple]:
-    """Yield the accepted (threshold, candidate number) pairs of a point-mask cover.
+
+def _sweep(
+    segments: list, bases: list[int], pieces: list, labels: Sequence[str], budget: int
+) -> Iterator[tuple]:
+    """Yield one run ``(start, end, ops)`` per segment of a point-mask cover,
+    ``ops`` the ``labels`` of the candidates accepted at ``start``.
 
     Candidate ``t`` adds the points ``[a, b)`` of ``pieces[t]`` to the copy
     ``bases[j] | built`` of every later segment ``j``, and is kept iff each
@@ -103,14 +126,12 @@ def _sweep(segments: list, bases: list[int], pieces: list, budget: int) -> Itera
     for i, (start, end, _) in enumerate(segments):
         later = bases[i:]
         here = []
-        for t, (a, b) in enumerate(pieces):
+        for label, (a, b) in zip(labels, pieces):
             grown = built | ((1 << b) - (1 << a))
             if grown == built or all((base | grown).bit_count() <= budget for base in later):
                 built = grown
-                here.append(t)
-        for n in range(start, end):
-            for t in here:
-                yield n, t
+                here.append(label)
+        yield start, end, tuple(here)
 
 
 def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet:
@@ -130,11 +151,11 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     cap = 2 ** min(p.k, len(p.universe))
     bases = [sum(1 << point[u] for u in member) for _, _, member in segments]
     pieces = [(point[u], point[u] + 1) for u in p.universe]
-    accepted = [(n, p.universe[t]) for n, t in _sweep(segments, bases, pieces, cap - 1)]
-    elements = frozenset(u for _, u in accepted)
+    runs = tuple(_sweep(segments, bases, pieces, p.universe, cap - 1))
+    elements = frozenset(u for _, _, ops in runs for u in ops)
     assert len(elements) < cap
     assert liminf_family(p) <= elements
-    return CoverSet(elements=elements, accepted_ops=tuple(accepted))
+    return CoverSet(elements=elements, runs=runs)
 
 
 def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) -> list[Fraction]:
@@ -205,7 +226,7 @@ def cover_semimeasure(
         {y: int(v * scale) for y, v in close(member).items()} for _, _, member in segments
     ]
     masses = [w.get("", 0) if p.tree else sum(w.values()) for w in working]
-    accepted: list[tuple[Fraction, int, str]] = []
+    runs: list[tuple[int, int, tuple[tuple[Fraction, str], ...]]] = []
     built: dict[str, int] = {}
     for i, (start, end, _) in enumerate(segments):
         later = range(i, len(segments))
@@ -220,25 +241,20 @@ def cover_semimeasure(
                     masses[j] += gain
                 built.update(_raise(built, u, units, p.tree)[0])
                 here.append((r, u))
-        accepted.extend((r, n, u) for n in range(start, end) for r, u in here)
+        runs.append((start, end, tuple(here)))
     values = {u: Fraction(v, scale) for u, v in built.items()}
     if p.tree:
         assert values.get("", Fraction(0)) <= 1
     else:
         assert sum(values.values(), Fraction(0)) <= 1
     assert all(values.get(u, Fraction(0)) >= v for u, v in liminf_family(p).items())
-    return CoverSemimeasure(values=values, accepted_ops=tuple(accepted), tree=p.tree)
+    return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
 
 
 def _ceil_log2_reciprocal(value: Fraction) -> int:
-    # smallest natural m with value * 2^m >= 1, for 0 < value <= 1
+    # smallest natural m with value * 2^m >= 1, for 0 < value <= 1: 2^m >= ceil(q / p)
     p, q = value.numerator, value.denominator
-    m = 0
-    power = 1
-    while p * power < q:
-        power <<= 1
-        m += 1
-    return m
+    return (-(-q // p) - 1).bit_length()
 
 
 def semimeasure_to_complexity(cover: CoverSemimeasure) -> dict[str, int]:
@@ -281,11 +297,11 @@ def cover_open(
     budget = p.epsilon.numerator * 2**lmax // p.epsilon.denominator
     candidates = [x for n in range(lmax + 1) for x in _strings_of_length(n)]
     pieces = _ranges(candidates, lmax)
-    accepted = [(candidates[t], n) for n, t in _sweep(segments, bases, pieces, budget)]
-    region = normalize(x for x, _ in accepted)
+    runs = tuple(_sweep(segments, bases, pieces, candidates, budget))
+    region = normalize(x for _, _, ops in runs for x in ops)
     assert region.measure() <= p.epsilon
     assert liminf_family(p).difference(region).is_empty()
-    return CoverOpenSet(region=region, accepted_ops=tuple(accepted))
+    return CoverOpenSet(region=region, runs=runs)
 
 
 def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
@@ -331,16 +347,16 @@ def cover_open_strong(
         )
     parts = decompose_liminf(p)
     region = EMPTY
-    accepted: list[tuple[str, int]] = []
+    runs: list[tuple[int, int, tuple[str, ...]]] = []
     slack: list[tuple[int, Fraction]] = []
     for i, part in enumerate(parts):
         if part.intervals:
             region = region.union(part)
-        accepted.extend((x, i) for x in part.intervals)
+            runs.append((i, i + 1, part.intervals))
         slack.append((i, (epsilon_prime - p.epsilon) / 2 ** (i + 1)))
     assert region.measure() <= epsilon_prime
     return CoverOpenSet(
-        region=region, accepted_ops=tuple(accepted), slack_report=tuple(slack)
+        region=region, runs=tuple(runs), slack_report=tuple(slack)
     )
 
 

@@ -241,7 +241,7 @@ def cover_set_to_json(cover: CoverSet, k: int) -> dict:
     return {
         "k": k,
         "elements": sorted(cover.elements),
-        "acceptedOps": [[n, u] for n, u in cover.accepted_ops],
+        "acceptedOps": cover.accepted_ops,
     }
 
 
@@ -255,7 +255,7 @@ def cover_semimeasure_to_json(cover: CoverSemimeasure) -> dict:
 
 
 def cover_open_to_json(cover: CoverOpenSet) -> dict:
-    payload = {**_region(cover.region), "acceptedOps": [[x, n] for x, n in cover.accepted_ops]}
+    payload = {**_region(cover.region), "acceptedOps": cover.accepted_ops}
     if cover.slack_report is not None:
         payload["slack"] = [[i, format_fraction(b)] for i, b in cover.slack_report]
     return payload

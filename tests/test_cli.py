@@ -566,6 +566,16 @@ def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_deficiency_family_refuses_a_c_too_long_to_write(tmp_path, capsys):
+    # 2^20000 has 6021 digits, beyond CPython's default 4300-digit text limit
+    argv = ["deficiency-family", "--input", "table.json", "--nmin", "2", "--nmax", "4", "--c"]
+    assert run(with_input_paths(argv + ["20000"]), tmp_path) == (2, b"")
+    err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(err) == 1 and "c = 20000" in err[0] and "digits" in err[0]
+    code, body = run(with_input_paths(argv + ["14000"]), tmp_path)
+    assert code == 0 and b'"epsilon": "1/' in body
+
+
 NESTED = "[" * 100_000
 
 

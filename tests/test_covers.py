@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import limitlab as ll
+from limitlab.covers import _ceil_log2_reciprocal
 import oracles
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
 
@@ -176,14 +178,19 @@ def test_cover_semimeasure_enlarged_grid_keeps_guarantees():
 def test_semimeasure_to_complexity():
     cover = ll.CoverSemimeasure(
         values={"a0": Fraction(1, 2), "a1": Fraction(1), "a2": Fraction(3, 8)},
-        accepted_ops=(),
+        runs=(),
         tree=False,
     )
     assert ll.semimeasure_to_complexity(cover) == {"a0": 1, "a1": 0, "a2": 2}
+    # the closed form against the doubling loop, on every value p/q in (0, 1] with q < 300
+    for q in range(1, 300):
+        for p in range(1, q + 1):
+            value = Fraction(p, q)
+            assert _ceil_log2_reciprocal(value) == oracles.ceil_log2_reciprocal_by_doubling(value)
 
 
 def test_semimeasure_to_complexity_drops_zeroes():
-    cover = ll.CoverSemimeasure(values={}, accepted_ops=(), tree=False)
+    cover = ll.CoverSemimeasure(values={}, runs=(), tree=False)
     assert ll.semimeasure_to_complexity(cover) == {}
 
 
@@ -470,6 +477,7 @@ def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
     segments = spy_on_members(monkeypatch)
     cover = run()
     assert 0 < len(segments) <= len(ll.breakpoints(p))
+    assert len(cover.runs) <= len(ll.breakpoints(p))
     # the log still names every threshold up to the last breakpoint
     assert cover.accepted_ops[-1][0 if kind == "set" else 1] == 1000
 
@@ -488,9 +496,35 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
         assert parts[4000].intervals == ("0",)
     else:
         cover = ll.cover_open_strong(p, Fraction(3, 4))
+        assert cover.runs == ((4000, 4001, ("0",)),)
         assert cover.accepted_ops == (("0", 4000),)
         assert len(cover.slack_report) == 4001
     assert 0 < len(segments) <= len(ll.breakpoints(p))
+
+
+def test_covers_hold_runs_not_a_row_per_threshold():
+    # a single tail(10^6) event: the logs name 10^6 + 1 thresholds, but the
+    # covers keep one run per segment and allocate nothing per threshold
+    spec = ll.tail(10**6)
+    runs = {
+        "set": lambda: ll.cover_sets(set_presentation(2, ["0", "1"], ll.SetEvent(0, spec, "0"))),
+        "open": lambda: ll.cover_open(
+            open_presentation(Fraction(1, 2), ll.IntervalEvent(0, spec, "0")), lmax=1
+        ),
+        "flat": lambda: ll.cover_semimeasure(
+            ll.SemimeasureFamilyPresentation(events=(ll.ValueEvent(0, spec, "0", Fraction(1, 2)),)),
+            EIGHTHS,
+        ),
+    }
+    for kind, run in runs.items():
+        tracemalloc.start()
+        try:
+            cover = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(start, end) for start, end, _ in cover.runs] == [(0, 10**6), (10**6, 10**6 + 1)]
+        assert peak < 5 * 2**20, (kind, peak)
 
 
 @pytest.mark.parametrize("tree", [False, True])

@@ -100,7 +100,13 @@ def test_artifact_keys_must_be_strings(payload):
         jsonio.dumps_artifact(payload)
 
 
-def test_artifacts_never_use_the_pure_python_encoder(monkeypatch):
+# cover goldens as the library builds their payloads (set and open logs are tuples of rows)
+COVER_GOLDENS = (
+    "cover_sets.json", "cover_semimeasure.json", "cover_open.json", "cover_open_strong.json"
+)
+
+
+def test_artifacts_never_use_the_pure_python_encoder(monkeypatch, tmp_path):
     # json.dumps with indent builds its chunks in json.encoder._make_iterencode
     calls = []
     real = json.encoder._make_iterencode
@@ -110,6 +116,17 @@ def test_artifacts_never_use_the_pure_python_encoder(monkeypatch):
     for name in ("complexity.json", "cover_sets.json"):
         text = (GOLDEN / name).read_text()
         assert jsonio.dumps_artifact(json.loads(text)) == text
+    built = {}
+    dumps = jsonio.dumps_artifact
+    for name, argv, code in GOLDEN_RUNS:
+        if name in COVER_GOLDENS:
+            spy = lambda p, _n=name: dumps(built.setdefault(_n, p))  # noqa: E731
+            monkeypatch.setattr(jsonio, "dumps_artifact", spy)
+            assert main(with_input_paths(argv) + ["--output", str(tmp_path / "out")]) == code
+    assert sorted(built) == sorted(COVER_GOLDENS)
+    assert any(type(payload["acceptedOps"]) is tuple for payload in built.values())
+    for name, payload in built.items():
+        assert dumps(payload) == (GOLDEN / name).read_text()
     assert calls == []
     dumps_artifact_by_json(json.loads(text))  # the spy sees the fallback when there is one
     assert calls
