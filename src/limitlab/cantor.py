@@ -9,9 +9,13 @@ tuple equality.
 
 Each operation maps its operands to half-open integer ranges ``[a, b)`` of
 ``[0, 2^D)``, ``D`` the deepest interval among them, combines them with one
-loop-based merge (:func:`_gaps`, the complement of a union of ranges) and cuts
-the result back into maximal aligned dyadic blocks, the canonical form.  No
-step recurses, so ``LIMITLAB_MAX_DEPTH`` is the only limit on interval depth.
+merge (:func:`_union`: sort once, coalesce overlapping and touching ranges in
+one pass; :func:`_gaps` is the complement walk over its output, which gives
+intersection and difference by De Morgan) and cuts the result back into
+maximal aligned dyadic blocks, the canonical form.  A set that only grows can
+stay in range form and become a :class:`ClopenSet` once, where a caller needs
+one.  No step recurses, so ``LIMITLAB_MAX_DEPTH`` is the only limit on
+interval depth.
 
 All measures are :class:`fractions.Fraction`; no floating point is used
 anywhere in the package.
@@ -75,21 +79,39 @@ def _ranges(strings: Iterable[str], depth: int) -> list[tuple[int, int]]:
     return out
 
 
-def _gaps(ranges: list[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
-    """The merge: sorted, disjoint, non-touching complement of the ranges' union
-    inside ``[0, 2^depth)``.  Applied twice it gives the union itself."""
-    out, start = [], 0
+def _union(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The merge: the ranges' union as sorted, disjoint, non-touching ranges.
+
+    Sorts once, then coalesces overlapping and touching neighbours in one pass.
+    """
+    out: list[tuple[int, int]] = []
+    end = -1
     for a, b in sorted(ranges):
+        if a > end:
+            out.append((a, b))
+            end = b
+        elif b > end:
+            out[-1] = (out[-1][0], b)
+            end = b
+    return out
+
+
+def _gaps(ranges: Iterable[tuple[int, int]], depth: int) -> list[tuple[int, int]]:
+    """Complement of the ranges' union inside ``[0, 2^depth)``: the walk over the
+    gaps of :func:`_union`'s output, so the ranges may come in any order."""
+    out, start = [], 0
+    for a, b in _union(ranges):
         if start < a:
             out.append((start, a))
-        start = max(start, b)
+        start = b
     if start < 1 << depth:
         out.append((start, 1 << depth))
     return out
 
 
 def _clopen(ranges: list[tuple[int, int]], depth: int) -> "ClopenSet":
-    """Canonical set of :func:`_gaps` output: ranges cut into maximal aligned blocks."""
+    """Canonical set of sorted, disjoint, non-touching ranges (:func:`_union` or
+    :func:`_gaps` output), cut into maximal aligned blocks."""
     out = []
     for a, b in ranges:
         while a < b:
@@ -134,7 +156,7 @@ class ClopenSet(NamedTuple):
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         depth, (a, b) = _lift(self, other)
-        return _clopen(_gaps(_gaps(a + b, depth), depth), depth)
+        return _clopen(_union(a + b), depth)
 
     def intersection(self, other: "ClopenSet") -> "ClopenSet":
         depth, (a, b) = _lift(self, other)
@@ -192,7 +214,7 @@ def normalize(intervals: Iterable[str]) -> ClopenSet:
     cap = max_interval_depth()
     checked = [check_bit_string(x, cap) for x in intervals]
     depth = max(map(len, checked), default=0)
-    return _clopen(_gaps(_gaps(_ranges(checked, depth), depth), depth), depth)
+    return _clopen(_union(_ranges(checked, depth)), depth)
 
 
 def interval(x: str) -> ClopenSet:

@@ -229,14 +229,23 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of ``name`` when it names one.
+
+    A one-command parser can print no top-level text but its usage line (for
+    unrecognized arguments), so its metavar lists every command, as the full
+    parser's usage line does.
+    """
     parser = argparse.ArgumentParser(
         prog="limitlab",
         description="Exact staged-family constructions, covers and reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
+    only = name in COMMANDS
+    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for key in [name] if only else COMMANDS:
+        command = COMMANDS[key]
+        cmd = sub.add_parser(key, help=command.help)
         optional = (*command.optional, "output", *(("format",) if command.csv else ()))
         for flag in command.required:
             cmd.add_argument(f"--{flag}", required=True, **FLAGS[flag])
@@ -257,7 +266,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _main(argv: Optional[Sequence[str]]) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
     command = COMMANDS[args.command]

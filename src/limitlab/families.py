@@ -7,6 +7,10 @@ eventually constant in the index, so its limit inferior is computable exactly
 and serves as the brute-force oracle for the covering constructions.
 ``members`` builds the member of every breakpoint segment in one pass over
 the log; ``family_at(p, n)`` is the by-definition query that rescans it.
+For an open family the pass is a range sweep: each member is held as merged
+integer ranges at the depth of the deepest event interval, grown with one
+:func:`cantor._union` per breakpoint that adds events, and ``validate``
+compares each member's point count with epsilon without building a set.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -22,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .cantor import ClopenSet, check_bit_string, format_fraction, max_interval_depth, normalize
+from .cantor import ClopenSet, _clopen, _ranges, _union, check_bit_string, format_fraction
+from .cantor import max_interval_depth, normalize
 
 
 class IndexSpec(NamedTuple):
@@ -162,15 +167,9 @@ def family_at(p: Presentation, n: int, stage: Optional[int] = None):
     )
 
 
-def members(p: Presentation, nmax: Optional[int] = None):
-    """Yield ``(start, end, member)`` for each breakpoint segment of ``0..nmax``.
-
-    The last segment ends at ``nmax + 1`` (``nmax`` defaults to the last
-    breakpoint).  The events are bucketed by spec in one pass: a ``tail(N)``
-    event joins the running member at ``N``, a ``single(n)`` event only the
-    member at ``n``.  Segments may share a member, so treat members as
-    read-only.  Assumes ``p`` is valid.
-    """
+def _sweep(p: Presentation, nmax: Optional[int], grow, running):
+    """Yield ``(start, end, member)`` per breakpoint segment, from ``running`` (the
+    empty member) and ``grow(events, member)``, which returns a new member."""
     starts = breakpoints(p)
     if nmax is None:
         nmax = starts[-1]
@@ -182,12 +181,44 @@ def members(p: Presentation, nmax: Optional[int] = None):
     by_spec: dict[IndexSpec, list] = {}
     for ev in p.events:
         by_spec.setdefault(ev.spec, []).append(ev)
-    running = _grow(p, ())
     for start, end in zip(starts, starts[1:] + [nmax + 1]):
         if tail(start) in by_spec:
-            running = _grow(p, by_spec[tail(start)], running)
+            running = grow(by_spec[tail(start)], running)
         here = by_spec.get(single(start))
-        yield start, end, _grow(p, here, running) if here else running
+        yield start, end, grow(here, running) if here else running
+
+
+def _open_sweep(p: OpenFamilyPresentation, nmax: Optional[int] = None):
+    """The depth of the deepest event interval, and :func:`_sweep` with each
+    member as its merged ranges at that depth."""
+    depth = max_event_interval_length(p)
+
+    def grow(events, ranges):
+        return _union(ranges + _ranges([ev.interval for ev in events], depth))
+
+    return depth, _sweep(p, nmax, grow, [])
+
+
+def members(p: Presentation, nmax: Optional[int] = None):
+    """Yield ``(start, end, member)`` for each breakpoint segment of ``0..nmax``.
+
+    The last segment ends at ``nmax + 1`` (``nmax`` defaults to the last
+    breakpoint).  The events are bucketed by spec in one pass: a ``tail(N)``
+    event joins the running member at ``N``, a ``single(n)`` event only the
+    member at ``n``.  An open member is swept as merged integer ranges and
+    becomes a ``ClopenSet`` only where it changes (``validate`` reads the
+    same sweep and counts the ranges' points).  Segments may share a member,
+    so treat members as read-only.  Assumes ``p`` is valid.
+    """
+    if not isinstance(p, OpenFamilyPresentation):
+        yield from _sweep(p, nmax, lambda events, member: _grow(p, events, member), _grow(p, ()))
+        return
+    depth, segments = _open_sweep(p, nmax)
+    ranges = member = None
+    for start, end, here in segments:
+        if here is not ranges:
+            ranges, member = here, _clopen(here, depth)
+        yield start, end, member
 
 
 def liminf_family(p: Presentation):
@@ -274,39 +305,44 @@ def _structural_problems(p: Presentation) -> list[str]:
 
 def _index_problems(p: Presentation) -> list[str]:
     problems = []
-    for n, _, member in members(p):
-        if isinstance(p, SetFamilyPresentation):
-            if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
+    if isinstance(p, OpenFamilyPresentation):
+        # mu(U_n) = points / 2^depth > num / den, decided on integers
+        depth, segments = _open_sweep(p)
+        num, den = p.epsilon.numerator, p.epsilon.denominator
+        for n, _, ranges in segments:
+            points = sum(b - a for a, b in ranges)
+            if points * den > num << depth:
                 problems.append(
-                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
-                )
-        elif isinstance(p, SemimeasureFamilyPresentation) and p.tree:
-            root = tree_closure(member).get("", Fraction(0))
-            if root > 1:
-                problems.append(
-                    f"tree semimeasure violated at n={n}: root mass {format_fraction(root)} > 1"
-                )
-        elif isinstance(p, SemimeasureFamilyPresentation):
-            total = sum(member.values(), Fraction(0))
-            if total > 1:
-                problems.append(
-                    f"semimeasure violated at n={n}: total mass {format_fraction(total)} > 1"
-                )
-        else:
-            mu = member.measure()
-            if mu > p.epsilon:
-                problems.append(
-                    f"measure bound violated at n={n}: mu(U_n) = {format_fraction(mu)}"
+                    f"measure bound violated at n={n}: "
+                    f"mu(U_n) = {format_fraction(Fraction(points, 1 << depth))}"
                     f" > epsilon = {format_fraction(p.epsilon)}"
                 )
-    if isinstance(p, OpenFamilyPresentation) and p.granularity is not None:
-        for n, c in p.granularity:
+        for n, c in p.granularity or ():
             for pos, ev in enumerate(p.events):
                 if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
                     problems.append(
                         f"granularity violated at n={n}: event #{pos} interval "
                         f"{ev.interval!r} longer than c(n)={c}"
                     )
+        return problems
+    for n, _, member in members(p):
+        if isinstance(p, SetFamilyPresentation):
+            if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
+                problems.append(
+                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
+                )
+        elif p.tree:
+            root = tree_closure(member).get("", Fraction(0))
+            if root > 1:
+                problems.append(
+                    f"tree semimeasure violated at n={n}: root mass {format_fraction(root)} > 1"
+                )
+        else:
+            total = sum(member.values(), Fraction(0))
+            if total > 1:
+                problems.append(
+                    f"semimeasure violated at n={n}: total mass {format_fraction(total)} > 1"
+                )
     return problems
 
 

@@ -29,7 +29,7 @@ from typing import Any
 
 from .cantor import ClopenSet, format_fraction, normalize, parse_fraction, parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
-from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
+from .covers import CoverOpenSet, CoverSemimeasure, CoverSet, _expand
 from .families import (
     IndexSpec,
     IntervalEvent,
@@ -246,11 +246,13 @@ def cover_set_to_json(cover: CoverSet, k: int) -> dict:
 
 
 def cover_semimeasure_to_json(cover: CoverSemimeasure) -> dict:
+    # each run's ops are formatted once, then expanded like cover.accepted_ops
+    runs = [(a, b, [(format_fraction(r), u) for r, u in ops]) for a, b, ops in cover.runs]
     return {
         "tree": cover.tree,
         "values": _values(cover.values),
         "totalMass": format_fraction(cover.total_mass()),
-        "acceptedOps": [[format_fraction(r), n, u] for r, n, u in cover.accepted_ops],
+        "acceptedOps": _expand(runs, lambda n, op: (op[0], n, op[1])),
     }
 
 

@@ -7,13 +7,18 @@ T already covers the whole space (so every point outside U is in T), and
 answer is forced: it holds for every point of the final complement, and in
 particular for the extracted leftmost witness.  The answers are a function of
 the instance alone, never of the witness.
+
+U only grows, so it is held as merged integer ranges at the depth of the
+deepest interval in the instance; each query is one :func:`cantor._union`
+of U's ranges with the query's, and U becomes one :class:`ClopenSet` at the
+end, from which the witness is read.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cantor import ClopenSet, max_interval_depth
+from .cantor import ClopenSet, _clopen, _ranges, _union, max_interval_depth
 
 
 class ForcingInstance(NamedTuple):
@@ -42,9 +47,11 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     most the interval depth cap, so that the witness is no longer than any
     interval may be.
     """
-    if instance.initial_u.is_full():
-        raise ValueError("initial U must have nonempty complement")
     deepest = _max_depth(instance)
+    full = [(0, 1 << deepest)]
+    u = _union(_ranges(instance.initial_u.intervals, deepest))
+    if u == full:
+        raise ValueError("initial U must have nonempty complement")
     if witness_length < deepest:
         raise ValueError(
             f"witness length {witness_length} below the deepest interval ({deepest})"
@@ -54,18 +61,18 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
         raise ValueError(
             f"witness length {witness_length} exceeds the interval depth cap {cap}"
         )
-    u = instance.initial_u
     answers = []
     for label, query in instance.queries:
-        merged = u.union(query)
-        if merged.is_full():
+        merged = _union(u + _ranges(query.intervals, deepest))
+        if merged == full:
             answers.append((label, "halts"))
         else:
             answers.append((label, "diverges"))
             u = merged
-        assert not u.is_full()
-    witness = u.leftmost_avoiding(witness_length)
+    final_u = _clopen(u, deepest)
+    assert not final_u.is_full()
+    witness = final_u.leftmost_avoiding(witness_length)
     assert witness is not None
     return ForcingOutcome(
-        answers=tuple(answers), final_u=u, witness_prefix=witness
+        answers=tuple(answers), final_u=final_u, witness_prefix=witness
     )

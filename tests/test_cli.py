@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import limitlab as ll
-from limitlab import jsonio
-from limitlab.cli import COMMANDS, FLAGS, main
+from limitlab import cli, jsonio
+from limitlab.cli import COMMANDS, FLAGS, build_parser, main
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -503,6 +503,32 @@ def test_help_lists_exactly_the_declared_flags(name, capsys):
     assert main([name, "--help"]) == 0
     listed = set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)", capsys.readouterr().out))
     assert listed == declared_flags(name) | {"help"}
+
+
+def run_captured(run):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_one_command_parser_prints_the_full_parsers_text(name, monkeypatch):
+    # main builds only the named command's subparser; its help and its
+    # unrecognized-argument error read as the parser of all 16 commands writes them
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(args) or build_parser(*args))
+    required = [text for flag in COMMANDS[name].required for text in (f"--{flag}", "1")]
+    for argv in ([name, "--help"], [name, *required, "--bogus"]):
+        full = run_captured(lambda: build_parser().parse_args(argv))
+        assert run_captured(lambda: main(argv)) == full
+        assert full[0] in (0, 2) and full[1] + full[2]
+    assert built == [(name,), (name,)]
+    other = next(key for key in COMMANDS if key != name)
+    assert run_captured(lambda: build_parser(name).parse_args([other, "--help"]))[0] == 2
 
 
 def test_readme_lists_each_commands_flags():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import limitlab as ll
-from generators import gen_open_family, gen_semimeasure_family, gen_set_family
+from generators import gen_open_family, gen_semimeasure_family, gen_set_family, rand_bits
 from oracles import open_member_intervals, semimeasure_member, set_family_member
 
 
@@ -303,6 +303,31 @@ def test_validate_iff_every_index_satisfies_invariants():
         )
         assert ll.validate(p).ok == brute
         kept += 1
+    invalid = 0
+    for _ in range(60):
+        # raw open logs, shallow and deep intervals, epsilons with odd denominators
+        epsilon = Fraction(rng.randint(0, 6), rng.randint(1, 7))
+        depth = rng.choice((4, 40))
+        events = tuple(
+            ll.IntervalEvent(
+                i,
+                ll.single(rng.randint(0, 3)) if rng.random() < 0.5 else ll.tail(rng.randint(0, 3)),
+                rand_bits(rng, 0, depth),
+            )
+            for i in range(rng.randint(0, 6))
+        )
+        p = ll.OpenFamilyPresentation(epsilon=epsilon, events=events)
+        expected = []
+        for n in ll.breakpoints(p):
+            mu = ll.family_at(p, n).measure()
+            if mu > epsilon:
+                expected.append(
+                    f"measure bound violated at n={n}: mu(U_n) = {ll.format_fraction(mu)}"
+                    f" > epsilon = {ll.format_fraction(epsilon)}"
+                )
+        assert ll.validate(p).problems == tuple(expected)
+        invalid += bool(expected)
+    assert 0 < invalid < 60
 
 
 def test_granularity_violation_reported():

@@ -4,6 +4,7 @@ import enum
 import json
 import random
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +174,21 @@ def test_csv_text_matches_joined_rows(shape):
     payloads += [make(rng, rng.randint(0, 8)) for _ in range(500)]
     for payload in payloads:
         assert writer(payload) == csv_by_join(header, rows(payload)), payload
+
+
+def test_semimeasure_log_formats_each_run_once(monkeypatch):
+    # one tail(10**4) event: 10**4 + 1 thresholds repeat one run's ops
+    p = ll.SemimeasureFamilyPresentation(
+        events=(ll.ValueEvent(0, ll.tail(10**4), "0", Fraction(1, 2)),)
+    )
+    cover = ll.cover_semimeasure(p, [Fraction(n, 8) for n in range(9)])
+    calls = []
+    real = jsonio.format_fraction
+    monkeypatch.setattr(jsonio, "format_fraction", lambda value: calls.append(1) or real(value))
+    payload = jsonio.cover_semimeasure_to_json(cover)
+    ops = sum(len(ops) for _, _, ops in cover.runs)
+    assert len(calls) <= ops + len(cover.values) + 1
+    assert len(cover.accepted_ops) > 10**4
+    assert [list(row) for row in payload["acceptedOps"]] == [
+        [real(r), n, u] for r, n, u in cover.accepted_ops
+    ]

@@ -3,7 +3,9 @@ import random
 import pytest
 
 import limitlab as ll
-from generators import gen_forcing_instance
+from generators import gen_forcing_instance, rand_bits
+from limitlab import jsonio
+from test_cli import FIXTURES
 
 
 def test_force_two_query_walk():
@@ -53,11 +55,42 @@ def test_force_rejects_witness_beyond_depth_cap(monkeypatch):
         ll.force(instance, witness_length=9)
 
 
-def test_force_stepwise_invariants_randomized():
+def deep_forcing_instance(rng):
+    # 20-60-bit intervals; the complement of U_0 always halts, and U_0's
+    # complement less a deep set halts iff that set ends up inside U
+    def deep_set():
+        return ll.normalize([rand_bits(rng, 20, 60) for _ in range(rng.randint(0, 4))])
+
+    initial = deep_set()
+    queries = [deep_set() for _ in range(rng.randint(0, 6))]
+    rest = initial.complement()
+    for query in (rest, rest.difference(deep_set())):
+        queries.insert(rng.randint(0, len(queries)), query)
+    return ll.ForcingInstance(
+        initial_u=initial, queries=tuple((f"q{i}", q) for i, q in enumerate(queries))
+    )
+
+
+def deepest_interval(instance):
+    sets = [instance.initial_u, *(query for _, query in instance.queries)]
+    return max(len(x) for s in sets for x in s.intervals)
+
+
+def test_force_stepwise_invariants_randomized(monkeypatch):
     rng = random.Random(301)
-    for _ in range(60):
-        instance = gen_forcing_instance(rng)
-        outcome = ll.force(instance, witness_length=6)
+    cases = [(gen_forcing_instance(rng), 6) for _ in range(60)]
+    fixture = jsonio.parse_forcing_instance((FIXTURES / "forcing.json").read_text())
+    cases += [(fixture, 2), (fixture, 3)]
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "96")
+    for _ in range(30):
+        instance = deep_forcing_instance(rng)
+        deepest = deepest_interval(instance)
+        cases += [(instance, deepest), (instance, deepest + 1), (instance, 96)]
+    verdicts = []
+    for instance, witness_length in cases:
+        outcome = ll.force(instance, witness_length=witness_length)
+        verdicts.append({verdict for _, verdict in outcome.answers})
+        assert len(outcome.witness_prefix) == witness_length
         # replay the walk, checking the forced consistency at every step
         u = instance.initial_u
         for (label, query), (got_label, verdict) in zip(instance.queries, outcome.answers):
@@ -75,6 +108,7 @@ def test_force_stepwise_invariants_randomized():
             assert not u.is_full()
         assert u == outcome.final_u
         assert not outcome.final_u.meets_interval(outcome.witness_prefix)
+    assert set().union(*verdicts[62:]) == {"halts", "diverges"}  # the deep walks take both
 
 
 def test_force_monotone_and_bounded():
