@@ -45,10 +45,11 @@ exact as nothing is deeper).  A candidate inside ``built`` changes no copy
 and is accepted unchecked, which is exact: each later copy is within budget
 already, its member by validation and ``built`` by the checks that admitted
 it.  ``cover_semimeasure`` keeps a table per segment (a tree copy is the
-closure of that combination) and counts in integer units of ``1/scale``,
-``scale`` the grid's least common denominator: every event value is on the
-grid, and closure sums of such values are whole units too.  Only the final
-guarantee checks use :class:`Fraction` and :class:`ClopenSet`.
+closure of that combination, raised by ``families._raise``) and counts in
+integer units of ``1/scale``, ``scale`` the grid's least common denominator:
+every event value is on the grid, and closure sums of such values are whole
+units too.  Only the final guarantee checks use :class:`Fraction` and
+:class:`ClopenSet`.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
+    _closed,
+    _raise,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     liminf_family,
     max_event_interval_length,
     members,
     require_valid,
-    tree_closure,
 )
 
 
@@ -99,6 +101,8 @@ class CoverSemimeasure(NamedTuple):
         return self.values.get(u, Fraction(0))
 
     def total_mass(self) -> Fraction:
+        """Sum of every entry.  A tree cover's budget is its root value
+        ``values[""]``; its total sums the closed value of every node."""
         return sum(self.values.values(), Fraction(0))
 
 
@@ -170,30 +174,6 @@ def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) ->
     return values
 
 
-def _raise(table: dict[str, int], u: str, r: int, tree: bool) -> tuple[dict[str, int], int]:
-    """(entries changed, mass gained) when ``u`` is raised to ``r``; ``table``
-    is left as it is.
-
-    A flat table changes at ``u`` only and gains the sum of the deltas.  In a
-    closed tree table only ancestors of ``u`` can fall below their children,
-    and none above the first one that does not; the mass is the root's, so
-    the gain is the root's delta.
-    """
-    if r <= table.get(u, 0):
-        return {}, 0
-    changed = {u: r}
-    node = u
-    while tree and node:
-        parent = node[:-1]
-        r += table.get(parent + ("1" if node[-1] == "0" else "0"), 0)  # the sibling
-        if r <= table.get(parent, 0):
-            break
-        changed[parent] = r
-        node = parent
-    gain = sum(v - table.get(y, 0) for y, v in changed.items() if not tree or y == "")
-    return changed, gain
-
-
 def cover_semimeasure(
     p: SemimeasureFamilyPresentation,
     grid: Sequence[Fraction],
@@ -221,9 +201,9 @@ def cover_semimeasure(
     scale = lcm(*(r.denominator for r in rgrid))
     steps = [(r, int(r * scale)) for r in rgrid]
     elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
-    close = tree_closure if p.tree else dict
     working = [
-        {y: int(v * scale) for y, v in close(member).items()} for _, _, member in segments
+        _closed(((u, int(v * scale)) for u, v in member.items()), p.tree)
+        for _, _, member in segments
     ]
     masses = [w.get("", 0) if p.tree else sum(w.values()) for w in working]
     runs: list[tuple[int, int, tuple[tuple[Fraction, str], ...]]] = []
@@ -346,18 +326,11 @@ def cover_open_strong(
             f"({format_fraction(epsilon_prime)} <= {format_fraction(p.epsilon)})"
         )
     parts = decompose_liminf(p)
-    region = EMPTY
-    runs: list[tuple[int, int, tuple[str, ...]]] = []
-    slack: list[tuple[int, Fraction]] = []
-    for i, part in enumerate(parts):
-        if part.intervals:
-            region = region.union(part)
-            runs.append((i, i + 1, part.intervals))
-        slack.append((i, (epsilon_prime - p.epsilon) / 2 ** (i + 1)))
+    runs = tuple((i, i + 1, part.intervals) for i, part in enumerate(parts) if part.intervals)
+    region = normalize(x for _, _, ops in runs for x in ops)
+    slack = tuple((i, (epsilon_prime - p.epsilon) / 2 ** (i + 1)) for i in range(len(parts)))
     assert region.measure() <= epsilon_prime
-    return CoverOpenSet(
-        region=region, runs=tuple(runs), slack_report=tuple(slack)
-    )
+    return CoverOpenSet(region=region, runs=runs, slack_report=slack)
 
 
 def replay_set_ops(

@@ -5,12 +5,13 @@ specification: ``single(n)`` touches index ``n`` only, ``tail(N)`` touches
 every index ``>= N``.  Because the log is finite, every presented family is
 eventually constant in the index, so its limit inferior is computable exactly
 and serves as the brute-force oracle for the covering constructions.
-``members`` builds the member of every breakpoint segment in one pass over
-the log; ``family_at(p, n)`` is the by-definition query that rescans it.
-For an open family the pass is a range sweep: each member is held as merged
-integer ranges at the depth of the deepest event interval, grown with one
-:func:`cantor._union` per breakpoint that adds events, and ``validate``
-compares each member's point count with epsilon without building a set.
+Each kind has one member rule, :func:`_rule`.  ``family_at(p, n)`` is the
+by-definition query that grows a member from the events covering ``n``;
+``members`` and ``validate`` read one sweep that grows every breakpoint
+segment's member in one pass over the log.  An open member grows as merged
+integer ranges at the depth of the deepest event interval (one
+:func:`cantor._union` per step), so ``validate`` counts its points without
+building a set.  :func:`_raise` is the one upward-closure step for tree values.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -26,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .cantor import ClopenSet, _clopen, _ranges, _union, check_bit_string, format_fraction
-from .cantor import max_interval_depth, normalize
+from .cantor import _clopen, _ranges, _union, check_bit_string, format_fraction, max_interval_depth
 
 
 class IndexSpec(NamedTuple):
@@ -139,20 +139,37 @@ def breakpoints(p: Presentation) -> list[int]:
     return sorted(points)
 
 
-def _grow(p: Presentation, events, member=None):
-    """A new member: ``member`` (None for the empty one) with ``events`` added."""
+def _rule(p: Presentation):
+    """``(empty member, grow, finish)`` for ``p``'s kind.
+
+    ``grow(events, member)`` returns a new member with ``events`` added;
+    ``finish`` is the identity, except that open members grow as ranges and
+    finish as a canonical ``ClopenSet``.
+    """
     if isinstance(p, SetFamilyPresentation):
-        return frozenset(member or ()).union(ev.element for ev in events)
+        return frozenset(), lambda events, member: member.union(ev.element for ev in events), _same
     if isinstance(p, SemimeasureFamilyPresentation):
-        table: dict[str, Fraction] = dict(member or {})
-        for ev in events:
-            if ev.value > table.get(ev.element, Fraction(0)):
-                table[ev.element] = ev.value
-        return table
+        return {}, _max_merge, _same
     if isinstance(p, OpenFamilyPresentation):
-        prior = member.intervals if member is not None else ()
-        return normalize(prior + tuple(ev.interval for ev in events))
+        depth = max_event_interval_length(p)
+
+        def grow(events, ranges):
+            return _union(ranges + _ranges([ev.interval for ev in events], depth))
+
+        return [], grow, lambda ranges: _clopen(ranges, depth)
     raise TypeError(f"not a presentation: {type(p).__name__}")
+
+
+def _same(member):
+    return member
+
+
+def _max_merge(events, table: dict[str, Fraction]) -> dict[str, Fraction]:
+    table = dict(table)
+    for ev in events:
+        if ev.value > table.get(ev.element, Fraction(0)):
+            table[ev.element] = ev.value
+    return table
 
 
 def family_at(p: Presentation, n: int, stage: Optional[int] = None):
@@ -162,14 +179,14 @@ def family_at(p: Presentation, n: int, stage: Optional[int] = None):
     semimeasure families and a ClopenSet for open families.  Assumes ``p``
     is valid.
     """
-    return _grow(
-        p, (ev for ev in p.events if (stage is None or ev.stage <= stage) and ev.spec.covers(n))
-    )
+    empty, grow, finish = _rule(p)
+    events = [ev for ev in p.events if (stage is None or ev.stage <= stage) and ev.spec.covers(n)]
+    return finish(grow(events, empty))
 
 
-def _sweep(p: Presentation, nmax: Optional[int], grow, running):
-    """Yield ``(start, end, member)`` per breakpoint segment, from ``running`` (the
-    empty member) and ``grow(events, member)``, which returns a new member."""
+def _sweep(p: Presentation, nmax: Optional[int], empty, grow):
+    """Yield ``(start, end, member)`` per breakpoint segment, each member grown
+    from ``empty`` by ``grow`` and not finished."""
     starts = breakpoints(p)
     if nmax is None:
         nmax = starts[-1]
@@ -181,22 +198,12 @@ def _sweep(p: Presentation, nmax: Optional[int], grow, running):
     by_spec: dict[IndexSpec, list] = {}
     for ev in p.events:
         by_spec.setdefault(ev.spec, []).append(ev)
+    running = empty
     for start, end in zip(starts, starts[1:] + [nmax + 1]):
         if tail(start) in by_spec:
             running = grow(by_spec[tail(start)], running)
         here = by_spec.get(single(start))
         yield start, end, grow(here, running) if here else running
-
-
-def _open_sweep(p: OpenFamilyPresentation, nmax: Optional[int] = None):
-    """The depth of the deepest event interval, and :func:`_sweep` with each
-    member as its merged ranges at that depth."""
-    depth = max_event_interval_length(p)
-
-    def grow(events, ranges):
-        return _union(ranges + _ranges([ev.interval for ev in events], depth))
-
-    return depth, _sweep(p, nmax, grow, [])
 
 
 def members(p: Presentation, nmax: Optional[int] = None):
@@ -205,20 +212,14 @@ def members(p: Presentation, nmax: Optional[int] = None):
     The last segment ends at ``nmax + 1`` (``nmax`` defaults to the last
     breakpoint).  The events are bucketed by spec in one pass: a ``tail(N)``
     event joins the running member at ``N``, a ``single(n)`` event only the
-    member at ``n``.  An open member is swept as merged integer ranges and
-    becomes a ``ClopenSet`` only where it changes (``validate`` reads the
-    same sweep and counts the ranges' points).  Segments may share a member,
-    so treat members as read-only.  Assumes ``p`` is valid.
+    member at ``n``.  Every kind is swept the same way, with its member rule,
+    and ``validate`` reads the same sweep before the finishing step.
+    Segments may share a member, so treat members as read-only.  Assumes
+    ``p`` is valid.
     """
-    if not isinstance(p, OpenFamilyPresentation):
-        yield from _sweep(p, nmax, lambda events, member: _grow(p, events, member), _grow(p, ()))
-        return
-    depth, segments = _open_sweep(p, nmax)
-    ranges = member = None
-    for start, end, here in segments:
-        if here is not ranges:
-            ranges, member = here, _clopen(here, depth)
-        yield start, end, member
+    empty, grow, finish = _rule(p)
+    for start, end, member in _sweep(p, nmax, empty, grow):
+        yield start, end, finish(member)
 
 
 def liminf_family(p: Presentation):
@@ -231,21 +232,45 @@ def liminf_family(p: Presentation):
     return family_at(p, max(breakpoints(p)))
 
 
+def _raise(table: dict, u: str, r: int | Fraction, tree: bool) -> tuple[dict, int | Fraction]:
+    """(entries changed, mass gained) when ``u`` is raised to ``r``; ``table``
+    is left as it is.
+
+    A flat table changes at ``u`` only and gains the sum of the deltas.  In a
+    closed tree table only ancestors of ``u`` can fall below their children,
+    and none above the first one that does not; the mass is the root's, so
+    the gain is the root's delta.
+    """
+    if r <= table.get(u, 0):
+        return {}, 0
+    changed = {u: r}
+    node = u
+    while tree and node:
+        parent = node[:-1]
+        r += table.get(parent + ("1" if node[-1] == "0" else "0"), 0)  # the sibling
+        if r <= table.get(parent, 0):
+            break
+        changed[parent] = r
+        node = parent
+    gain = sum(v - table.get(y, 0) for y, v in changed.items() if not tree or y == "")
+    return changed, gain
+
+
+def _closed(bounds, tree: bool) -> dict:
+    """Least closed table above the ``(u, value)`` bounds, raised in any order."""
+    table: dict = {}
+    for u, r in bounds:
+        table.update(_raise(table, u, r, tree)[0])
+    return table
+
+
 def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     """Minimal tree semimeasure dominating a table of lower bounds.
 
     Every node receives max(own bound, sum of children); only the event
     elements and their prefixes can be positive.
     """
-    nodes: set[str] = set()
-    for u in table:
-        nodes.update(u[:i] for i in range(len(u) + 1))
-    closed: dict[str, Fraction] = {}
-    for y in sorted(nodes, key=len, reverse=True):
-        kids = closed.get(y + "0", Fraction(0)) + closed.get(y + "1", Fraction(0))
-        own = table.get(y, Fraction(0))
-        closed[y] = max(own, kids)
-    return {y: v for y, v in closed.items() if v > 0}
+    return _closed(table.items(), True)
 
 
 def _structural_problems(p: Presentation) -> list[str]:
@@ -305,31 +330,23 @@ def _structural_problems(p: Presentation) -> list[str]:
 
 def _index_problems(p: Presentation) -> list[str]:
     problems = []
-    if isinstance(p, OpenFamilyPresentation):
-        # mu(U_n) = points / 2^depth > num / den, decided on integers
-        depth, segments = _open_sweep(p)
-        num, den = p.epsilon.numerator, p.epsilon.denominator
-        for n, _, ranges in segments:
-            points = sum(b - a for a, b in ranges)
-            if points * den > num << depth:
-                problems.append(
-                    f"measure bound violated at n={n}: "
-                    f"mu(U_n) = {format_fraction(Fraction(points, 1 << depth))}"
-                    f" > epsilon = {format_fraction(p.epsilon)}"
-                )
-        for n, c in p.granularity or ():
-            for pos, ev in enumerate(p.events):
-                if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
-                    problems.append(
-                        f"granularity violated at n={n}: event #{pos} interval "
-                        f"{ev.interval!r} longer than c(n)={c}"
-                    )
-        return problems
-    for n, _, member in members(p):
+    empty, grow, _ = _rule(p)
+    is_open = isinstance(p, OpenFamilyPresentation)
+    depth = max_event_interval_length(p) if is_open else 0  # an open member's range scale
+    for n, _, member in _sweep(p, None, empty, grow):
         if isinstance(p, SetFamilyPresentation):
             if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
                 problems.append(
                     f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
+                )
+        elif is_open:
+            # mu(U_n) = points / 2^depth > num / den, decided on integers
+            points = sum(b - a for a, b in member)
+            if points * p.epsilon.denominator > p.epsilon.numerator << depth:
+                problems.append(
+                    f"measure bound violated at n={n}: "
+                    f"mu(U_n) = {format_fraction(Fraction(points, 1 << depth))}"
+                    f" > epsilon = {format_fraction(p.epsilon)}"
                 )
         elif p.tree:
             root = tree_closure(member).get("", Fraction(0))
@@ -342,6 +359,13 @@ def _index_problems(p: Presentation) -> list[str]:
             if total > 1:
                 problems.append(
                     f"semimeasure violated at n={n}: total mass {format_fraction(total)} > 1"
+                )
+    for n, c in (p.granularity if is_open else None) or ():
+        for pos, ev in enumerate(p.events):
+            if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
+                problems.append(
+                    f"granularity violated at n={n}: event #{pos} interval "
+                    f"{ev.interval!r} longer than c(n)={c}"
                 )
     return problems
 

@@ -136,6 +136,112 @@ def test_validate_names_a_negative_index_by_its_record(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [want]
 
 
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        (
+            '{"type": "set-family", "k": -1, "universe": ["0"]}\n',
+            "capacity exponent k must be a natural number, got -1",
+        ),
+        (
+            '{"type": "set-family", "k": 1, "universe": ["2"]}\n',
+            "universe: bit string may contain only 0 and 1, got '2'",
+        ),
+        ('{"type": "open-family", "epsilon": "-1/2"}\n', "epsilon must be nonnegative, got -1/2"),
+        (
+            '{"type": "open-family", "epsilon": "1/2", "granularity": [[-1, 2]]}\n',
+            "granularity pair (-1, 2) must be natural numbers",
+        ),
+        (
+            '{"type": "set-family", "k": 1, "universe": ["0"]}\n'
+            '{"stage": -1, "kind": "tail", "index": 0, "element": "0"}\n',
+            "event #0: stage must be a natural number, got -1",
+        ),
+        (
+            '{"type": "semimeasure-family", "tree": false}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "element": "2", "value": "1/2"}\n',
+            "event #0: bit string may contain only 0 and 1, got '2'",
+        ),
+    ],
+    ids=["negative-k", "universe-not-bits", "negative-epsilon", "negative-granularity",
+         "negative-stage", "value-element-not-bits"],
+)
+def test_validate_names_each_structural_problem(text, problem, tmp_path, capsys):
+    source = tmp_path / "family.jsonl"
+    source.write_text(text)
+    code, body = run(["validate", "--input", str(source)], tmp_path)
+    assert code == 1
+    assert json.loads(body)["problems"] == [problem]
+    assert capsys.readouterr().err.splitlines() == [problem]
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["lowbasis", "--witness-length", "2"], "[1]", "forcing instance must be a JSON object"),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "queries": 5}',
+            "'queries' must be a list",
+        ),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "queries": [1]}',
+            "query #0 must be an object",
+        ),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "queries": [{"label": 1, "intervals": []}]}',
+            "query #0: label must be a string",
+        ),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "queries": [{"label": "T"}]}',
+            "query #0 needs 'intervals': a list of bit strings",
+        ),
+        (["lowbasis", "--witness-length", "2"], '{"initialU": [1]}', "bit string expected, got int"),
+        (["freq"], "[1]", "trace must be a JSON object with 'prefix' and 'period'"),
+        (["freq"], '{"prefix": []}', "trace needs list fields 'prefix' and 'period'"),
+        (["validate"], "", "empty event log: a header line is required"),
+        (
+            ["validate"],
+            '{"type": "semimeasure-family", "tree": 1}\n',
+            "header: 'tree' must be a boolean",
+        ),
+        (
+            ["validate"],
+            '{"type": "set-family", "k": 1, "universe": "0"}\n',
+            "header: 'universe' must be a list of strings",
+        ),
+        (
+            ["validate"],
+            '{"type": "set-family", "k": 1, "universe": ["0"]}\n[1]\n',
+            "line 2: event must be a JSON object",
+        ),
+    ],
+    ids=[
+        "forcing-not-object", "queries-not-list", "query-not-object", "label-not-string",
+        "query-without-intervals", "initial-not-bits", "trace-not-object", "trace-without-period",
+        "empty-log", "tree-not-bool", "universe-not-list", "event-not-object",
+    ],
+)
+def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_path, capsys):
+    source = tmp_path / "input"
+    source.write_text(text)
+    assert run(argv + ["--input", str(source)], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])
+def test_liminf_of_semimeasure_families(name, tmp_path):
+    code, body = run(["liminf", "--input", str(FIXTURES / name)], tmp_path)
+    p = jsonio.parse_presentation((FIXTURES / name).read_text())
+    values = {u: ll.format_fraction(v) for u, v in ll.liminf_family(p).items()}
+    assert values
+    assert code == 0
+    assert json.loads(body) == {"type": "semimeasure-family", "values": values}
+
+
 def test_cover_open_output_values(tmp_path):
     code, body = run(
         ["cover-open", "--input", str(FIXTURES / "open_family.jsonl"), "--lmax", "2"],
@@ -428,8 +534,9 @@ def test_unknown_presentation_type_exits_two(kind, tmp_path, capsys):
         ('{"entries": [["0", true, 2]]}', "bad table entry"),
         ('{"entries": [["", 1, false]]}', "bad table entry"),
         ("[1, 2]", "table JSON must be an object"),
+        ('{"conditionMode": "plain"}', "table JSON needs 'conditionMode' and an 'entries' list"),
     ],
-    ids=["condition-bool", "value-bool", "json-array"],
+    ids=["condition-bool", "value-bool", "json-array", "no-entries"],
 )
 def test_table_json_is_checked_strictly(text, message, tmp_path, capsys):
     source = tmp_path / "table.json"
@@ -465,6 +572,21 @@ def test_invalid_depth_cap_env_exits_two(argv, tmp_path, monkeypatch, capsys):
     assert run(argv, tmp_path)[0] == 2
     err = capsys.readouterr().err
     assert err == "error: LIMITLAB_MAX_DEPTH must be an integer, got 'junk'\n"
+
+
+def test_zero_depth_cap_env_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "0")
+    assert run(["validate", "--input", str(FIXTURES / "set_family.jsonl")], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == "error: LIMITLAB_MAX_DEPTH must be positive, got 0\n"
+
+
+def test_output_into_a_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    argv = ["validate", "--input", str(FIXTURES / "set_family.jsonl"), "--output", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_line_format_table_parses():
@@ -577,11 +699,13 @@ def test_undeclared_flag_exits_two(argv, tmp_path, capsys):
         ["complexity", "--lmax", "2", "--nmax", "+2"],
         ["complexity", "--lmax", " 2", "--nmax", "2"],
         ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "1_0/16"],
+        ["complexity", "--lmax", "17", "--nmax", "2"],
+        ["complexity-bounds", "--input", "open_family.jsonl", "--c", "1"],
     ],
     ids=[
         "deficiency-family-negative-c", "complexity-bounds-negative-c", "omega-not-bits",
         "underscore-natural", "arabic-indic-natural", "plus-natural", "space-natural",
-        "underscore-rational",
+        "underscore-rational", "complexity-lmax-above-bound", "complexity-bounds-no-granularity",
     ],
 )
 def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):

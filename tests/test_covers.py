@@ -82,6 +82,13 @@ def test_replay_set_ops_rejects_negative_threshold(threshold):
         ll.replay_set_ops(p, [(0, "0"), (threshold, "0")])
 
 
+def test_replay_set_ops_refuses_an_overfull_schedule():
+    # with k = 1 every index holds at most one element
+    p = set_presentation(1, ["0", "1"])
+    assert ll.replay_set_ops(p, [(0, "0")])
+    assert not ll.replay_set_ops(p, [(0, "0"), (0, "1")])
+
+
 def test_cover_sets_larger_nmax_changes_nothing():
     # thresholds past the last breakpoint see only tail copies
     rng = random.Random(211)
@@ -578,5 +585,15 @@ def test_cover_open_makes_no_clopen_union_or_overlap(monkeypatch):
     for p, extra in runs:
         lmax = max((len(ev.interval) for ev in p.events), default=0) + extra
         accepted += len(ll.cover_open(p, lmax=lmax).accepted_ops)
+    # a strong cover's region is one normalize over its runs, not a union per part
+    strong = [gen_open_family(rng, with_granularity=True) for _ in range(10)]
+    strong.append(
+        open_presentation(
+            Fraction(1, 2), ll.IntervalEvent(0, ll.tail(0), "00"),
+            ll.IntervalEvent(0, ll.tail(2), "01"), granularity=((0, 2), (2, 2)),
+        )
+    )
+    for p in strong:
+        accepted += len(ll.cover_open_strong(p, p.epsilon + Fraction(1, 8)).accepted_ops)
     assert accepted > 0
     assert calls == []

@@ -5,7 +5,12 @@ import pytest
 
 import limitlab as ll
 from generators import gen_open_family, gen_semimeasure_family, gen_set_family, rand_bits
-from oracles import open_member_intervals, semimeasure_member, set_family_member
+from oracles import (
+    least_tree_semimeasure,
+    open_member_intervals,
+    semimeasure_member,
+    set_family_member,
+)
 
 
 def test_validate_empty_log():
@@ -328,6 +333,26 @@ def test_validate_iff_every_index_satisfies_invariants():
         assert ll.validate(p).problems == tuple(expected)
         invalid += bool(expected)
     assert 0 < invalid < 60
+
+
+def test_tree_closure_matches_the_least_tree_semimeasure():
+    # seeded tables on the sixteenths (0 included), elements up to length 5,
+    # many of them prefixes of one another
+    rng = random.Random("tree-closure")
+    sixteenths = [Fraction(n, 16) for n in range(17)]
+    nested = 0
+    for _ in range(300):
+        table = {}
+        for _ in range(rng.randint(0, 8)):
+            u = rand_bits(rng, 0, 5)
+            if table and rng.random() < 0.4:
+                above = rng.choice(sorted(table))
+                u = above[: rng.randint(0, len(above))]
+            table[u] = rng.choice(sixteenths)
+        nested += any(a != b and b.startswith(a) for a in table for b in table)
+        closed = least_tree_semimeasure(table)
+        assert ll.tree_closure(table) == {y: v for y, v in closed.items() if v > 0}
+    assert nested > 100
 
 
 def test_granularity_violation_reported():
