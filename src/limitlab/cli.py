@@ -14,13 +14,19 @@ A command accepts only the flags its entry names, plus ``--output``, and
 the caller's setting when it returns.  Everything a command builds (tuples,
 lists, dicts, ``Fraction``s) is acyclic, so reference counting frees it; the
 collector's passes over 10^5 table rows and keys would find nothing.  The few
-cycles argparse makes are left for the collector once it is restored.
+cycles argparse makes are left for the collector once it is restored.  When
+``main`` is the process entry point (called without ``argv``) it freezes the
+heap on the way out instead, so the interpreter's shutdown collections skip
+every object of the run: the process frees that memory by exiting, stdout and
+stderr are still flushed, ``atexit`` handlers still run, each written file is
+closed by its ``with`` block and no limitlab object has a finaliser.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -103,14 +109,22 @@ def _read(path: str) -> str:
 
 
 def _write(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+    where = "standard output" if path is None else path
+    if path is None and sys.stdout is None:  # file descriptor 1 was closed at start-up
+        raise ConfigError(f"cannot write {where}: it is closed")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full disk or a closed pipe fails here, not at shutdown
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        if path is None:  # what stays buffered goes to /dev/null, or the flush at exit fails again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigError(f"cannot write {where}: {exc}") from None
 
 
 def _presentation(args, expected=None):
@@ -255,6 +269,12 @@ def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit status; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Without ``argv`` this is the process entry point, and it freezes the heap on
+    return: the process is about to exit, so the shutdown collections would
+    traverse every object of the run for nothing.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -262,6 +282,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if enabled:
             gc.enable()
+        if argv is None:
+            gc.freeze()
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:

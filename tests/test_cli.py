@@ -897,6 +897,90 @@ def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path):
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["complexity", "--lmax", "2", "--nmax", "2"], 0),
+        (["validate", "--input", str(FIXTURES / "set_family_bad.jsonl")], 1),
+        (["complexity", "--help"], 0),
+        (["complexity", "--lmax", "2"], 2),
+    ],
+    ids=["artifact", "invalid-log", "help", "usage"],
+)
+def test_process_entry_freezes_the_heap_once(argv, code, monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(gc.isenabled()))
+    monkeypatch.setattr(sys, "argv", ["limitlab", *argv, "--output", str(tmp_path / "out")])
+    enabled = gc.isenabled()
+    assert main() == code
+    assert calls == [enabled]
+
+
+def test_library_calls_do_not_freeze(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(True))
+    frozen = gc.get_freeze_count()
+    for golden_name, argv, want_code in GOLDEN_RUNS[:4]:
+        assert run(with_input_paths(argv), tmp_path, name=golden_name)[0] == want_code
+    assert calls == [] and gc.get_freeze_count() == frozen
+
+
+def limitlab(*argv, **kwargs):
+    """Run ``python -m limitlab.cli`` in a child process, the way the installed script runs."""
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout fails at the flush, not at the write
+    return subprocess.run(
+        [sys.executable, "-m", "limitlab.cli", *argv], env=env, stdin=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
+    )
+
+
+def test_process_entry_writes_the_goldens(tmp_path):
+    for golden_name, argv, want_code in GOLDEN_RUNS:
+        want = (GOLDEN / golden_name).read_bytes()
+        out = tmp_path / golden_name
+        done = limitlab(*with_input_paths(argv), "--output", str(out), stdout=subprocess.DEVNULL)
+        assert done.returncode == want_code, (argv, done.stderr)
+        assert out.read_bytes() == want, argv
+        if golden_name in ("complexity.json", "validate.json"):  # through a pipe, then frozen exit
+            done = limitlab(*with_input_paths(argv), stdout=subprocess.PIPE)
+            assert (done.returncode, done.stdout.encode()) == (want_code, want), argv
+    done = limitlab("freq", "--input", str(FIXTURES / "trace.json"), "--k", "3",
+                    stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "unrecognized arguments: --k 3" in done.stderr and "Traceback" not in done.stderr
+
+
+def _broken_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return {"stdout": write}
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        pytest.param(lambda: {"preexec_fn": lambda: os.close(1)}, id="closed-fd"),
+        pytest.param(
+            lambda: {"stdout": os.open("/dev/full", os.O_WRONLY)}, id="dev-full",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+        pytest.param(_broken_pipe, id="broken-pipe"),
+    ],
+)
+def test_unwritable_stdout_exits_two_with_one_error_line(stdout):
+    kwargs = stdout()
+    try:
+        done = limitlab("complexity", "--lmax", "3", "--nmax", "3", **kwargs)
+    finally:
+        if "stdout" in kwargs:
+            os.close(kwargs["stdout"])
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_import_loads_no_dataclasses():
     # -S keeps the imports of site-packages .pth files out of the check
     env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
