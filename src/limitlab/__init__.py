@@ -27,6 +27,7 @@ from .complexity import (
     ComplexityTable,
     DeficiencyReport,
     RandomnessReport,
+    complexity_rows,
     complexity_table,
     counting_violations,
     cover_to_complexity_bounds,
@@ -96,6 +97,7 @@ __all__ = [
     "ValueEvent",
     "boolean_op",
     "breakpoints",
+    "complexity_rows",
     "complexity_table",
     "counting_violations",
     "cover_open",

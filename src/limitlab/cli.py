@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import jsonio
 from .cantor import parse_fraction, parse_int
 from .complexity import (
-    complexity_table,
+    complexity_rows,
     cover_to_complexity_bounds,
     deficiency_family,
     deficiency_report,
@@ -212,8 +212,8 @@ COMMANDS: dict[str, Command] = {
             force(jsonio.parse_forcing_instance(_read(a.input)), witness_length=a.witness_length))),
     "complexity": Command(
         "exact description-length table of the reference machine", ("lmax", "nmax"), (),
-        lambda a: jsonio.complexity_table_to_json(
-            complexity_table(max_len=a.lmax, conditions=range(a.nmax + 1))),
+        lambda a: {"conditionMode": "conditional",
+                   "entries": complexity_rows(max_len=a.lmax, conditions=range(a.nmax + 1))},
         lambda payload: jsonio.complexity_table_to_csv(payload)),
     "deficiency": Command(
         "per-prefix deficiency report of a sequence prefix", ("input", "omega", "horizon", "c"),

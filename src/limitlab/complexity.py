@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -108,18 +107,34 @@ class ComplexityTable(NamedTuple):
         return (u, self.condition_for(u)) in self.entries
 
 
-def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
-    """Exact M0 table for all strings up to ``max_len`` per condition.
+def complexity_rows(max_len: int, conditions: Iterable[int]) -> list[list]:
+    """Exact M0 table for all strings up to ``max_len`` per condition, as
+    ``[string, condition, value]`` rows ordered by condition, then length,
+    then string: the order of the ``complexity`` artifact.
 
     Every string costs its literal length |x| + 2, except the strings of
     length n = condition >= 1, which cost 2 + per(x) (see exact_complexity).
+    Each length's strings are listed once, for all conditions.
     """
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
         )
-    strings = [u for n in range(max_len + 1) for u in _strings_of_length(n)]
-    entries = {(u, cond): _m0_length(u, cond) for cond in conditions for u in strings}
+    by_length = [_strings_of_length(n) for n in range(max_len + 1)]
+    rows = []
+    for cond in sorted(set(conditions)):
+        for n, strings in enumerate(by_length):
+            if n == cond >= 1:
+                rows.extend([u, cond, _m0_length(u, cond)] for u in strings)
+            else:
+                rows.extend([u, cond, n + 2] for u in strings)
+    return rows
+
+
+def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
+    """Exact M0 table for all strings up to ``max_len`` per condition (see
+    complexity_rows)."""
+    entries = {(u, cond): v for u, cond, v in complexity_rows(max_len, conditions)}
     return ComplexityTable(entries=entries, mode="conditional")
 
 
@@ -191,19 +206,24 @@ def _require_defined(t: ComplexityTable, strings: Iterable[str]) -> None:
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
     """Refuse unless the table defines all 2^l bit strings of every length l.
 
-    One pass over the table counts its bit strings per length, so a refusal
-    costs time in proportion to the table, not to 2^l; the scan of
-    ``lengths`` stops at the first length the table does not fill.
+    A length whose 2^l strings do not outnumber the table's entries is
+    checked by looking them up.  Only a refusal counts the table's bit
+    strings of that length, in one pass over the table, so it costs time in
+    proportion to the table, not to 2^l; the scan of ``lengths`` stops at
+    the first length the table does not fill.
     """
-    counts = Counter(
-        len(u) for u, cond in t.entries if not u.strip("01") and cond == t.condition_for(u)
-    )
     for length in lengths:
-        if counts[length] < 2**length:
-            raise ValueError(
-                f"table is missing {2**length - counts[length]} of the {2**length} "
-                f"strings of length {length}"
-            )
+        if 2**length <= len(t.entries) and all(map(t.has, _strings_of_length(length))):
+            continue
+        count = sum(
+            1
+            for u, cond in t.entries
+            if len(u) == length and not u.strip("01") and cond == t.condition_for(u)
+        )
+        raise ValueError(
+            f"table is missing {2**length - count} of the {2**length} "
+            f"strings of length {length}"
+        )
 
 
 def deficiency_report(

@@ -336,13 +336,23 @@ def cover_open_strong(
 def replay_set_ops(
     p: SetFamilyPresentation, ops: Sequence[tuple[int, str]], nmax: Optional[int] = None
 ) -> bool:
-    """Re-run a logged cover_sets schedule; True iff every op is acceptable."""
+    """Re-run a logged cover_sets schedule; True iff every op is acceptable.
+
+    An op whose threshold lies outside ``0..nmax`` (``nmax`` defaults to the
+    last breakpoint) or whose element is not in the universe is a ValueError.
+    """
     require_valid(p)
     cap = 2 ** min(p.k, len(p.universe))
     working = [set(m) for start, end, m in members(p, nmax) for _ in range(start, end)]
+    universe = set(p.universe)
     for big_n, u in ops:
-        if big_n < 0:
-            raise ValueError(f"operation ({big_n}, {u!r}): threshold must be a natural number")
+        if not 0 <= big_n < len(working):
+            raise ValueError(
+                f"operation ({big_n}, {u!r}): threshold must be a natural number "
+                f"up to nmax = {len(working) - 1}"
+            )
+        if u not in universe:
+            raise ValueError(f"operation ({big_n}, {u!r}): element is not in the universe")
         if not all(u in w or len(w) < cap - 1 for w in working[big_n:]):
             return False
         for w in working[big_n:]:

@@ -7,6 +7,7 @@ questions.  Keeping these separate from the implementation is the point.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -204,6 +205,21 @@ def counting_violations_by_scan(entries, m_max=None):
             if count >= 2**m:
                 found.append((condition, m, count))
     return found
+
+
+def require_all_strings_by_count(t, lengths):
+    """Refuse, as the deficiency tools do, unless the table defines all 2^l
+    bit strings of every length l, each under its own condition (its length
+    in conditional mode, 0 in plain mode); counted in one pass over the
+    table, then read length by length up to the first one not filled."""
+    own = (lambda u: len(u)) if t.mode == "conditional" else (lambda u: 0)
+    counts = Counter(len(u) for u, cond in t.entries if set(u) <= {"0", "1"} and cond == own(u))
+    for length in lengths:
+        if counts[length] < 2**length:
+            raise ValueError(
+                f"table is missing {2**length - counts[length]} of the {2**length} "
+                f"strings of length {length}"
+            )
 
 
 def dbar_by_scan(t, x, horizon):

@@ -887,9 +887,9 @@ def test_main_restores_the_collector_on_every_exit(argv, code, enabled, tmp_path
 
 def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path):
     seen = []
-    real = jsonio.complexity_table_to_json
+    real = jsonio.dumps_artifact
     monkeypatch.setattr(
-        jsonio, "complexity_table_to_json", lambda t: seen.append(gc.isenabled()) or real(t)
+        jsonio, "dumps_artifact", lambda payload: seen.append(gc.isenabled()) or real(payload)
     )
     assert gc.isenabled()
     assert run(["complexity", "--lmax", "2", "--nmax", "2"], tmp_path)[0] == 0

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limitlab as ll
+from limitlab.complexity import _require_all_strings
+from limitlab.jsonio import complexity_table_to_json
 from oracles import (
     all_strings,
     complexity_by_enumeration,
     complexity_table_by_enumeration,
     counting_violations_by_scan,
     dbar_by_scan,
+    require_all_strings_by_count,
     strings_up_to,
 )
 
@@ -91,6 +96,21 @@ def test_complexity_table_matches_program_enumeration(max_len):
     conditions = range(max_len + 4)
     table = ll.complexity_table(max_len, conditions)
     assert table.entries == complexity_table_by_enumeration(max_len, conditions)
+
+
+@pytest.mark.parametrize("max_len", range(8))
+def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
+    # `limitlab complexity` writes these rows as they come, unsorted
+    for nmax in range(8):
+        rows = ll.complexity_rows(max_len, range(nmax + 1))
+        table = ll.complexity_table(max_len, range(nmax + 1))
+        assert rows == complexity_table_to_json(table)["entries"]
+        assert all(v == ll.exact_complexity(u, cond) for u, cond, v in rows)
+
+
+def test_complexity_rows_sort_and_merge_the_conditions():
+    rows = ll.complexity_rows(3, [4, 1, 0, 1])
+    assert rows == complexity_table_to_json(ll.complexity_table(3, [0, 1, 4]))["entries"]
 
 
 def test_exact_complexity_rejects_non_bit_strings():
@@ -353,3 +373,36 @@ def test_forward_pipeline_low_dbar_strings_not_forced():
     for x in strings_up_to(2):
         report = ll.deficiency_report(t, x, horizon=8, c=0)
         assert report.dbar(x) <= 0
+
+
+@st.composite
+def small_tables(draw):
+    """Tables that fill every bit string up to some length under its own
+    condition, less a few, plus non-bit strings and wrong conditions."""
+    mode = draw(st.sampled_from(["conditional", "plain"]))
+    full = draw(st.integers(-1, 4))
+    own = (lambda u: len(u)) if mode == "conditional" else (lambda u: 0)
+    keys = [(u, own(u)) for u in strings_up_to(full)]  # none when full = -1
+    dropped = draw(st.sets(st.integers(0, 30), max_size=3))
+    entries = {key: 2 for i, key in enumerate(keys) if i not in dropped}
+    extras = st.tuples(st.text("01a2", max_size=5), st.integers(-1, 6))
+    for key in draw(st.lists(extras, max_size=8)):
+        entries[key] = draw(st.integers(0, 8))
+    return ll.ComplexityTable(entries=entries, mode=mode)
+
+
+def refusal(check, t, lengths):
+    try:
+        check(t, lengths)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_tables(), st.integers(0, 6), st.integers(-1, 6))
+def test_require_all_strings_matches_counting_oracle(t, low, high):
+    lengths = range(low, high + 1)  # empty when high < low
+    assert refusal(_require_all_strings, t, lengths) == refusal(
+        require_all_strings_by_count, t, lengths
+    )

@@ -82,6 +82,22 @@ def test_replay_set_ops_rejects_negative_threshold(threshold):
         ll.replay_set_ops(p, [(0, "0"), (threshold, "0")])
 
 
+def test_replay_set_ops_rejects_an_element_outside_the_universe():
+    p = set_presentation(2, ["0", "1"])
+    with pytest.raises(ValueError, match=r"operation \(0, 'zz'\): element is not in the universe"):
+        ll.replay_set_ops(p, [(0, "zz")])
+
+
+@pytest.mark.parametrize("nmax", [None, 5])
+def test_replay_set_ops_rejects_a_threshold_past_nmax(nmax):
+    # nmax defaults to the last breakpoint, 3 here; past it no copy is left to check
+    p = set_presentation(2, ["0"], ll.SetEvent(0, ll.tail(3), "0"))
+    last = 3 if nmax is None else nmax
+    assert ll.replay_set_ops(p, [(last, "0")], nmax=nmax)
+    with pytest.raises(ValueError, match=rf"operation \({last + 1}, '0'\): .* nmax = {last}"):
+        ll.replay_set_ops(p, [(0, "0"), (last + 1, "0")], nmax=nmax)
+
+
 def test_replay_set_ops_refuses_an_overfull_schedule():
     # with k = 1 every index holds at most one element
     p = set_presentation(1, ["0", "1"])
