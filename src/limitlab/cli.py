@@ -52,7 +52,6 @@ from .families import (
     SetFamilyPresentation,
     ValidationError,
     liminf_family,
-    require_valid,
     validate,
 )
 from .freq import limit_frequency, trace_to_family
@@ -129,14 +128,18 @@ def _write(text: str, path: Optional[str]) -> None:
 
 def _presentation(args, expected=None):
     p = jsonio.parse_presentation(_read(args.input))
-    if getattr(args, "k", None) is not None and isinstance(p, SetFamilyPresentation):
-        p = p._replace(k=args.k)
-    if getattr(args, "epsilon", None) is not None and isinstance(p, OpenFamilyPresentation):
-        p = p._replace(epsilon=args.epsilon)
     if expected is not None and not isinstance(p, expected):
         raise ConfigError(
             f"this command expects a {expected.__name__} event log, got {type(p).__name__}"
         )
+    for flag, kind in (("k", SetFamilyPresentation), ("epsilon", OpenFamilyPresentation)):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if not isinstance(p, kind):
+                raise ConfigError(
+                    f"--{flag} applies only to {kind.__name__} event logs, not {type(p).__name__}"
+                )
+            p = p._replace(**{flag: value})
     return p
 
 
@@ -149,7 +152,6 @@ def _trace(args):
 
 
 def _liminf(p) -> dict:
-    require_valid(p)
     return jsonio.liminf_to_json(p, liminf_family(p))
 
 

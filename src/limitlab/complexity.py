@@ -29,7 +29,6 @@ from .families import (
     OpenFamilyPresentation,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
-    require_valid,
     single,
     tail,
 )
@@ -203,18 +202,31 @@ def _require_defined(t: ComplexityTable, strings: Iterable[str]) -> None:
         raise ValueError(f"table is missing {len(missing)} entries within horizon: {shown}")
 
 
+def _require_writable_power(exponent: int, what: str) -> None:
+    """Refuse ``what`` if 2^exponent has more digits than ``str`` converts."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and exponent >= (10**limit).bit_length():  # i.e. 2^exponent >= 10^limit
+        raise ValueError(
+            f"{what} needs more than {limit} digits, "
+            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
+        )
+
+
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
     """Refuse unless the table defines all 2^l bit strings of every length l.
 
-    A length whose 2^l strings do not outnumber the table's entries is
-    checked by looking them up.  Only a refusal counts the table's bit
-    strings of that length, in one pass over the table, so it costs time in
-    proportion to the table, not to 2^l; the scan of ``lengths`` stops at
-    the first length the table does not fill.
+    A length whose 2^l strings do not outnumber the table's entries (told by
+    bit length, without building 2^l) is checked by looking them up.  Only a
+    refusal counts the table's bit strings of that length, in one pass over
+    the table, so it costs time in proportion to the table, not to 2^l; the
+    scan of ``lengths`` stops at the first length the table does not fill,
+    and one too long to write is refused by its value.
     """
     for length in lengths:
-        if 2**length <= len(t.entries) and all(map(t.has, _strings_of_length(length))):
+        if length < len(t.entries).bit_length() and all(map(t.has, _strings_of_length(length))):
             continue
+        what = f"length {length} (--nmin or --horizon) is too large: the count 2^{length}"
+        _require_writable_power(length, what)
         count = sum(
             1
             for u, cond in t.entries
@@ -259,18 +271,13 @@ def deficiency_family(
     is truncated by replicating the last level as a tail, and its measure
     bound epsilon = 2^-c follows from the counting bound, which is checked
     up front.  A ``c`` whose 2^c has more decimal digits than the
-    interpreter converts to text (``sys.get_int_max_str_digits``) is refused,
-    since the family's epsilon could not be written.
+    interpreter converts to text is refused, since the family's epsilon
+    could not be written.
     """
     n_min, n_max = n_range
     if n_min < 0 or n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and c >= (10**limit).bit_length():  # i.e. 2^c >= 10^limit
-        raise ValueError(
-            f"c = {c} is too large: epsilon = 2^-{c} needs more than {limit} digits, "
-            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
-        )
+    _require_writable_power(c, f"c = {c} is too large: epsilon = 2^-{c}")
     _require_all_strings(t, range(n_min, n_max + 1))
     groups = _sorted_values(t)
     events: list[IntervalEvent] = []
@@ -330,7 +337,7 @@ def cover_to_complexity_bounds(
     U_n are counted and sorted; naming one by its ordinal number in that list
     takes ceil(log2(count)) bits, which bounds its complexity at that level.
     """
-    require_valid(p)
+    segments = list(members(p))
     if p.granularity is None:
         raise ValueError("ordinal coding requires a granularity bound")
     bound = Fraction(1, 2**c)
@@ -343,7 +350,7 @@ def cover_to_complexity_bounds(
         if cn > n:
             raise ValueError(f"granularity c({n}) = {cn} exceeds the level {n}")
     result: dict[str, int] = {}
-    for n, _, member in members(p):
+    for n, _, member in segments:
         covered = sorted(
             i + suffix
             for i in member.intervals

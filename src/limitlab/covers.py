@@ -19,8 +19,8 @@ value ascending) is fixed so that runs are reproducible; any computable order
 would do, and only the guarantees above are contractual.
 
 The family is constant on each breakpoint segment ``[b_i, b_(i+1))`` (the
-last one runs to ``nmax + 1``), and ``families.members`` yields each with its
-member from one pass over the log, so the first three constructions keep one
+last one runs to ``nmax + 1``), and ``families.members`` returns each with its
+member from one validating pass, so the first three constructions keep one
 working copy per segment, not per index.  Copies inside a segment start
 equal and only grow, so a budget check that fails at the segment's start
 fails again at every later threshold of it, while an operation accepted at
@@ -67,10 +67,8 @@ from .families import (
     _closed,
     _raise,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
-    liminf_family,
     max_event_interval_length,
     members,
-    require_valid,
 )
 
 
@@ -148,7 +146,6 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     so the accepted elements contain the liminf; they all live in the final
     tail member, so there are fewer than 2^k of them.
     """
-    require_valid(p)
     segments = list(members(p, nmax))
     point = {u: t for t, u in enumerate(dict.fromkeys(p.universe))}  # by first occurrence
     # no copy outgrows the universe, so a larger k changes no decision
@@ -158,7 +155,7 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     runs = tuple(_sweep(segments, bases, pieces, p.universe, cap - 1))
     elements = frozenset(u for _, _, ops in runs for u in ops)
     assert len(elements) < cap
-    assert liminf_family(p) <= elements
+    assert segments[-1][2] <= elements  # the liminf
     return CoverSet(elements=elements, runs=runs)
 
 
@@ -195,7 +192,6 @@ def cover_semimeasure(
     empty table, which keeps them below the final working tables, hence
     within the same mass budget.
     """
-    require_valid(p)
     segments = list(members(p, nmax))
     rgrid = _prepare_grid(p, grid)
     scale = lcm(*(r.denominator for r in rgrid))
@@ -227,7 +223,7 @@ def cover_semimeasure(
         assert values.get("", Fraction(0)) <= 1
     else:
         assert sum(values.values(), Fraction(0)) <= 1
-    assert all(values.get(u, Fraction(0)) >= v for u, v in liminf_family(p).items())
+    assert all(values.get(u, Fraction(0)) >= v for u, v in segments[-1][2].items())
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
 
 
@@ -259,7 +255,7 @@ def cover_open(
     no-ops, so the union of accepted intervals contains the liminf; it is a
     subset of the final tail member, so its measure obeys the budget.
     """
-    require_valid(p)
+    segments = list(members(p, nmax))
     deepest = max_event_interval_length(p)
     if lmax < deepest:
         raise ValueError(
@@ -268,7 +264,6 @@ def cover_open(
     cap = max_interval_depth()
     if lmax > cap:
         raise ValueError(f"Lmax = {lmax} exceeds the interval depth cap {cap}")
-    segments = list(members(p, nmax))
     # canonical intervals are disjoint, so summing their point masks unites them
     bases = [
         sum((1 << b) - (1 << a) for a, b in _ranges(member.intervals, lmax))
@@ -280,7 +275,7 @@ def cover_open(
     runs = tuple(_sweep(segments, bases, pieces, candidates, budget))
     region = normalize(x for _, _, ops in runs for x in ops)
     assert region.measure() <= p.epsilon
-    assert liminf_family(p).difference(region).is_empty()
+    assert segments[-1][2].difference(region).is_empty()
     return CoverOpenSet(region=region, runs=runs)
 
 
@@ -296,10 +291,9 @@ def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
     inside a segment U_{i-1} = U_i contains the intersection of U_i.., so
     only a segment's first index can receive a nonempty part.
     """
-    require_valid(p)
+    segments = list(members(p))
     if p.granularity is None:
         raise ValueError("decomposition requires a granularity bound")
-    segments = list(members(p))
     suffix = [m for _, _, m in segments]  # suffix[j] = intersection of the members of j..
     for j in range(len(segments) - 2, -1, -1):
         suffix[j] = suffix[j + 1].intersection(suffix[j])
@@ -341,9 +335,8 @@ def replay_set_ops(
     An op whose threshold lies outside ``0..nmax`` (``nmax`` defaults to the
     last breakpoint) or whose element is not in the universe is a ValueError.
     """
-    require_valid(p)
-    cap = 2 ** min(p.k, len(p.universe))
     working = [set(m) for start, end, m in members(p, nmax) for _ in range(start, end)]
+    cap = 2 ** min(p.k, len(p.universe))
     universe = set(p.universe)
     for big_n, u in ops:
         if not 0 <= big_n < len(working):

@@ -7,11 +7,12 @@ eventually constant in the index, so its limit inferior is computable exactly
 and serves as the brute-force oracle for the covering constructions.
 Each kind has one member rule, :func:`_rule`.  ``family_at(p, n)`` is the
 by-definition query that grows a member from the events covering ``n``;
-``members`` and ``validate`` read one sweep that grows every breakpoint
-segment's member in one pass over the log.  An open member grows as merged
-integer ranges at the depth of the deepest event interval (one
-:func:`cantor._union` per step), so ``validate`` counts its points without
-building a set.  :func:`_raise` is the one upward-closure step for tree values.
+``validate`` and ``members`` read one sweep that grows every breakpoint
+segment's member in one pass over the log and checks it, so ``members``
+validates its input.  An open member grows as merged integer ranges at the
+depth of the deepest event interval (one :func:`cantor._union` per step), so
+validation counts its points without building a set.  :func:`_raise` is the
+one upward-closure step for tree values.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -184,52 +185,52 @@ def family_at(p: Presentation, n: int, stage: Optional[int] = None):
     return finish(grow(events, empty))
 
 
-def _sweep(p: Presentation, nmax: Optional[int], empty, grow):
-    """Yield ``(start, end, member)`` per breakpoint segment, each member grown
-    from ``empty`` by ``grow`` and not finished."""
+def _sweep(p: Presentation, empty, grow):
+    """Yield ``(start, end, member)`` per breakpoint segment up to the last
+    breakpoint, the member grown by ``grow`` and not finished: a ``tail(N)``
+    event joins the running member at ``N``, a ``single(n)`` only the one at ``n``."""
     starts = breakpoints(p)
-    if nmax is None:
-        nmax = starts[-1]
-    elif nmax < starts[-1]:
-        raise ValueError(
-            f"Nmax = {nmax} is below the last breakpoint {starts[-1]}; "
-            "the containment guarantee needs every tail threshold attempted"
-        )
     by_spec: dict[IndexSpec, list] = {}
     for ev in p.events:
         by_spec.setdefault(ev.spec, []).append(ev)
     running = empty
-    for start, end in zip(starts, starts[1:] + [nmax + 1]):
+    for start, end in zip(starts, starts[1:] + [starts[-1] + 1]):
         if tail(start) in by_spec:
             running = grow(by_spec[tail(start)], running)
         here = by_spec.get(single(start))
         yield start, end, grow(here, running) if here else running
 
 
-def members(p: Presentation, nmax: Optional[int] = None):
-    """Yield ``(start, end, member)`` for each breakpoint segment of ``0..nmax``.
+def members(p: Presentation, nmax: Optional[int] = None) -> list[tuple]:
+    """The list of ``(start, end, member)``, one per breakpoint segment of ``0..nmax``.
 
-    The last segment ends at ``nmax + 1`` (``nmax`` defaults to the last
-    breakpoint).  The events are bucketed by spec in one pass: a ``tail(N)``
-    event joins the running member at ``N``, a ``single(n)`` event only the
-    member at ``n``.  Every kind is swept the same way, with its member rule,
-    and ``validate`` reads the same sweep before the finishing step.
-    Segments may share a member, so treat members as read-only.  Assumes
-    ``p`` is valid.
+    ``p`` is validated by the sweep that grows the members: an invalid one
+    raises :class:`ValidationError` with ``validate(p)``'s report.  The last
+    segment ends at ``nmax + 1`` (``nmax`` defaults to the last breakpoint).
+    Segments may share a member, so treat members as read-only.
     """
-    empty, grow, finish = _rule(p)
-    for start, end, member in _sweep(p, nmax, empty, grow):
-        yield start, end, finish(member)
+    report, segments = _checked_sweep(p)
+    if not report.ok:
+        raise ValidationError(report)
+    last = segments[-1][0]
+    if nmax is not None and nmax < last:
+        raise ValueError(
+            f"Nmax = {nmax} is below the last breakpoint {last}; "
+            "the containment guarantee needs every tail threshold attempted"
+        )
+    segments[-1] = (last, (last if nmax is None else nmax) + 1, segments[-1][2])
+    finish = _rule(p)[2]
+    return [(start, end, finish(member)) for start, end, member in segments]
 
 
 def liminf_family(p: Presentation):
-    """Exact liminf of the presented family.
-
-    The log is finite, so the family is constant from the last breakpoint on
-    and the liminf is simply the member there.  This is the oracle every
-    covering construction is tested against.
-    """
-    return family_at(p, max(breakpoints(p)))
+    """Exact liminf of ``p``, validated as by ``members``: the finite log leaves
+    the family constant from the last breakpoint on, so it is the last segment's
+    member, finished alone.  The oracle every covering construction is tested against."""
+    report, segments = _checked_sweep(p)
+    if not report.ok:
+        raise ValidationError(report)
+    return _rule(p)[2](segments[-1][2])
 
 
 def _raise(table: dict, u: str, r: int | Fraction, tree: bool) -> tuple[dict, int | Fraction]:
@@ -328,12 +329,17 @@ def _structural_problems(p: Presentation) -> list[str]:
     return problems
 
 
-def _index_problems(p: Presentation) -> list[str]:
-    problems = []
+def _checked_sweep(p: Presentation) -> tuple[ValidationReport, list[tuple]]:
+    """``validate``'s report and the unfinished segments of its one sweep; a
+    structural problem is reported before the sweep, with no segments."""
+    problems = _structural_problems(p)
+    if problems:
+        return ValidationReport(tuple(problems)), []
     empty, grow, _ = _rule(p)
+    segments = list(_sweep(p, empty, grow))
     is_open = isinstance(p, OpenFamilyPresentation)
     depth = max_event_interval_length(p) if is_open else 0  # an open member's range scale
-    for n, _, member in _sweep(p, None, empty, grow):
+    for n, _, member in segments:
         if isinstance(p, SetFamilyPresentation):
             if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
                 problems.append(
@@ -367,7 +373,7 @@ def _index_problems(p: Presentation) -> list[str]:
                     f"granularity violated at n={n}: event #{pos} interval "
                     f"{ev.interval!r} longer than c(n)={c}"
                 )
-    return problems
+    return ValidationReport(tuple(problems)), segments
 
 
 def validate(p: Presentation) -> ValidationReport:
@@ -378,16 +384,7 @@ def validate(p: Presentation) -> ValidationReport:
     checked at the breakpoints, which suffices because the family is constant
     between them.
     """
-    problems = _structural_problems(p)
-    if not problems:
-        problems = _index_problems(p)
-    return ValidationReport(tuple(problems))
-
-
-def require_valid(p: Presentation) -> None:
-    report = validate(p)
-    if not report.ok:
-        raise ValidationError(report)
+    return _checked_sweep(p)[0]
 
 
 def max_event_interval_length(p: OpenFamilyPresentation) -> int:

@@ -358,6 +358,27 @@ def test_k_flag_overrides_header(tmp_path):
     assert "capacity" in json.loads(body)["problems"][0]
 
 
+@pytest.mark.parametrize(
+    "flag,value,family,kind",
+    [
+        ("k", "3", "semimeasure_flat.jsonl", "SemimeasureFamilyPresentation"),
+        ("k", "3", "open_family.jsonl", "OpenFamilyPresentation"),
+        ("epsilon", "1/1000", "semimeasure_flat.jsonl", "SemimeasureFamilyPresentation"),
+        ("epsilon", "1/1000", "set_family.jsonl", "SetFamilyPresentation"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "liminf"])
+def test_override_flag_on_the_wrong_kind_of_log_exits_two(
+    command, flag, value, family, kind, tmp_path, capsys
+):
+    argv = [command, "--input", str(FIXTURES / family), f"--{flag}", value]
+    assert run(argv, tmp_path) == (2, b"")
+    owner = "SetFamilyPresentation" if flag == "k" else "OpenFamilyPresentation"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --{flag} applies only to {owner} event logs, not {kind}"
+    ]
+
+
 @pytest.mark.parametrize("where", ["header", "flag"])
 @pytest.mark.parametrize("command", ["validate", "liminf", "cover-sets"])
 def test_huge_k_decides_as_k_above_the_universe(command, where, tmp_path):
@@ -726,6 +747,25 @@ def test_deficiency_family_refuses_a_c_too_long_to_write(tmp_path, capsys):
     assert code == 0 and b'"epsilon": "1/' in body
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_deficiency_family_refuses_a_length_too_long_to_count(tmp_path, capsys):
+    # a one-entry table fills no length >= 1; the refusal of length 20000
+    # would write 2^20000, 6021 digits, beyond CPython's default 4300
+    table = tmp_path / "table.json"
+    table.write_text('{"conditionMode": "conditional", "entries": [["", 0, 2]]}')
+    argv = ["deficiency-family", "--input", str(table), "--c", "0", "--nmin"]
+    assert run(argv + ["20000", "--nmax", "20000"], tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: length 20000 (--nmin or --horizon) is too large: the count 2^20000 needs "
+        f"more than {sys.get_int_max_str_digits()} digits, the interpreter's limit for "
+        "integer text (sys.get_int_max_str_digits)"
+    ]
+    assert run(argv + ["3", "--nmax", "3"], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == "error: table is missing 8 of the 8 strings of length 3\n"
+
+
 NESTED = "[" * 100_000
 
 
@@ -925,28 +965,32 @@ def test_library_calls_do_not_freeze(monkeypatch, tmp_path):
     assert calls == [] and gc.get_freeze_count() == frozen
 
 
-def limitlab(*argv, **kwargs):
+def limitlab(*argv, interpreter_flags=(), **kwargs):
     """Run ``python -m limitlab.cli`` in a child process, the way the installed script runs."""
     env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout fails at the flush, not at the write
     return subprocess.run(
-        [sys.executable, "-m", "limitlab.cli", *argv], env=env, stdin=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
+        [sys.executable, *interpreter_flags, "-m", "limitlab.cli", *argv], env=env,
+        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
     )
 
 
-def test_process_entry_writes_the_goldens(tmp_path):
+# -O compiles the guarantee asserts out: no artifact byte may depend on them
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_process_entry_writes_the_goldens(flags, tmp_path):
     for golden_name, argv, want_code in GOLDEN_RUNS:
         want = (GOLDEN / golden_name).read_bytes()
         out = tmp_path / golden_name
-        done = limitlab(*with_input_paths(argv), "--output", str(out), stdout=subprocess.DEVNULL)
+        done = limitlab(*with_input_paths(argv), "--output", str(out), interpreter_flags=flags,
+                        stdout=subprocess.DEVNULL)
         assert done.returncode == want_code, (argv, done.stderr)
         assert out.read_bytes() == want, argv
         if golden_name in ("complexity.json", "validate.json"):  # through a pipe, then frozen exit
-            done = limitlab(*with_input_paths(argv), stdout=subprocess.PIPE)
+            done = limitlab(*with_input_paths(argv), interpreter_flags=flags,
+                            stdout=subprocess.PIPE)
             assert (done.returncode, done.stdout.encode()) == (want_code, want), argv
     done = limitlab("freq", "--input", str(FIXTURES / "trace.json"), "--k", "3",
-                    stdout=subprocess.PIPE)
+                    interpreter_flags=flags, stdout=subprocess.PIPE)
     assert (done.returncode, done.stdout) == (2, "")
     assert "unrecognized arguments: --k 3" in done.stderr and "Traceback" not in done.stderr
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import limitlab as ll
+from limitlab import complexity, covers, families, jsonio
 from limitlab.covers import _ceil_log2_reciprocal
 import oracles
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
+from test_cli import FIXTURES
 
 
 def set_presentation(k, universe, *events):
@@ -523,6 +525,38 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
         assert cover.accepted_ops == (("0", 4000),)
         assert len(cover.slack_report) == 4001
     assert 0 < len(segments) <= len(ll.breakpoints(p))
+
+
+# each library call, the event-log fixture it reads and how it is run
+SWEEPS_ONCE = {
+    "cover_sets": ("set_family.jsonl", ll.cover_sets),
+    "cover_semimeasure": ("semimeasure_flat.jsonl", lambda p: ll.cover_semimeasure(p, EIGHTHS)),
+    "cover_tree": ("semimeasure_tree.jsonl", lambda p: ll.cover_semimeasure(p, EIGHTHS)),
+    "cover_open": ("open_family.jsonl", lambda p: ll.cover_open(p, lmax=2)),
+    "cover_open_strong": (
+        "open_family_gran.jsonl", lambda p: ll.cover_open_strong(p, Fraction(3, 4))),
+    "decompose_liminf": ("open_family_gran.jsonl", ll.decompose_liminf),
+    "cover_to_complexity_bounds": (
+        "open_family_levels.jsonl", lambda p: ll.cover_to_complexity_bounds(p, c=1)),
+    "liminf_family": ("open_family.jsonl", ll.liminf_family),
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS_ONCE)
+def test_each_construction_sweeps_its_log_once(name, monkeypatch):
+    # validation, the members and the liminf of the guarantee checks all
+    # come from one sweep; nothing rescans the log per index
+    family, construct = SWEEPS_ONCE[name]
+    p = jsonio.parse_presentation((FIXTURES / family).read_text())
+    sweeps, rescans = [], []
+    sweep = families._sweep
+    monkeypatch.setattr(families, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    for module in (families, covers, complexity):
+        monkeypatch.setattr(
+            module, "family_at", lambda *args: rescans.append(args) or ll.family_at(*args)
+        )
+    construct(p)
+    assert (len(sweeps), rescans) == (1, [])
 
 
 def test_covers_hold_runs_not_a_row_per_threshold():

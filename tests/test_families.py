@@ -286,53 +286,96 @@ def test_validate_reads_members_without_family_at(monkeypatch):
     assert calls == []
 
 
-def test_validate_iff_every_index_satisfies_invariants():
-    rng = random.Random(105)
-    kept = 0
-    while kept < 60:
-        # raw, unfiltered logs: both valid and invalid ones come out
-        k = rng.randint(1, 2)
-        universe = ("0", "1", "00", "01")
-        events = tuple(
-            ll.SetEvent(
-                i,
-                ll.single(rng.randint(0, 3)) if rng.random() < 0.5 else ll.tail(rng.randint(0, 3)),
-                rng.choice(universe),
-            )
-            for i in range(rng.randint(0, 5))
+def _raw_set_log(rng):
+    """A set log drawn without filtering, so it may or may not be valid."""
+    k = rng.randint(1, 2)
+    universe = ("0", "1", "00", "01")
+    events = tuple(
+        ll.SetEvent(
+            i,
+            ll.single(rng.randint(0, 3)) if rng.random() < 0.5 else ll.tail(rng.randint(0, 3)),
+            rng.choice(universe),
         )
-        p = ll.SetFamilyPresentation(k=k, universe=universe, events=events)
+        for i in range(rng.randint(0, 5))
+    )
+    return ll.SetFamilyPresentation(k=k, universe=universe, events=events)
+
+
+def _raw_open_log(rng):
+    """An open log drawn without filtering: shallow and deep intervals,
+    epsilons with odd denominators."""
+    epsilon = Fraction(rng.randint(0, 6), rng.randint(1, 7))
+    depth = rng.choice((4, 40))
+    events = tuple(
+        ll.IntervalEvent(
+            i,
+            ll.single(rng.randint(0, 3)) if rng.random() < 0.5 else ll.tail(rng.randint(0, 3)),
+            rand_bits(rng, 0, depth),
+        )
+        for i in range(rng.randint(0, 6))
+    )
+    return ll.OpenFamilyPresentation(epsilon=epsilon, events=events)
+
+
+def raw_logs():
+    """60 raw set logs, then 60 raw open logs, both valid and invalid ones."""
+    rng = random.Random(105)
+    return [_raw_set_log(rng) for _ in range(60)], [_raw_open_log(rng) for _ in range(60)]
+
+
+def test_validate_iff_every_index_satisfies_invariants():
+    set_logs, open_logs = raw_logs()
+    for p in set_logs:
         brute = all(
-            len(set_family_member(events, n)) < 2**k
+            len(set_family_member(p.events, n)) < 2**p.k
             for n in range(max(ll.breakpoints(p)) + 3)
         )
         assert ll.validate(p).ok == brute
-        kept += 1
     invalid = 0
-    for _ in range(60):
-        # raw open logs, shallow and deep intervals, epsilons with odd denominators
-        epsilon = Fraction(rng.randint(0, 6), rng.randint(1, 7))
-        depth = rng.choice((4, 40))
-        events = tuple(
-            ll.IntervalEvent(
-                i,
-                ll.single(rng.randint(0, 3)) if rng.random() < 0.5 else ll.tail(rng.randint(0, 3)),
-                rand_bits(rng, 0, depth),
-            )
-            for i in range(rng.randint(0, 6))
-        )
-        p = ll.OpenFamilyPresentation(epsilon=epsilon, events=events)
+    for p in open_logs:
         expected = []
         for n in ll.breakpoints(p):
             mu = ll.family_at(p, n).measure()
-            if mu > epsilon:
+            if mu > p.epsilon:
                 expected.append(
                     f"measure bound violated at n={n}: mu(U_n) = {ll.format_fraction(mu)}"
-                    f" > epsilon = {ll.format_fraction(epsilon)}"
+                    f" > epsilon = {ll.format_fraction(p.epsilon)}"
                 )
         assert ll.validate(p).problems == tuple(expected)
         invalid += bool(expected)
     assert 0 < invalid < 60
+
+
+def test_members_and_liminf_raise_the_validation_report():
+    set_logs, open_logs = raw_logs()
+    seen = set()
+    for p in set_logs + open_logs:
+        report = ll.validate(p)
+        seen.add((type(p), report.ok))
+        for read in (ll.members, ll.liminf_family):
+            if report.ok:
+                read(p)
+                continue
+            with pytest.raises(ll.ValidationError) as caught:
+                read(p)
+            assert caught.value.report == report
+    assert len(seen) == 4  # valid and invalid logs of both kinds
+
+
+def test_members_report_structural_problems_before_nmax():
+    # decreasing stages and an element outside the universe are reported, and
+    # the capacity breach (k = 0) is not; an nmax below the last breakpoint
+    # is only checked on a valid log
+    p = ll.SetFamilyPresentation(
+        k=0,
+        universe=("0",),
+        events=(ll.SetEvent(2, ll.tail(0), "0"), ll.SetEvent(1, ll.tail(3), "zz")),
+    )
+    report = ll.validate(p)
+    assert len(report.problems) == 2 and "capacity" not in " ".join(report.problems)
+    with pytest.raises(ll.ValidationError) as caught:
+        ll.members(p, 1)
+    assert caught.value.report == report
 
 
 def test_tree_closure_matches_the_least_tree_semimeasure():
