@@ -27,6 +27,7 @@ from .complexity import (
     ComplexityTable,
     DeficiencyReport,
     RandomnessReport,
+    complexity_blocks,
     complexity_rows,
     complexity_table,
     counting_violations,
@@ -97,6 +98,7 @@ __all__ = [
     "ValueEvent",
     "boolean_op",
     "breakpoints",
+    "complexity_blocks",
     "complexity_rows",
     "complexity_table",
     "counting_violations",

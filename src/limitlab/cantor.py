@@ -24,6 +24,7 @@ anywhere in the package.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -265,3 +266,16 @@ def format_fraction(value: Fraction) -> str:
     """Serialize a rational as "num/den" (denominator always present)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:
+    """Refuse ``what`` if ``factor * 2^exponent`` has more digits than ``str``
+    converts; a large ``exponent`` is decided by bit length, without building
+    the power."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    top = 10**limit
+    if limit and (exponent >= top.bit_length() or factor << exponent >= top):
+        raise ValueError(
+            f"{what} needs more than {limit} digits, "
+            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
+        )

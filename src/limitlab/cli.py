@@ -28,12 +28,12 @@ import argparse
 import gc
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import jsonio
 from .cantor import parse_fraction, parse_int
 from .complexity import (
-    complexity_rows,
+    complexity_blocks,
     cover_to_complexity_bounds,
     deficiency_family,
     deficiency_report,
@@ -107,17 +107,17 @@ def _read(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _write(text: str, path: Optional[str]) -> None:
+def _write(pieces: Iterable[str], path: Optional[str]) -> None:
     where = "standard output" if path is None else path
     if path is None and sys.stdout is None:  # file descriptor 1 was closed at start-up
         raise ConfigError(f"cannot write {where}: it is closed")
     try:
         if path is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()  # a full disk or a closed pipe fails here, not at shutdown
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
     except OSError as exc:
         if path is None:  # what stays buffered goes to /dev/null, or the flush at exit fails again
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -176,7 +176,7 @@ class Command(NamedTuple):
     required: tuple[str, ...]
     optional: tuple[str, ...]
     run: Callable[[argparse.Namespace], Any]  # JSON payload, or event-log text
-    csv: Optional[Callable[[Any], str]] = None  # CSV text of the JSON payload
+    csv: Optional[Callable[[Any], Iterable[str]]] = None  # CSV text of the JSON payload, in pieces
 
 
 # Run functions look library and jsonio functions up when they run, so a
@@ -214,8 +214,8 @@ COMMANDS: dict[str, Command] = {
             force(jsonio.parse_forcing_instance(_read(a.input)), witness_length=a.witness_length))),
     "complexity": Command(
         "exact description-length table of the reference machine", ("lmax", "nmax"), (),
-        lambda a: {"conditionMode": "conditional",
-                   "entries": complexity_rows(max_len=a.lmax, conditions=range(a.nmax + 1))},
+        lambda a: jsonio.complexity_blocks_to_json(
+            complexity_blocks(max_len=a.lmax, conditions=range(a.nmax + 1))),
         lambda payload: jsonio.complexity_table_to_csv(payload)),
     "deficiency": Command(
         "per-prefix deficiency report of a sequence prefix", ("input", "omega", "horizon", "c"),
@@ -298,12 +298,12 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     try:
         payload = command.run(args)
         if isinstance(payload, str):
-            text = payload
+            pieces = [payload]
         elif getattr(args, "format", None) == "csv":
-            text = command.csv(payload)
+            pieces = command.csv(payload)
         else:
-            text = jsonio.dumps_artifact(payload)
-        _write(text, args.output)
+            pieces = jsonio.artifact_pieces(payload)
+        _write(pieces, args.output)
     except ValidationError as exc:
         for problem in exc.report.problems:
             print(problem, file=sys.stderr)

@@ -18,12 +18,11 @@ description-length bounds.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .cantor import _strings_of_length, format_fraction
+from .cantor import _require_writable_power, _strings_of_length, format_fraction
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
@@ -106,33 +105,43 @@ class ComplexityTable(NamedTuple):
         return (u, self.condition_for(u)) in self.entries
 
 
-def complexity_rows(max_len: int, conditions: Iterable[int]) -> list[list]:
+def complexity_blocks(max_len: int, conditions: Iterable[int]) -> list[tuple]:
     """Exact M0 table for all strings up to ``max_len`` per condition, as
-    ``[string, condition, value]`` rows ordered by condition, then length,
-    then string: the order of the ``complexity`` artifact.
+    ``(condition, strings, values)`` blocks, one per condition and length,
+    ordered by condition, then length: the order of the ``complexity``
+    artifact, whose rows are each block's strings in order.
 
-    Every string costs its literal length |x| + 2, except the strings of
-    length n = condition >= 1, which cost 2 + per(x) (see exact_complexity).
-    Each length's strings are listed once, for all conditions.
+    Every string costs its literal length |x| + 2, so ``values`` is that one
+    int, except in the blocks of length n = condition >= 1, where it is the
+    list of per-string values 2 + per(x) (see exact_complexity).  Each
+    length's strings are listed once, for all conditions.
     """
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
         )
     by_length = [_strings_of_length(n) for n in range(max_len + 1)]
+    return [
+        (cond, strings, [_m0_length(u, cond) for u in strings] if n == cond >= 1 else n + 2)
+        for cond in sorted(set(conditions))
+        for n, strings in enumerate(by_length)
+    ]
+
+
+def complexity_rows(max_len: int, conditions: Iterable[int]) -> list[list]:
+    """The table of complexity_blocks as ``[string, condition, value]`` rows,
+    in artifact order."""
     rows = []
-    for cond in sorted(set(conditions)):
-        for n, strings in enumerate(by_length):
-            if n == cond >= 1:
-                rows.extend([u, cond, _m0_length(u, cond)] for u in strings)
-            else:
-                rows.extend([u, cond, n + 2] for u in strings)
+    for cond, strings, values in complexity_blocks(max_len, conditions):
+        if type(values) is int:
+            values = [values] * len(strings)
+        rows.extend([u, cond, v] for u, v in zip(strings, values))
     return rows
 
 
 def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
     """Exact M0 table for all strings up to ``max_len`` per condition (see
-    complexity_rows)."""
+    complexity_blocks)."""
     entries = {(u, cond): v for u, cond, v in complexity_rows(max_len, conditions)}
     return ComplexityTable(entries=entries, mode="conditional")
 
@@ -200,16 +209,6 @@ def _require_defined(t: ComplexityTable, strings: Iterable[str]) -> None:
     if missing:
         shown = ", ".join(repr(u) for u in missing[:5])
         raise ValueError(f"table is missing {len(missing)} entries within horizon: {shown}")
-
-
-def _require_writable_power(exponent: int, what: str) -> None:
-    """Refuse ``what`` if 2^exponent has more digits than ``str`` converts."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and exponent >= (10**limit).bit_length():  # i.e. 2^exponent >= 10^limit
-        raise ValueError(
-            f"{what} needs more than {limit} digits, "
-            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
-        )
 
 
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
@@ -328,6 +327,12 @@ def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> Randomne
     )
 
 
+def _exceeds_power(num: int, den: int, c: int) -> bool:
+    """num / den > 2^-c, for naturals num, c and den > 0, decided on integers:
+    2^c > den is told by bit length, without building 2^c."""
+    return num > 0 and (c >= den.bit_length() or num << c > den)
+
+
 def cover_to_complexity_bounds(
     p: OpenFamilyPresentation, c: int
 ) -> dict[str, int]:
@@ -340,11 +345,11 @@ def cover_to_complexity_bounds(
     segments = list(members(p))
     if p.granularity is None:
         raise ValueError("ordinal coding requires a granularity bound")
-    bound = Fraction(1, 2**c)
-    if p.epsilon > bound:
+    if _exceeds_power(p.epsilon.numerator, p.epsilon.denominator, c):
+        _require_writable_power(c, f"c = {c} (--c) is too large: the bound 2^-{c}")
         raise ValueError(
             f"measure bound violated: epsilon = {format_fraction(p.epsilon)} "
-            f"exceeds 2^-{c} = {format_fraction(bound)}"
+            f"exceeds 2^-{c} = {format_fraction(Fraction(1, 2**c))}"
         )
     for n, cn in p.granularity:
         if cn > n:
@@ -360,7 +365,7 @@ def cover_to_complexity_bounds(
         if not covered:
             continue
         count = len(covered)
-        if Fraction(count, 2**n) > bound:
+        if _exceeds_power(count, 2**n, c):
             raise ValueError(
                 f"measure bound violated at n={n}: {count} covered strings"
             )

@@ -58,14 +58,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .cantor import EMPTY, ClopenSet, _ranges, _strings_of_length, format_fraction
-from .cantor import max_interval_depth, normalize
+from .cantor import EMPTY, ClopenSet, _ranges, _require_writable_power, _strings_of_length
+from .cantor import format_fraction, max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
     _closed,
     _raise,
+    breakpoints,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,
     members,
@@ -319,10 +320,20 @@ def cover_open_strong(
             "epsilon' must exceed epsilon "
             f"({format_fraction(epsilon_prime)} <= {format_fraction(p.epsilon)})"
         )
+    # the last slack has the longest denominator: diff's, times the powers of
+    # two in 2^(last+1) that diff's numerator does not cancel
+    diff, last = epsilon_prime - p.epsilon, breakpoints(p)[-1]
+    twos = (diff.numerator & -diff.numerator).bit_length() - 1  # diff.numerator's factors 2
+    _require_writable_power(
+        max(last + 1 - twos, 0),
+        f"the slack (epsilon' - epsilon) / 2^{last + 1} at the last breakpoint {last} "
+        "(--epsilon-prime)",
+        diff.denominator,
+    )
     parts = decompose_liminf(p)
     runs = tuple((i, i + 1, part.intervals) for i, part in enumerate(parts) if part.intervals)
     region = normalize(x for _, _, ops in runs for x in ops)
-    slack = tuple((i, (epsilon_prime - p.epsilon) / 2 ** (i + 1)) for i in range(len(parts)))
+    slack = tuple((i, diff / 2 ** (i + 1)) for i in range(len(parts)))
     assert region.measure() <= epsilon_prime
     return CoverOpenSet(region=region, runs=runs, slack_report=slack)
 

@@ -18,18 +18,34 @@ encoder with the item separator ``"\n"``, then re-indents that text with
 inside a string (``ensure_ascii`` text holds no raw control character), so
 each ``"\n"`` in its output is an item separator, and ``"]\n["`` occurs only
 between two rows.
+
+The long row logs, the ``complexity`` table's ``entries`` and the covers'
+``acceptedOps``, are never built as rows: their payloads hold a
+:class:`Runs` list, each run a row template and the columns that fill it
+(a block of the table's strings, or a segment's range of thresholds).
+:func:`artifact_pieces` writes one repeat of a run's rows once, its literals
+as the C encoder writes them, and fills the slots with
+``encode_basestring_ascii`` text for strings and ``format`` text for ints.
+A run of one slot is then one ``str.join`` of the slot texts, with the text
+from that slot round to the next as separator; any other run maps its
+``str.format`` template over the rows of slot texts.  A piece holds at most
+``_CHUNK`` repeats, so a log of 10^6 thresholds never exists as one list or
+one string, and the command line writes the pieces as they come.  The CSV
+writer of the table fills the same runs.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, starmap
-from typing import Any
+from itertools import chain, groupby, islice, starmap
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Any, Iterable, Iterator
 
 from .cantor import ClopenSet, format_fraction, normalize, parse_fraction, parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
-from .covers import CoverOpenSet, CoverSemimeasure, CoverSet, _expand
+from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
     IndexSpec,
     IntervalEvent,
@@ -50,22 +66,70 @@ from .lowbasis import ForcingInstance, ForcingOutcome
 _encode = json.JSONEncoder(separators=("\n", ":")).encode
 _SCALARS = {str, int, bool, type(None)}
 _LISTS = {list, tuple}
+_CHUNK = 1 << 14  # repeats of a run per written piece
+
+
+class _Slot(int):
+    """In the rows of a run, the place that column ``int(self)`` of the run fills."""
+
+
+_FIRST, _SECOND = _Slot(0), _Slot(1)
+
+
+class Runs:
+    """A list of rows held as runs, which the writers fill without building the rows.
+
+    Each run is ``(rows, columns)``: ``rows`` are rows of scalars in which a
+    ``_Slot`` marks a place filled from a column, and ``columns`` are
+    sequences of equal length, each only of ``str`` or only of ``int``.  The
+    run stands for its ``rows`` filled from the first value of every column,
+    then from the second, and so on.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs):
+        self.runs = tuple(runs)
 
 
 def dumps_artifact(payload: Any) -> str:
-    return _indented(payload, "") + "\n"
+    return "".join(artifact_pieces(payload))
+
+
+def artifact_pieces(payload: Any) -> Iterator[str]:
+    """The text of :func:`dumps_artifact`, in pieces: a :class:`Runs` value
+    comes run by run, at most ``_CHUNK`` repeats of a run per piece."""
+    yield from _pieces(payload, "")
+    yield "\n"
+
+
+def _pieces(value: Any, pad: str) -> Iterable[str]:
+    if type(value) is Runs:
+        return _json_runs(value.runs, pad)
+    if isinstance(value, dict):
+        return _dict_pieces(value, pad)
+    return (_indented(value, pad),)
+
+
+def _dict_pieces(value: dict, pad: str) -> Iterator[str]:
+    if not value:
+        yield "{}"
+        return
+    if set(map(type, value)) != {str}:
+        raise TypeError("artifact keys must be strings")
+    inner, sep = pad + "  ", "{\n"
+    for key in sorted(value):
+        yield f"{sep}{inner}{_encode(key)}: "
+        yield from _pieces(value[key], inner)
+        sep = ",\n"
+    yield f"\n{pad}}}"
 
 
 def _indented(value: Any, pad: str) -> str:
     """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at indentation ``pad``."""
     inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if set(map(type, value)) != {str}:
-            raise TypeError("artifact keys must be strings")
-        items = (f"{inner}{_encode(key)}: {_indented(value[key], inner)}" for key in sorted(value))
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return "".join(_dict_pieces(value, pad))
     if not isinstance(value, (list, tuple)):
         return _encode(value)
     if not value:
@@ -81,6 +145,102 @@ def _indented(value: Any, pad: str) -> str:
         return f"[\n{inner}[\n{row}{body}\n{inner}]\n{pad}]"
     items = (inner + _indented(item, inner) for item in value)
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _json_runs(runs: tuple, pad: str) -> Iterable[str]:
+    """A :class:`Runs` list as ``_indented`` writes the list of its rows."""
+    if not any(rows and len(columns[0]) for rows, columns in runs):
+        return ("[]",)
+    inner, item = pad + "  ", pad + "    "
+    head, between, tail = f"{inner}[\n{item}", f",\n{item}", f"\n{inner}]"
+    template = lambda rows: _template(rows, head, between, tail, ",\n", _json_literal)  # noqa: E731
+    pieces = _run_pieces(runs, template, ",\n", encode_basestring_ascii)
+    return chain(("[\n",), pieces, (f"\n{pad}]",))
+
+
+# a scalar's text in a run's rows is the C encoder's, taken directly for str and int
+_LITERALS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_literal(value: Any) -> str:
+    return _LITERALS.get(type(value), _encode)(value)
+
+
+def _template(rows, head: str, between: str, tail: str, sep: str, literal) -> list:
+    """One repeat of a run's ``rows``, each written ``head``, its items
+    ``between`` each other, ``tail``, and ``sep`` between rows: texts at even
+    positions, with the column number of each slot between them."""
+    parts, text = [], ""
+    for i, row in enumerate(rows):
+        text += sep + head if i else head
+        for j, value in enumerate(row):
+            if j:
+                text += between
+            if type(value) is _Slot:
+                parts += (text, int(value))
+                text = ""
+            else:
+                text += literal(value)
+        text += tail
+    parts.append(text)
+    return parts
+
+
+def _texts(column, quote) -> Iterator[str]:
+    """A column's slot texts: ``quote``d strings or decimal ints, never a bool."""
+    kinds = {int} if type(column) is range else set(map(type, column))
+    if kinds == {str}:
+        return map(quote, column)
+    if kinds == {int}:
+        return map(format, column)
+    raise TypeError(f"a run column must hold only str or only int, not {kinds}")
+
+
+def _run_pieces(runs: Iterable, template, sep: str, quote) -> Iterator[str]:
+    """The rows of ``runs``, ``sep`` between rows, in pieces of ``_CHUNK``
+    repeats (the last one fewer); none when there is no row.
+
+    A run's ``template(rows)`` of one slot, ``head {i} tail``, is filled by
+    one C join per piece, with ``tail + sep + head`` between the slot texts.
+    Any other is a ``str.format`` string, its literal braces doubled, mapped
+    over the rows of column texts.
+    """
+    out: list[str] = []
+    held, started = 0, False  # repeats in out (fewer than _CHUNK between runs), any row yet
+    for rows, columns in runs:
+        count = len(columns[0]) if rows else 0
+        if not count:
+            continue
+        parts = template(rows)
+        if len(parts) == 3:
+            head, slot, tail = parts
+            glue = tail + sep + head
+            values, fill = _texts(columns[slot], quote), glue.join
+        else:
+            form = "".join(
+                f"{{{part}}}" if i % 2 else part.replace("{", "{{").replace("}", "}}")
+                for i, part in enumerate(parts)
+            )
+            head = tail = ""
+            glue, values = sep, zip(*(_texts(column, quote) for column in columns))
+            fill = lambda chunk: sep.join(starmap(form.format, chunk))  # noqa: E731
+        out.append(sep + head if started else head)
+        started = True
+        while held + count > _CHUNK:
+            take = _CHUNK - held
+            out += (fill(islice(values, take)), glue)
+            yield "".join(out)
+            out.clear()
+            count -= take
+            held = 0
+        out += (fill(values), tail)
+        held += count
+        if held == _CHUNK:
+            yield "".join(out)
+            out.clear()
+            held = 0
+    if out:
+        yield "".join(out)
 
 
 def _one_line(payload: Any) -> str:
@@ -237,27 +397,34 @@ def liminf_to_json(p: Presentation, member) -> dict:
     return {"type": "open-family", **_region(member)}
 
 
+def _threshold_runs(runs: tuple, row) -> Runs:
+    """A cover's log from its runs ``(start, end, ops)``: ``row(op)`` for each
+    op, with the threshold in ``_FIRST``, filled from ``range(start, end)``."""
+    return Runs((tuple(map(row, ops)), (range(start, end),)) for start, end, ops in runs)
+
+
 def cover_set_to_json(cover: CoverSet, k: int) -> dict:
     return {
         "k": k,
         "elements": sorted(cover.elements),
-        "acceptedOps": cover.accepted_ops,
+        "acceptedOps": _threshold_runs(cover.runs, lambda u: (_FIRST, u)),
     }
 
 
 def cover_semimeasure_to_json(cover: CoverSemimeasure) -> dict:
-    # each run's ops are formatted once, then expanded like cover.accepted_ops
-    runs = [(a, b, [(format_fraction(r), u) for r, u in ops]) for a, b, ops in cover.runs]
+    # each run's ops are formatted once
     return {
         "tree": cover.tree,
         "values": _values(cover.values),
         "totalMass": format_fraction(cover.total_mass()),
-        "acceptedOps": _expand(runs, lambda n, op: (op[0], n, op[1])),
+        "acceptedOps": _threshold_runs(
+            cover.runs, lambda op: (format_fraction(op[0]), _FIRST, op[1])),
     }
 
 
 def cover_open_to_json(cover: CoverOpenSet) -> dict:
-    payload = {**_region(cover.region), "acceptedOps": cover.accepted_ops}
+    payload = {**_region(cover.region), "acceptedOps": _threshold_runs(
+        cover.runs, lambda x: (x, _FIRST))}
     if cover.slack_report is not None:
         payload["slack"] = [[i, format_fraction(b)] for i, b in cover.slack_report]
     return payload
@@ -373,6 +540,34 @@ def complexity_table_to_json(t: ComplexityTable) -> dict:
     return {"conditionMode": t.mode, "entries": rows}
 
 
+def complexity_blocks_to_json(blocks: list[tuple]) -> dict:
+    """The table of ``complexity.complexity_blocks`` as runs.
+
+    A block is one run, its strings in the first column (and its per-string
+    values in the second).  But consecutive conditions whose blocks are equal
+    and hold one value each (as every condition above the longest string
+    length does) differ only in the condition, so they make one run, filled
+    from the list of those conditions.
+    """
+    runs = []
+    by_condition = (
+        (cond, [block[1:] for block in group]) for cond, group in groupby(blocks, itemgetter(0))
+    )
+    for group, alike in groupby(by_condition, itemgetter(1)):
+        conditions = [c for c, _ in alike]
+        if len(conditions) > 1 and all(type(values) is int for _, values in group):
+            rows = tuple((u, _FIRST, values) for strings, values in group for u in strings)
+            runs.append((rows, (conditions,)))
+            continue
+        for cond in conditions:
+            runs.extend(
+                (((_FIRST, cond, values),), (strings,)) if type(values) is int
+                else (((_FIRST, cond, _SECOND),), (strings, values))
+                for strings, values in group
+            )
+    return {"conditionMode": "conditional", "entries": Runs(runs)}
+
+
 def deficiency_report_to_json(report: DeficiencyReport) -> dict:
     return {
         "horizon": report.horizon,
@@ -398,24 +593,41 @@ def bounds_to_json(bounds: dict[str, int]) -> dict:
     return {"bounds": {u: v for u, v in sorted(bounds.items(), key=lambda kv: (len(kv[0]), kv[0]))}}
 
 
-# The CSV writers render the rows of the matching JSON payload, in its order.
-def _csv(header: tuple[str, ...], rows) -> str:
+# The CSV writers render the rows of the matching JSON payload, in its order,
+# as text pieces.
+def _csv(header: tuple[str, ...], rows) -> list[str]:
     line = ",".join(["{}"] * len(header)) + "\n"
-    return line.format(*header) + "".join(starmap(line.format, rows))
+    return [line.format(*header), "".join(starmap(line.format, rows))]
 
 
-def complexity_table_to_csv(payload: dict) -> str:
-    rows = ((bits or _EMPTY_BITS, cond, value) for bits, cond, value in payload["entries"])
-    return _csv(("bits", "condition", "value"), rows)
+def _csv_bits(column):
+    if type(column) is list and "" in column:
+        return [bits or _EMPTY_BITS for bits in column]
+    return column
 
 
-def deficiency_report_to_csv(payload: dict) -> str:
+def _csv_literal(value: Any) -> str:
+    return format(value) or _EMPTY_BITS
+
+
+def complexity_table_to_csv(payload: dict) -> Iterable[str]:
+    header = ("bits", "condition", "value")
+    entries = payload["entries"]
+    if type(entries) is not Runs:
+        return _csv(header, ((bits or _EMPTY_BITS, cond, value) for bits, cond, value in entries))
+    # a row's bits are its only string, written "-" when empty, in a run's rows or columns
+    template = lambda rows: _template(rows, "", ",", "\n", "", _csv_literal)  # noqa: E731
+    runs = ((rows, tuple(map(_csv_bits, columns))) for rows, columns in entries.runs)
+    return chain(_csv(header, ()), _run_pieces(runs, template, "", str))
+
+
+def deficiency_report_to_csv(payload: dict) -> list[str]:
     return _csv(("prefix", "d", "dbar"), payload["perPrefix"])
 
 
-def randomness_report_to_csv(payload: dict) -> str:
+def randomness_report_to_csv(payload: dict) -> list[str]:
     return _csv(("n",), zip(payload["qualifying"]))
 
 
-def frequencies_to_csv(payload: dict) -> str:
+def frequencies_to_csv(payload: dict) -> list[str]:
     return _csv(("value", "frequency"), payload["frequencies"].items())

@@ -14,6 +14,8 @@ from itertools import product
 from math import lcm
 from operator import or_
 
+from limitlab.jsonio import Runs, _Slot
+
 
 def all_strings(length):
     return ["".join(bits) for bits in product("01", repeat=length)]
@@ -274,9 +276,24 @@ def trace_to_family_by_index(prefix, period, nmax, grid):
     return tuple(events), False
 
 
+def rows_of_runs(value):
+    """The rows a ``jsonio.Runs`` list stands for, by its definition: each
+    run's rows with every slot replaced by the column value it names, for each
+    position of the columns in turn."""
+    if type(value) is not Runs:
+        raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    return [
+        [values[item] if type(item) is _Slot else item for item in row]
+        for rows, columns in value.runs
+        for values in zip(*columns)
+        for row in rows
+    ]
+
+
 def dumps_artifact_by_json(payload):
-    """An artifact's text by definition (CPython's pure-Python indenting encoder)."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """An artifact's text by definition (CPython's pure-Python indenting
+    encoder); a ``Runs`` list is written as the rows it stands for."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=rows_of_runs) + "\n"
 
 
 def csv_by_join(header, rows):

@@ -766,6 +766,52 @@ def test_deficiency_family_refuses_a_length_too_long_to_count(tmp_path, capsys):
     assert capsys.readouterr().err == "error: table is missing 8 of the 8 strings of length 3\n"
 
 
+def test_cover_open_strong_refuses_a_slack_too_long_to_write(tmp_path, capsys):
+    # the slack (3/4 - 1/2) / 2^14301 = 1/2^14303 has 4306 digits, beyond CPython's
+    # default 4300; it is refused before the 14301 decomposition parts are built
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"type": "open-family", "epsilon": "1/2", "granularity": [[14300, 1]]}\n'
+        '{"stage": 0, "kind": "tail", "index": 14300, "interval": "0"}\n'
+    )
+    argv = ["cover-open-strong", "--input", str(log), "--epsilon-prime", "3/4"]
+    assert run(argv, tmp_path) == (2, b"")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the slack (epsilon' - epsilon) / 2^14301 at the last breakpoint 14300 "
+        f"(--epsilon-prime) needs more than {sys.get_int_max_str_digits()} digits, the "
+        "interpreter's limit for integer text (sys.get_int_max_str_digits)"
+    ]
+
+
+def test_complexity_bounds_decides_a_large_c_without_writing_it(tmp_path, capsys):
+    argv = ["complexity-bounds", "--input", str(FIXTURES / "open_family_levels.jsonl")]
+    assert run(argv + ["--c", "20000"], tmp_path) == (2, b"")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: c = 20000 (--c) is too large: the bound 2^-20000 needs more than "
+        f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for integer text "
+        "(sys.get_int_max_str_digits)"
+    ]
+    assert run(argv + ["--c", "2"], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == (
+        "error: measure bound violated: epsilon = 1/2 exceeds 2^-2 = 1/4\n"
+    )
+    # epsilon 0 is within every 2^-c
+    log = tmp_path / "empty.jsonl"
+    log.write_text('{"type": "open-family", "epsilon": "0/1", "granularity": [[0, 0]]}\n')
+    for c in ("0", "20000", "10000000000"):
+        code, out = run(["complexity-bounds", "--input", str(log), "--c", c], tmp_path)
+        assert (code, out) == (0, b'{\n  "bounds": {}\n}\n')
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_output_file_exits_two_with_one_error_line():
+    done = limitlab("complexity", "--lmax", "11", "--nmax", "11", "--output", "/dev/full",
+                    stdout=subprocess.DEVNULL)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: ")
+
+
 NESTED = "[" * 100_000
 
 
@@ -927,9 +973,9 @@ def test_main_restores_the_collector_on_every_exit(argv, code, enabled, tmp_path
 
 def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path):
     seen = []
-    real = jsonio.dumps_artifact
+    real = jsonio.artifact_pieces
     monkeypatch.setattr(
-        jsonio, "dumps_artifact", lambda payload: seen.append(gc.isenabled()) or real(payload)
+        jsonio, "artifact_pieces", lambda payload: seen.append(gc.isenabled()) or real(payload)
     )
     assert gc.isenabled()
     assert run(["complexity", "--lmax", "2", "--nmax", "2"], tmp_path)[0] == 0

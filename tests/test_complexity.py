@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limitlab as ll
+from limitlab import complexity
 from limitlab.complexity import _require_all_strings
 from limitlab.jsonio import complexity_table_to_json
 from oracles import (
@@ -111,6 +112,28 @@ def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
 def test_complexity_rows_sort_and_merge_the_conditions():
     rows = ll.complexity_rows(3, [4, 1, 0, 1])
     assert rows == complexity_table_to_json(ll.complexity_table(3, [0, 1, 4]))["entries"]
+
+
+def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(monkeypatch):
+    calls = []
+    real = complexity._least_period
+    monkeypatch.setattr(complexity, "_least_period", lambda x: calls.append(x) or real(x))
+    blocks = ll.complexity_blocks(5, range(9))
+    assert sorted(calls) == sorted(u for n in range(1, 6) for u in all_strings(n))
+    assert [(cond, len(strings)) for cond, strings, _ in blocks] == [
+        (cond, 2**n) for cond in range(9) for n in range(6)
+    ]
+    assert [type(values) for _, _, values in blocks] == [
+        list if cond == n >= 1 else int for cond in range(9) for n in range(6)
+    ]
+
+
+def test_measure_bound_is_decided_on_integers():
+    # epsilon > 2^-c and count / 2^n > 2^-c, against Fraction arithmetic
+    rng = random.Random("exceeds")
+    for _ in range(3000):
+        num, den, c = rng.randint(0, 40), rng.randint(1, 2**rng.randint(0, 12)), rng.randint(0, 16)
+        assert complexity._exceeds_power(num, den, c) == (Fraction(num, den) > Fraction(1, 2**c))
 
 
 def test_exact_complexity_rejects_non_bit_strings():

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -367,6 +368,42 @@ def test_cover_open_strong_requires_bigger_budget():
     )
     with pytest.raises(ValueError):
         ll.cover_open_strong(p, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("epsilon_prime", ["3/4", "5/6", "7/6", "1/1"])
+def test_cover_open_strong_refuses_exactly_the_slacks_too_long_to_write(epsilon_prime):
+    # near the lowest digit limit CPython allows (640), the last slack
+    # (epsilon' - 1/2) / 2^(last+1) is refused iff its text cannot be written
+    epsilon_prime = Fraction(epsilon_prime)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = []
+        for last in range(2118, 2128):
+            p = ll.OpenFamilyPresentation(
+                epsilon=Fraction(1, 2), events=(ll.IntervalEvent(0, ll.tail(last), "0"),),
+                granularity=((last, 1),),
+            )
+            slack = (epsilon_prime - p.epsilon) / 2 ** (last + 1)
+            try:
+                ll.format_fraction(slack)
+                writable = True
+            except ValueError:
+                writable = False
+            try:
+                cover = ll.cover_open_strong(p, epsilon_prime)
+            except ValueError as exc:
+                assert str(exc).startswith(
+                    f"the slack (epsilon' - epsilon) / 2^{last + 1} at the last breakpoint {last} "
+                    "(--epsilon-prime) needs more than 640 digits"
+                )
+                refused.append(last)
+            else:
+                assert cover.slack_report[-1] == (last, slack)
+            assert writable == (last not in refused), last
+        assert refused and refused[0] > 2118
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cover_open_strong_randomized():

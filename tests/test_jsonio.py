@@ -1,8 +1,10 @@
 """The artifact writers against their definitions in ``oracles``."""
 
 import enum
+import hashlib
 import json
 import random
+import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import pytest
 import limitlab as ll
 from limitlab import jsonio
 from limitlab.cli import main
+from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
 from oracles import csv_by_join, dumps_artifact_by_json
 from test_cli import GOLDEN, GOLDEN_RUNS, with_input_paths
 
@@ -73,10 +76,10 @@ def rand_value(rng, depth=3):
 
 
 def golden_payloads(monkeypatch, tmp_path):
-    """Every payload the golden command lines hand to ``dumps_artifact``."""
+    """Every payload the golden command lines hand to ``artifact_pieces``."""
     payloads = []
-    real = jsonio.dumps_artifact
-    monkeypatch.setattr(jsonio, "dumps_artifact", lambda p: payloads.append(p) or real(p))
+    real = jsonio.artifact_pieces
+    monkeypatch.setattr(jsonio, "artifact_pieces", lambda p: payloads.append(p) or real(p))
     for _, argv, code in GOLDEN_RUNS:
         assert main(with_input_paths(argv) + ["--output", str(tmp_path / "out")]) == code
     return payloads
@@ -101,7 +104,7 @@ def test_artifact_keys_must_be_strings(payload):
         jsonio.dumps_artifact(payload)
 
 
-# cover goldens as the library builds their payloads (set and open logs are tuples of rows)
+# cover goldens as the library builds their payloads (their logs are Runs)
 COVER_GOLDENS = (
     "cover_sets.json", "cover_semimeasure.json", "cover_open.json", "cover_open_strong.json"
 )
@@ -118,16 +121,16 @@ def test_artifacts_never_use_the_pure_python_encoder(monkeypatch, tmp_path):
         text = (GOLDEN / name).read_text()
         assert jsonio.dumps_artifact(json.loads(text)) == text
     built = {}
-    dumps = jsonio.dumps_artifact
+    pieces = jsonio.artifact_pieces
     for name, argv, code in GOLDEN_RUNS:
         if name in COVER_GOLDENS:
-            spy = lambda p, _n=name: dumps(built.setdefault(_n, p))  # noqa: E731
-            monkeypatch.setattr(jsonio, "dumps_artifact", spy)
+            spy = lambda p, _n=name: pieces(built.setdefault(_n, p))  # noqa: E731
+            monkeypatch.setattr(jsonio, "artifact_pieces", spy)
             assert main(with_input_paths(argv) + ["--output", str(tmp_path / "out")]) == code
     assert sorted(built) == sorted(COVER_GOLDENS)
-    assert any(type(payload["acceptedOps"]) is tuple for payload in built.values())
+    assert all(type(payload["acceptedOps"]) is jsonio.Runs for payload in built.values())
     for name, payload in built.items():
-        assert dumps(payload) == (GOLDEN / name).read_text()
+        assert "".join(pieces(payload)) == (GOLDEN / name).read_text()
     assert calls == []
     dumps_artifact_by_json(json.loads(text))  # the spy sees the fallback when there is one
     assert calls
@@ -173,7 +176,7 @@ def test_csv_text_matches_joined_rows(shape):
     payloads = [json.loads((GOLDEN / golden).read_text())]
     payloads += [make(rng, rng.randint(0, 8)) for _ in range(500)]
     for payload in payloads:
-        assert writer(payload) == csv_by_join(header, rows(payload)), payload
+        assert "".join(writer(payload)) == csv_by_join(header, rows(payload)), payload
 
 
 def test_semimeasure_log_formats_each_run_once(monkeypatch):
@@ -189,6 +192,136 @@ def test_semimeasure_log_formats_each_run_once(monkeypatch):
     ops = sum(len(ops) for _, _, ops in cover.runs)
     assert len(calls) <= ops + len(cover.values) + 1
     assert len(cover.accepted_ops) > 10**4
-    assert [list(row) for row in payload["acceptedOps"]] == [
+    assert json.loads(jsonio.dumps_artifact(payload))["acceptedOps"] == [
         [real(r), n, u] for r, n, u in cover.accepted_ops
     ]
+
+
+# piece sizes that put the chunk boundaries inside and between runs
+CHUNKS = [1 << 14, 1, 2, 3, 7]
+
+
+def written(payload, monkeypatch, chunk):
+    monkeypatch.setattr(jsonio, "_CHUNK", chunk)
+    return "".join(jsonio.artifact_pieces(payload))
+
+
+def test_complexity_artifacts_match_the_expanded_rows(monkeypatch):
+    # the oracles read complexity_rows, the expanded view, never the runs
+    cases = [(lmax, range(nmax + 1)) for lmax in range(8) for nmax in range(8)]
+    for max_len, conditions in cases + [(3, [4, 1, 0, 1])]:
+        rows = ll.complexity_rows(max_len, conditions)
+        want = dumps_artifact_by_json({"conditionMode": "conditional", "entries": rows})
+        want_csv = csv_by_join(("bits", "condition", "value"),
+                               ([bits or "-", cond, value] for bits, cond, value in rows))
+        payload = jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+        for chunk in CHUNKS:
+            assert written(payload, monkeypatch, chunk) == want, (max_len, conditions, chunk)
+            assert "".join(jsonio.complexity_table_to_csv(payload)) == want_csv
+
+
+def _fraction_text(r):
+    return f"{r.numerator}/{r.denominator}"
+
+
+def random_covers(rng):
+    """A random cover of each kind: its artifact payload and the ``acceptedOps``
+    rows of its expanded view ``accepted_ops``."""
+    p = gen_set_family(rng)
+    cover = ll.cover_sets(p, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
+    yield cover, jsonio.cover_set_to_json(cover, p.k), [[n, u] for n, u in cover.accepted_ops]
+    for tree in (False, True):
+        p = gen_semimeasure_family(rng, tree=tree)
+        cover = ll.cover_semimeasure(p, EIGHTHS, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
+        rows = [[_fraction_text(r), n, u] for r, n, u in cover.accepted_ops]
+        yield cover, jsonio.cover_semimeasure_to_json(cover), rows
+    p = gen_open_family(rng, max_depth=4)
+    cover = ll.cover_open(p, lmax=4, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
+    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in cover.accepted_ops]
+    p = gen_open_family(rng, with_granularity=True, max_depth=4)
+    cover = ll.cover_open_strong(p, p.epsilon + Fraction(1, 8))
+    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in cover.accepted_ops]
+
+
+def test_cover_logs_match_the_expanded_rows(monkeypatch):
+    rng = random.Random("cover-logs")
+    empty_logs = idle_runs = 0
+    for _ in range(40):
+        for cover, payload, rows in random_covers(rng):
+            want = dumps_artifact_by_json({**payload, "acceptedOps": rows})
+            for chunk in CHUNKS:
+                assert written(payload, monkeypatch, chunk) == want, (cover, chunk)
+            empty_logs += not rows
+            idle_runs += any(not ops for _, _, ops in cover.runs)
+    assert empty_logs and idle_runs
+
+
+# literal text that a str.format template must not read as a field
+BRACES = ["{", "}", "{0}", "{}", "}}{{", "{1]"]
+
+
+def rand_literal(rng):
+    return rng.choice(BRACES) if rng.random() < 0.3 else rand_scalar(rng)
+
+
+def rand_runs(rng):
+    """A Runs list of random rows (scalars and slots) and columns."""
+    runs = []
+    for _ in range(rng.randint(0, 4)):
+        count = rng.randint(0, 5)
+        columns = []
+        for _ in range(rng.randint(1, 3)):
+            start = rng.randint(-3, 2**70)
+            columns.append(rng.choice([
+                [rand_str(rng) + rng.choice(BRACES) for _ in range(count)],
+                [rng.randint(-(2**70), 40) for _ in range(count)],
+                range(start, start + count),
+            ]))
+        slots = [jsonio._Slot(i) for i in range(len(columns))]
+        rows = tuple(
+            tuple(rng.choice(slots) if rng.random() < 0.4 else rand_literal(rng)
+                  for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 3))
+        )
+        runs.append((rows, tuple(columns)))
+    return jsonio.Runs(runs)
+
+
+def test_runs_text_matches_the_rows_they_stand_for(monkeypatch):
+    # literal braces, quotes and newlines, one or several slots, empty runs
+    rng = random.Random("runs")
+    for _ in range(1500):
+        payload = {rand_str(rng): rand_runs(rng), "nested": {"rows": rand_runs(rng)}}
+        want = dumps_artifact_by_json(payload)
+        for chunk in CHUNKS[:3]:
+            assert written(payload, monkeypatch, chunk) == want, want
+
+
+@pytest.mark.parametrize("column", [[True], [1, False], ["0", 1], [None]])
+def test_runs_columns_hold_no_bool_and_no_mixed_kinds(column):
+    payload = {"rows": jsonio.Runs([(((jsonio._Slot(0), "x"),), (column,))])}
+    with pytest.raises(TypeError):
+        jsonio.dumps_artifact(payload)
+
+
+def test_set_cover_of_a_large_index_is_written_in_small_pieces():
+    # one tail(10^6) event on a two-element universe: a 73.8 MB log from two runs
+    p = ll.SetFamilyPresentation(
+        k=2, universe=("0", "1"), events=(ll.SetEvent(0, ll.tail(10**6), "0"),)
+    )
+    payload = jsonio.cover_set_to_json(ll.cover_sets(p), p.k)
+    digest, size = hashlib.sha256(), 0
+    tracemalloc.start()
+    try:
+        for piece in jsonio.artifact_pieces(payload):
+            data = piece.encode()
+            digest.update(data)
+            size += len(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    # the artifact of the expanded rows, as written before the logs were filled from runs
+    assert (size, digest.hexdigest()) == (
+        73777930, "1af600cb33d25700fd2356afc40832ff26d48d35a7be78de797215b6793598ed"
+    )
