@@ -28,7 +28,6 @@ from .complexity import (
     DeficiencyReport,
     RandomnessReport,
     complexity_blocks,
-    complexity_rows,
     complexity_table,
     counting_violations,
     cover_to_complexity_bounds,
@@ -99,7 +98,6 @@ __all__ = [
     "boolean_op",
     "breakpoints",
     "complexity_blocks",
-    "complexity_rows",
     "complexity_table",
     "counting_violations",
     "cover_open",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cantor import _require_writable_power, _strings_of_length, format_fraction
@@ -128,21 +129,14 @@ def complexity_blocks(max_len: int, conditions: Iterable[int]) -> list[tuple]:
     ]
 
 
-def complexity_rows(max_len: int, conditions: Iterable[int]) -> list[list]:
-    """The table of complexity_blocks as ``[string, condition, value]`` rows,
-    in artifact order."""
-    rows = []
-    for cond, strings, values in complexity_blocks(max_len, conditions):
-        if type(values) is int:
-            values = [values] * len(strings)
-        rows.extend([u, cond, v] for u, v in zip(strings, values))
-    return rows
-
-
 def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
     """Exact M0 table for all strings up to ``max_len`` per condition (see
     complexity_blocks)."""
-    entries = {(u, cond): v for u, cond, v in complexity_rows(max_len, conditions)}
+    entries = {
+        (u, cond): v
+        for cond, strings, values in complexity_blocks(max_len, conditions)
+        for u, v in zip(strings, repeat(values) if type(values) is int else values)
+    }
     return ComplexityTable(entries=entries, mode="conditional")
 
 
@@ -157,7 +151,7 @@ def _sorted_values(t: ComplexityTable) -> dict[int, list[int]]:
     return groups
 
 
-def counting_violations(t: ComplexityTable, m_max: Optional[int] = None) -> list[str]:
+def counting_violations(t: ComplexityTable) -> list[str]:
     """Failures of the bound: fewer than 2^m strings of complexity below m.
 
     Checked for every condition appearing in the table and every m up to the
@@ -167,10 +161,9 @@ def counting_violations(t: ComplexityTable, m_max: Optional[int] = None) -> list
     if not t.entries:
         return problems
     top = max(t.entries.values()) + 1
-    limit = top if m_max is None else min(m_max, top)
     groups = _sorted_values(t)
     for condition in sorted(groups):
-        for m in range(limit + 1):
+        for m in range(top + 1):
             count = bisect_left(groups[condition], m)
             if count >= 2**m:
                 problems.append(
@@ -178,12 +171,6 @@ def counting_violations(t: ComplexityTable, m_max: Optional[int] = None) -> list
                     f"{count} strings below complexity {m} (bound 2^{m} = {2**m})"
                 )
     return problems
-
-
-def require_counting_bound(t: ComplexityTable, m_max: Optional[int] = None) -> None:
-    problems = counting_violations(t, m_max)
-    if problems:
-        raise ValueError(problems[0])
 
 
 class DeficiencyReport(NamedTuple):
@@ -204,11 +191,11 @@ class DeficiencyReport(NamedTuple):
         raise KeyError(x)
 
 
-def _require_defined(t: ComplexityTable, strings: Iterable[str]) -> None:
-    missing = [u for u in strings if not t.has(u)]
+def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
+    missing = [u for u in prefixes if not t.has(u)]
     if missing:
         shown = ", ".join(repr(u) for u in missing[:5])
-        raise ValueError(f"table is missing {len(missing)} entries within horizon: {shown}")
+        raise ValueError(f"table is missing {len(missing)} prefixes of the omega prefix: {shown}")
 
 
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
@@ -313,7 +300,11 @@ class RandomnessReport(NamedTuple):
 def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> RandomnessReport:
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
     "infinitely many", so the largest qualifying n is reported alongside."""
-    require_counting_bound(t)
+    if omega_prefix.strip("01"):
+        raise ValueError(f"omega prefix must be a bit string, got {omega_prefix!r}")
+    problems = counting_violations(t)
+    if problems:
+        raise ValueError(problems[0])
     prefixes = [omega_prefix[:i] for i in range(len(omega_prefix) + 1)]
     _require_defined(t, prefixes)
     qualifying = tuple(

@@ -11,13 +11,12 @@ trailing newline, so identical inputs produce byte-identical outputs.  Their
 text is exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
 (every key is a ``str``; any other key raises ``TypeError``), but ``indent``
 would make CPython fall back to its pure-Python encoder.  So
-:func:`dumps_artifact` walks dicts itself and hands every list of scalars,
-and every non-empty list of non-empty rows of scalars, to one call of the C
-encoder with the item separator ``"\n"``, then re-indents that text with
-``str.replace``.  This is exact because the C encoder escapes every newline
-inside a string (``ensure_ascii`` text holds no raw control character), so
-each ``"\n"`` in its output is an item separator, and ``"]\n["`` occurs only
-between two rows.
+:func:`dumps_artifact` walks dicts and other lists itself and hands every
+list of scalars to one call of the C encoder with the item separator
+``"\n"``, then re-indents that text with ``str.replace``.  This is exact
+because the C encoder escapes every newline inside a string (``ensure_ascii``
+text holds no raw control character), so each ``"\n"`` in its output is an
+item separator.  A list of rows thus goes item by item, one C call per row.
 
 The long row logs, the ``complexity`` table's ``entries`` and the covers'
 ``acceptedOps``, are never built as rows: their payloads hold a
@@ -37,6 +36,7 @@ writer of the table fills the same runs.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import chain, groupby, islice, starmap
 from json.encoder import encode_basestring_ascii
@@ -61,11 +61,10 @@ from .freq import PartialTrace
 from .lowbasis import ForcingInstance, ForcingOutcome
 
 
-# items separated by a bare newline; given scalars and rows of scalars only,
+# items separated by a bare newline; given scalars and lists of scalars only,
 # picked by exact type (subclasses, such as records, take the walk)
 _encode = json.JSONEncoder(separators=("\n", ":")).encode
 _SCALARS = {str, int, bool, type(None)}
-_LISTS = {list, tuple}
 _CHUNK = 1 << 14  # repeats of a run per written piece
 
 
@@ -134,15 +133,9 @@ def _indented(value: Any, pad: str) -> str:
         return _encode(value)
     if not value:
         return "[]"
-    kinds = set(map(type, value))
-    if kinds <= _SCALARS:
+    if set(map(type, value)) <= _SCALARS:
         body = _encode(value)[1:-1].replace("\n", ",\n" + inner)
         return f"[\n{inner}{body}\n{pad}]"
-    if kinds <= _LISTS and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
-        row = inner + "  "
-        body = _encode(value)[2:-2].replace("\n", ",\n" + row)
-        body = body.replace(f"],\n{row}[", f"\n{inner}],\n{inner}[\n{row}")
-        return f"[\n{inner}[\n{row}{body}\n{inner}]\n{pad}]"
     items = (inner + _indented(item, inner) for item in value)
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
@@ -294,13 +287,16 @@ def _same(value: Any) -> Any:
 
 
 def _loads(text: str, where: str) -> Any:
-    """``json.loads``; malformed or too deeply nested text is a ValueError."""
+    """``json.loads``; text it cannot read is a ValueError naming ``where``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: not JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
+    except ValueError:  # the only other: an int literal longer than the interpreter converts
+        limit = f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        raise ValueError(f"{where}: an integer literal has more digits than {limit}") from None
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -532,14 +528,6 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     return ComplexityTable(entries=entries, mode=mode)
 
 
-def complexity_table_to_json(t: ComplexityTable) -> dict:
-    rows = sorted(
-        ([bits, cond, value] for (bits, cond), value in t.entries.items()),
-        key=lambda row: (row[1], len(row[0]), row[0]),
-    )
-    return {"conditionMode": t.mode, "entries": rows}
-
-
 def complexity_blocks_to_json(blocks: list[tuple]) -> dict:
     """The table of ``complexity.complexity_blocks`` as runs.
 
@@ -611,14 +599,10 @@ def _csv_literal(value: Any) -> str:
 
 
 def complexity_table_to_csv(payload: dict) -> Iterable[str]:
-    header = ("bits", "condition", "value")
-    entries = payload["entries"]
-    if type(entries) is not Runs:
-        return _csv(header, ((bits or _EMPTY_BITS, cond, value) for bits, cond, value in entries))
     # a row's bits are its only string, written "-" when empty, in a run's rows or columns
     template = lambda rows: _template(rows, "", ",", "\n", "", _csv_literal)  # noqa: E731
-    runs = ((rows, tuple(map(_csv_bits, columns))) for rows, columns in entries.runs)
-    return chain(_csv(header, ()), _run_pieces(runs, template, "", str))
+    runs = ((rows, tuple(map(_csv_bits, columns))) for rows, columns in payload["entries"].runs)
+    return chain(_csv(("bits", "condition", "value"), ()), _run_pieces(runs, template, "", str))
 
 
 def deficiency_report_to_csv(payload: dict) -> list[str]:

@@ -209,6 +209,16 @@ def counting_violations_by_scan(entries, m_max=None):
     return found
 
 
+def table_payload_by_sort(t):
+    """A table's ``complexity`` artifact payload, rows ``[string, condition,
+    value]`` sorted from its map: by condition, then length, then string."""
+    rows = sorted(
+        ([bits, cond, value] for (bits, cond), value in t.entries.items()),
+        key=lambda row: (row[1], len(row[0]), row[0]),
+    )
+    return {"conditionMode": t.mode, "entries": rows}
+
+
 def require_all_strings_by_count(t, lengths):
     """Refuse, as the deficiency tools do, unless the table defines all 2^l
     bit strings of every length l, each under its own condition (its length

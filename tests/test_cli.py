@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import limitlab as ll
 from limitlab import cli, jsonio
 from limitlab.cli import COMMANDS, FLAGS, build_parser, main
+from oracles import table_payload_by_sort
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
@@ -619,7 +620,7 @@ def test_line_format_table_parses():
 
 def test_table_json_round_trip():
     table = jsonio.parse_complexity_table((FIXTURES / "table.json").read_text())
-    emitted = jsonio.dumps_artifact(jsonio.complexity_table_to_json(table))
+    emitted = jsonio.dumps_artifact(table_payload_by_sort(table))
     assert jsonio.parse_complexity_table(emitted).entries == table.entries
 
 
@@ -715,6 +716,7 @@ def test_undeclared_flag_exits_two(argv, tmp_path, capsys):
         ["deficiency-family", "--input", "table.json", "--c", "-1", "--nmin", "2", "--nmax", "4"],
         ["complexity-bounds", "--input", "open_family_levels.jsonl", "--c", "-1"],
         ["deficiency", "--input", "table.json", "--omega", "0a", "--horizon", "4", "--c", "1"],
+        ["randomness-report", "--input", "table.json", "--omega", "0a1", "--c", "1"],
         ["complexity", "--lmax", "1_0", "--nmax", "2"],
         ["complexity", "--lmax", "\u0663", "--nmax", "2"],
         ["complexity", "--lmax", "2", "--nmax", "+2"],
@@ -725,6 +727,7 @@ def test_undeclared_flag_exits_two(argv, tmp_path, capsys):
     ],
     ids=[
         "deficiency-family-negative-c", "complexity-bounds-negative-c", "omega-not-bits",
+        "randomness-omega-not-bits",
         "underscore-natural", "arabic-indic-natural", "plus-natural", "space-natural",
         "underscore-rational", "complexity-lmax-above-bound", "complexity-bounds-no-granularity",
     ],
@@ -735,6 +738,36 @@ def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert "error:" in err or "usage:" in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
+
+
+LONG_INT = "9" * 5000  # beyond CPython's default limit of 4300 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "command,text,where",
+    [
+        (["validate"], '{"type": "set-family", "k": 1, "universe": ["0"]}\n'
+         f'{{"stage": 0, "kind": "single", "index": {LONG_INT}, "element": "0"}}\n', "line 2"),
+        (["liminf"], f'{{"type": "set-family", "k": {LONG_INT}, "universe": ["0"]}}\n', "line 1"),
+        (["freq"], f'{{"prefix": [], "period": [1, {LONG_INT}]}}', "trace"),
+        (["randomness-report", "--omega", "0", "--c", "0"],
+         f'{{"conditionMode": "conditional", "entries": [["", 0, {LONG_INT}]]}}', "table"),
+        (["lowbasis", "--witness-length", "1"],
+         f'{{"initialU": [], "queries": [], "x": {LONG_INT}}}', "forcing instance"),
+    ],
+    ids=["event-log", "event-log-header", "trace", "table", "forcing-instance"],
+)
+def test_an_integer_too_long_to_read_is_named_by_its_place(command, text, where, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(command + ["--input", str(path)], tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: {where}: an integer literal has more digits than "
+        f"sys.get_int_max_str_digits() = {limit}\n"
+    )
 
 
 def test_deficiency_family_refuses_a_c_too_long_to_write(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limitlab as ll
-from limitlab import complexity
+from limitlab import complexity, jsonio
 from limitlab.complexity import _require_all_strings
-from limitlab.jsonio import complexity_table_to_json
 from oracles import (
     all_strings,
     complexity_by_enumeration,
@@ -17,6 +18,7 @@ from oracles import (
     dbar_by_scan,
     require_all_strings_by_count,
     strings_up_to,
+    table_payload_by_sort,
 )
 
 
@@ -99,19 +101,25 @@ def test_complexity_table_matches_program_enumeration(max_len):
     assert table.entries == complexity_table_by_enumeration(max_len, conditions)
 
 
+def written_rows(max_len, conditions):
+    """The ``entries`` of the ``complexity`` artifact, written from its blocks."""
+    payload = jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+    return json.loads(jsonio.dumps_artifact(payload))["entries"]
+
+
 @pytest.mark.parametrize("max_len", range(8))
 def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
-    # `limitlab complexity` writes these rows as they come, unsorted
+    # `limitlab complexity` writes the rows as they come, unsorted
     for nmax in range(8):
-        rows = ll.complexity_rows(max_len, range(nmax + 1))
-        table = ll.complexity_table(max_len, range(nmax + 1))
-        assert rows == complexity_table_to_json(table)["entries"]
+        rows = table_payload_by_sort(ll.complexity_table(max_len, range(nmax + 1)))["entries"]
+        assert rows == written_rows(max_len, range(nmax + 1))
         assert all(v == ll.exact_complexity(u, cond) for u, cond, v in rows)
 
 
 def test_complexity_rows_sort_and_merge_the_conditions():
-    rows = ll.complexity_rows(3, [4, 1, 0, 1])
-    assert rows == complexity_table_to_json(ll.complexity_table(3, [0, 1, 4]))["entries"]
+    table = ll.complexity_table(3, [0, 1, 4])
+    assert ll.complexity_table(3, [4, 1, 0, 1]) == table
+    assert written_rows(3, [4, 1, 0, 1]) == table_payload_by_sort(table)["entries"]
 
 
 def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(monkeypatch):
@@ -166,12 +174,15 @@ COUNTING_TABLES = {
 @pytest.mark.parametrize("name", sorted(COUNTING_TABLES))
 @pytest.mark.parametrize("m_max", [None, -1, 0, 1, 3, 40])
 def test_counting_violations_match_full_scan(name, m_max):
+    # the violations up to m_max (all when None) are the scan's up to there
     entries = COUNTING_TABLES[name]
-    t = ll.ComplexityTable(entries=entries)
+    got = ll.counting_violations(ll.ComplexityTable(entries=entries))
     expected = expected_violations(entries, m_max)
     if m_max is None:
         assert bool(expected) == (name in ("flat", "negative", "mixed"))
-    assert ll.counting_violations(t, m_max) == expected
+    else:
+        got = [p for p in got if int(re.search(r"below complexity (\d+)", p)[1]) <= m_max]
+    assert got == expected
 
 
 def test_counting_violations_match_full_scan_randomized():
@@ -181,9 +192,8 @@ def test_counting_violations_match_full_scan_randomized():
             (format(rng.randrange(64), "b"), rng.randrange(-1, 4)): rng.randrange(-3, 8)
             for _ in range(rng.randrange(30))
         }
-        m_max = rng.choice([None, rng.randrange(-1, 9)])
         t = ll.ComplexityTable(entries=entries)
-        assert ll.counting_violations(t, m_max) == expected_violations(entries, m_max)
+        assert ll.counting_violations(t) == expected_violations(entries)
 
 
 def test_counting_violation_detected():
@@ -291,6 +301,26 @@ def test_randomness_report_counting_gate():
     )
     with pytest.raises(ValueError):
         ll.randomness_report(flat, "00", c=0)
+
+
+def test_randomness_report_names_the_missing_prefixes():
+    # a table of lengths up to 4 defines the first 5 of the 7 prefixes
+    with pytest.raises(ValueError) as err:
+        ll.randomness_report(constant_length_table(4), "010101", c=0)
+    assert str(err.value) == "table is missing 2 prefixes of the omega prefix: '01010', '010101'"
+
+
+@pytest.mark.parametrize("omega", ["0a1", "2", " 0"])
+def test_randomness_report_checks_the_omega_first(omega):
+    # the empty table lacks the prefixes and the flat one breaks the counting bound,
+    # but the omega is named first, as deficiency_report names it
+    want = f"omega prefix must be a bit string, got {omega!r}"
+    flat = ll.ComplexityTable(entries={(u, len(u)): 0 for u in strings_up_to(2)})
+    for table in (ll.ComplexityTable(entries={}), flat):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            ll.randomness_report(table, omega, c=0)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        ll.deficiency_report(constant_length_table(4), omega, horizon=4, c=0)
 
 
 def test_randomness_report_on_m0_values():

@@ -11,11 +11,11 @@ from fractions import Fraction
 import pytest
 
 import limitlab as ll
-from limitlab import jsonio
+from limitlab import complexity, covers, jsonio
 from limitlab.cli import main
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
-from oracles import csv_by_join, dumps_artifact_by_json
-from test_cli import GOLDEN, GOLDEN_RUNS, with_input_paths
+from oracles import csv_by_join, dumps_artifact_by_json, rows_of_runs, table_payload_by_sort
+from test_cli import GOLDEN, GOLDEN_RUNS, run, with_input_paths
 
 
 class Label(str):
@@ -136,45 +136,63 @@ def test_artifacts_never_use_the_pure_python_encoder(monkeypatch, tmp_path):
     assert calls
 
 
-# writer, header, the rows as the writer renders them, a random payload
+def test_goldens_are_written_without_expanding_a_log(monkeypatch, tmp_path):
+    # every log is written from its runs and the complexity table from its
+    # blocks: no cover's accepted_ops and no table map is built
+    def refuse(*args):
+        raise AssertionError("an expanded view was built")
+
+    monkeypatch.setattr(covers, "_expand", refuse)
+    monkeypatch.setattr(complexity, "complexity_table", refuse)
+    for name, argv, code in GOLDEN_RUNS:
+        assert run(with_input_paths(argv), tmp_path) == (code, (GOLDEN / name).read_bytes()), name
+
+
+def complexity_payload(max_len, conditions):
+    return jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+
+
+def golden(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+# writer, header, the rows as the writer renders them, a random payload, a golden payload
 CSV_SHAPES = {
     "complexity": (
         jsonio.complexity_table_to_csv, ("bits", "condition", "value"),
-        lambda p: ([bits or "-", cond, value] for bits, cond, value in p["entries"]),
-        lambda rng, n: {"entries": [
-            [rng.choice(["", "0", "101", rand_str(rng)]), rng.randint(0, 9), rand_scalar(rng)]
-            for _ in range(n)
-        ]},
-        "complexity.json",
+        # "-" for the empty bits, and for any empty field of a random run
+        lambda p: ([format(v) or "-" for v in row] for row in rows_of_runs(p["entries"])),
+        lambda rng, n: {"entries": rand_runs(rng)} if rng.random() < 0.5 else complexity_payload(
+            rng.randint(0, 4), [rng.randint(0, 9) for _ in range(n)]),
+        complexity_payload(2, range(3)),  # as `complexity --lmax 2 --nmax 2` builds it
     ),
     "deficiency": (
         jsonio.deficiency_report_to_csv, ("prefix", "d", "dbar"),
         lambda p: p["perPrefix"],
         lambda rng, n: {"perPrefix": [[rand_str(rng), rand_scalar(rng), rand_scalar(rng)]
                                       for _ in range(n)]},
-        "deficiency.json",
+        golden("deficiency.json"),
     ),
     "randomness": (
         jsonio.randomness_report_to_csv, ("n",),
         lambda p: ([n] for n in p["qualifying"]),
         lambda rng, n: {"qualifying": [rand_scalar(rng) for _ in range(n)]},
-        "randomness.json",
+        golden("randomness.json"),
     ),
     "frequencies": (
         jsonio.frequencies_to_csv, ("value", "frequency"),
         lambda p: p["frequencies"].items(),
         lambda rng, n: {"frequencies": {rand_str(rng): rand_str(rng) for _ in range(n)}},
-        "freq.json",
+        golden("freq.json"),
     ),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(CSV_SHAPES))
 def test_csv_text_matches_joined_rows(shape):
-    writer, header, rows, make, golden = CSV_SHAPES[shape]
+    writer, header, rows, make, golden_payload = CSV_SHAPES[shape]
     rng = random.Random(f"csv:{shape}")
-    payloads = [json.loads((GOLDEN / golden).read_text())]
-    payloads += [make(rng, rng.randint(0, 8)) for _ in range(500)]
+    payloads = [golden_payload] + [make(rng, rng.randint(0, 8)) for _ in range(500)]
     for payload in payloads:
         assert "".join(writer(payload)) == csv_by_join(header, rows(payload)), payload
 
@@ -207,14 +225,14 @@ def written(payload, monkeypatch, chunk):
 
 
 def test_complexity_artifacts_match_the_expanded_rows(monkeypatch):
-    # the oracles read complexity_rows, the expanded view, never the runs
+    # the oracles sort the map of complexity_table, the expanded view, never the runs
     cases = [(lmax, range(nmax + 1)) for lmax in range(8) for nmax in range(8)]
     for max_len, conditions in cases + [(3, [4, 1, 0, 1])]:
-        rows = ll.complexity_rows(max_len, conditions)
-        want = dumps_artifact_by_json({"conditionMode": "conditional", "entries": rows})
-        want_csv = csv_by_join(("bits", "condition", "value"),
-                               ([bits or "-", cond, value] for bits, cond, value in rows))
-        payload = jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+        expanded = table_payload_by_sort(ll.complexity_table(max_len, conditions))
+        want = dumps_artifact_by_json(expanded)
+        rows = ([bits or "-", cond, value] for bits, cond, value in expanded["entries"])
+        want_csv = csv_by_join(("bits", "condition", "value"), rows)
+        payload = complexity_payload(max_len, conditions)
         for chunk in CHUNKS:
             assert written(payload, monkeypatch, chunk) == want, (max_len, conditions, chunk)
             assert "".join(jsonio.complexity_table_to_csv(payload)) == want_csv

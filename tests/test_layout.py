@@ -1,0 +1,91 @@
+"""Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
+every import is used, and every private module-level name is referenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import limitlab
+
+MODULES = sorted(Path(limitlab.__file__).parent.glob("*.py"))
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=path.name)
+
+
+def names_read(tree):
+    """The names a module reads: bare names (not assigned) and attribute names."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def imported(path):
+    """``(bound name, line)`` of each import in a module, but ``__future__``
+    imports and those whose line carries ``# noqa: F401``."""
+    lines = path.read_text().splitlines()
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    yield (alias.asname or alias.name).split(".")[0], alias.lineno
+
+
+def private_names(tree):
+    """The module-level functions, classes and constants named ``_x`` (not dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def unused_imports(path):
+    used = {node.id for node in ast.walk(parsed(path)) if isinstance(node, ast.Name)}
+    return [(bound, line) for bound, line in imported(path) if bound not in used]
+
+
+def unread_private_names(paths):
+    read = set().union(*(names_read(parsed(path)) for path in paths))
+    return [
+        (path.name, name) for path in paths for name in private_names(parsed(path))
+        if name not in read
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []
+
+
+def test_every_private_name_is_referenced():
+    assert unread_private_names(MODULES) == []
+
+
+def test_the_checks_catch_leftovers(tmp_path):
+    leftover = tmp_path / "leftover.py"
+    leftover.write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from itertools import chain  # noqa: F401\n"
+        "from os import path, sep\n"
+        "_LISTS = {list, tuple}\n"
+        "_USED, _UNUSED = 1, 2\n"
+        "def _helper():\n"
+        "    return sep, _USED\n"
+    )
+    assert unused_imports(leftover) == [("json", 2), ("path", 4)]
+    assert unread_private_names([leftover]) == [
+        ("leftover.py", "_LISTS"), ("leftover.py", "_UNUSED"), ("leftover.py", "_helper")
+    ]
