@@ -15,7 +15,9 @@ intersection and difference by De Morgan) and cuts the result back into
 maximal aligned dyadic blocks, the canonical form.  A set that only grows can
 stay in range form and become a :class:`ClopenSet` once, where a caller needs
 one.  No step recurses, so ``LIMITLAB_MAX_DEPTH`` is the only limit on
-interval depth.
+interval depth.  Every question goes through the merge: whether a set covers
+or meets the interval of ``x``, and how much of it, is a set operation with
+``interval(x)``.
 
 All measures are :class:`fractions.Fraction`; no floating point is used
 anywhere in the package.
@@ -40,6 +42,8 @@ def max_interval_depth() -> int:
         return DEFAULT_MAX_DEPTH
     try:
         depth = parse_int(raw)
+    except _TooManyDigits as exc:
+        raise ValueError(f"LIMITLAB_MAX_DEPTH: {exc}") from None
     except ValueError:
         raise ValueError(f"LIMITLAB_MAX_DEPTH must be an integer, got {raw!r}") from None
     if depth < 1:
@@ -129,12 +133,6 @@ def _lift(*sets: "ClopenSet", depth: int = 0) -> tuple[int, list[list[tuple[int,
     return depth, [_ranges(s.intervals, depth) for s in sets]
 
 
-def _mass(depths: list[int]) -> Fraction:
-    """Exact sum of 2^-n over ``depths``, added as integers at the deepest scale."""
-    top = max(depths, default=0)
-    return Fraction(sum(1 << top - n for n in depths), 1 << top)
-
-
 class ClopenSet(NamedTuple):
     """Canonical finite union of basic intervals.
 
@@ -146,8 +144,9 @@ class ClopenSet(NamedTuple):
     intervals: tuple[str, ...] = ()
 
     def measure(self) -> Fraction:
-        """Exact uniform measure: sum of 2^-len over the intervals."""
-        return _mass([len(x) for x in self.intervals])
+        """Exact uniform measure: 2^-len per interval, summed as integers at the deepest scale."""
+        top = max(map(len, self.intervals), default=0)
+        return Fraction(sum(1 << top - len(x) for x in self.intervals), 1 << top)
 
     def is_empty(self) -> bool:
         return not self.intervals
@@ -173,18 +172,15 @@ class ClopenSet(NamedTuple):
 
     def covers_string(self, x: str) -> bool:
         """True iff the whole interval of ``x`` lies inside this set."""
-        return any(x.startswith(i) for i in self.intervals)
+        return interval(x).difference(self).is_empty()
 
     def meets_interval(self, x: str) -> bool:
         """True iff the interval of ``x`` intersects this set."""
-        return any(x.startswith(i) or i.startswith(x) for i in self.intervals)
+        return not self.intersection(interval(x)).is_empty()
 
     def interval_overlap(self, x: str) -> Fraction:
         """Exact measure of the intersection with the interval of ``x``."""
-        for i in self.intervals:
-            if x.startswith(i):
-                return Fraction(1, 2 ** len(x))
-        return _mass([len(i) for i in self.intervals if i.startswith(x)])
+        return self.intersection(interval(x)).measure()
 
     def leftmost_avoiding(self, length: int) -> Optional[str]:
         """Least string of the given length whose interval misses this set."""
@@ -198,8 +194,7 @@ class ClopenSet(NamedTuple):
                 return _name(first, length)
         return None
 
-    def __contains__(self, x: str) -> bool:
-        return self.covers_string(x)
+    __contains__ = covers_string
 
     def __repr__(self) -> str:
         body = ", ".join(repr(x) for x in self.intervals)
@@ -234,6 +229,10 @@ def boolean_op(a: ClopenSet, b: ClopenSet, kind: str) -> ClopenSet:
     raise ValueError(f"unknown boolean operation {kind!r}")
 
 
+class _TooManyDigits(ValueError):
+    """Integer text longer than the interpreter converts; the message names the limit."""
+
+
 def parse_int(text: str) -> int:
     """Parse integer text: ASCII digits with an optional leading "-".
 
@@ -243,7 +242,11 @@ def parse_int(text: str) -> int:
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # the only one left: more digits than the interpreter's limit
+        limit = f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        raise _TooManyDigits(f"integer text has more digits than {limit}") from None
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -257,6 +260,8 @@ def parse_fraction(text: str) -> Fraction:
             value = Fraction(parse_int(num), parse_int(den))
         else:
             value = Fraction(parse_int(body))
+    except _TooManyDigits as exc:
+        raise ValueError(f"not an exact rational: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not an exact rational: {text!r}") from None
     return value

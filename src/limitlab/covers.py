@@ -148,7 +148,7 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     tail member, so there are fewer than 2^k of them.
     """
     segments = list(members(p, nmax))
-    point = {u: t for t, u in enumerate(dict.fromkeys(p.universe))}  # by first occurrence
+    point = {u: t for t, u in enumerate(p.universe)}
     # no copy outgrows the universe, so a larger k changes no decision
     cap = 2 ** min(p.k, len(p.universe))
     bases = [sum(1 << point[u] for u in member) for _, _, member in segments]

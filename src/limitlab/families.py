@@ -5,10 +5,10 @@ specification: ``single(n)`` touches index ``n`` only, ``tail(N)`` touches
 every index ``>= N``.  Because the log is finite, every presented family is
 eventually constant in the index, so its limit inferior is computable exactly
 and serves as the brute-force oracle for the covering constructions.
-Each kind has one member rule, :func:`_rule`.  ``family_at(p, n)`` is the
+Each kind has one member rule and budget, :func:`_rule`.  ``family_at(p, n)`` is the
 by-definition query that grows a member from the events covering ``n``;
 ``validate`` and ``members`` read one sweep that grows every breakpoint
-segment's member in one pass over the log and checks it, so ``members``
+segment's member in one pass over the log and checks the budget, so ``members``
 validates its input.  An open member grows as merged integer ranges at the
 depth of the deepest event interval (one :func:`cantor._union` per step), so
 validation counts its points without building a set.  :func:`_raise` is the
@@ -141,23 +141,45 @@ def breakpoints(p: Presentation) -> list[int]:
 
 
 def _rule(p: Presentation):
-    """``(empty member, grow, finish)`` for ``p``'s kind.
+    """``(empty member, grow, finish, excess)`` for ``p``'s kind.
 
     ``grow(events, member)`` returns a new member with ``events`` added;
     ``finish`` is the identity, except that open members grow as ranges and
-    finish as a canonical ``ClopenSet``.
+    finish as a canonical ``ClopenSet``.  ``excess(n, member)`` checks the
+    kind's budget on the unfinished member at ``n``: the problem text, or
+    ``None`` within budget.
     """
     if isinstance(p, SetFamilyPresentation):
-        return frozenset(), lambda events, member: member.union(ev.element for ev in events), _same
+
+        def excess(n, member):
+            if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
+                return f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
+
+        return (frozenset(), lambda events, member: member.union(ev.element for ev in events),
+                _same, excess)
     if isinstance(p, SemimeasureFamilyPresentation):
-        return {}, _max_merge, _same
+        kind, what = ("tree semimeasure", "root") if p.tree else ("semimeasure", "total")
+
+        def excess(n, table):
+            mass = tree_closure(table).get("", 0) if p.tree else sum(table.values())
+            if mass > 1:
+                return f"{kind} violated at n={n}: {what} mass {format_fraction(mass)} > 1"
+
+        return {}, _max_merge, _same, excess
     if isinstance(p, OpenFamilyPresentation):
         depth = max_event_interval_length(p)
 
         def grow(events, ranges):
             return _union(ranges + _ranges([ev.interval for ev in events], depth))
 
-        return [], grow, lambda ranges: _clopen(ranges, depth)
+        def excess(n, ranges):
+            # mu(U_n) = points / 2^depth > num / den, decided on integers
+            points = sum(b - a for a, b in ranges)
+            if points * p.epsilon.denominator > p.epsilon.numerator << depth:
+                mu, eps = format_fraction(Fraction(points, 1 << depth)), format_fraction(p.epsilon)
+                return f"measure bound violated at n={n}: mu(U_n) = {mu} > epsilon = {eps}"
+
+        return [], grow, lambda ranges: _clopen(ranges, depth), excess
     raise TypeError(f"not a presentation: {type(p).__name__}")
 
 
@@ -180,7 +202,7 @@ def family_at(p: Presentation, n: int, stage: Optional[int] = None):
     semimeasure families and a ClopenSet for open families.  Assumes ``p``
     is valid.
     """
-    empty, grow, finish = _rule(p)
+    empty, grow, finish, _ = _rule(p)
     events = [ev for ev in p.events if (stage is None or ev.stage <= stage) and ev.spec.covers(n)]
     return finish(grow(events, empty))
 
@@ -281,11 +303,15 @@ def _structural_problems(p: Presentation) -> list[str]:
     if isinstance(p, SetFamilyPresentation):
         if p.k < 0:
             problems.append(f"capacity exponent k must be a natural number, got {p.k}")
+        seen = set()
         for u in p.universe:
             try:
                 check_bit_string(u, cap)
             except ValueError as exc:
                 problems.append(f"universe: {exc}")
+            if u in seen:
+                problems.append(f"universe lists element {u!r} twice")
+            seen.add(u)
     if isinstance(p, OpenFamilyPresentation):
         if p.epsilon < 0:
             problems.append(f"epsilon must be nonnegative, got {format_fraction(p.epsilon)}")
@@ -335,38 +361,10 @@ def _checked_sweep(p: Presentation) -> tuple[ValidationReport, list[tuple]]:
     problems = _structural_problems(p)
     if problems:
         return ValidationReport(tuple(problems)), []
-    empty, grow, _ = _rule(p)
+    empty, grow, _, excess = _rule(p)
     segments = list(_sweep(p, empty, grow))
-    is_open = isinstance(p, OpenFamilyPresentation)
-    depth = max_event_interval_length(p) if is_open else 0  # an open member's range scale
-    for n, _, member in segments:
-        if isinstance(p, SetFamilyPresentation):
-            if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
-                problems.append(
-                    f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
-                )
-        elif is_open:
-            # mu(U_n) = points / 2^depth > num / den, decided on integers
-            points = sum(b - a for a, b in member)
-            if points * p.epsilon.denominator > p.epsilon.numerator << depth:
-                problems.append(
-                    f"measure bound violated at n={n}: "
-                    f"mu(U_n) = {format_fraction(Fraction(points, 1 << depth))}"
-                    f" > epsilon = {format_fraction(p.epsilon)}"
-                )
-        elif p.tree:
-            root = tree_closure(member).get("", Fraction(0))
-            if root > 1:
-                problems.append(
-                    f"tree semimeasure violated at n={n}: root mass {format_fraction(root)} > 1"
-                )
-        else:
-            total = sum(member.values(), Fraction(0))
-            if total > 1:
-                problems.append(
-                    f"semimeasure violated at n={n}: total mass {format_fraction(total)} > 1"
-                )
-    for n, c in (p.granularity if is_open else None) or ():
+    problems = [text for n, _, member in segments if (text := excess(n, member))]
+    for n, c in isinstance(p, OpenFamilyPresentation) and p.granularity or ():
         for pos, ev in enumerate(p.events):
             if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
                 problems.append(

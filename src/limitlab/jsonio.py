@@ -10,8 +10,8 @@ Emitted artifacts are deterministic: keys sorted, fixed indentation, one
 trailing newline, so identical inputs produce byte-identical outputs.  Their
 text is exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
 (every key is a ``str``; any other key raises ``TypeError``), but ``indent``
-would make CPython fall back to its pure-Python encoder.  So
-:func:`dumps_artifact` walks dicts and other lists itself and hands every
+would make CPython fall back to its pure-Python encoder.  So one walker,
+:func:`_pieces`, goes through dicts and other lists item by item and hands every
 list of scalars to one call of the C encoder with the item separator
 ``"\n"``, then re-indents that text with ``str.replace``.  This is exact
 because the C encoder escapes every newline inside a string (``ensure_ascii``
@@ -43,7 +43,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
-from .cantor import ClopenSet, format_fraction, normalize, parse_fraction, parse_int
+from .cantor import ClopenSet, _TooManyDigits, format_fraction, normalize, parse_fraction
+from .cantor import parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
@@ -102,46 +103,37 @@ def artifact_pieces(payload: Any) -> Iterator[str]:
     yield "\n"
 
 
-def _pieces(value: Any, pad: str) -> Iterable[str]:
+def _pieces(value: Any, pad: str) -> Iterator[str]:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at
+    indentation ``pad``, in pieces: the one walker of an artifact."""
     if type(value) is Runs:
-        return _json_runs(value.runs, pad)
-    if isinstance(value, dict):
-        return _dict_pieces(value, pad)
-    return (_indented(value, pad),)
-
-
-def _dict_pieces(value: dict, pad: str) -> Iterator[str]:
-    if not value:
-        yield "{}"
-        return
-    if set(map(type, value)) != {str}:
-        raise TypeError("artifact keys must be strings")
-    inner, sep = pad + "  ", "{\n"
-    for key in sorted(value):
-        yield f"{sep}{inner}{_encode(key)}: "
-        yield from _pieces(value[key], inner)
-        sep = ",\n"
-    yield f"\n{pad}}}"
-
-
-def _indented(value: Any, pad: str) -> str:
-    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at indentation ``pad``."""
-    inner = pad + "  "
-    if isinstance(value, dict):
-        return "".join(_dict_pieces(value, pad))
-    if not isinstance(value, (list, tuple)):
-        return _encode(value)
-    if not value:
-        return "[]"
-    if set(map(type, value)) <= _SCALARS:
+        yield from _json_runs(value.runs, pad)
+    elif not value or not isinstance(value, (dict, list, tuple)):
+        yield _encode(value)  # a scalar, or an empty list or dict
+    elif isinstance(value, dict):
+        if set(map(type, value)) != {str}:
+            raise TypeError("artifact keys must be strings")
+        inner, sep = pad + "  ", "{\n"
+        for key in sorted(value):
+            yield f"{sep}{inner}{_encode(key)}: "
+            yield from _pieces(value[key], inner)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    elif set(map(type, value)) <= _SCALARS:
+        inner = pad + "  "
         body = _encode(value)[1:-1].replace("\n", ",\n" + inner)
-        return f"[\n{inner}{body}\n{pad}]"
-    items = (inner + _indented(item, inner) for item in value)
-    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        yield f"[\n{inner}{body}\n{pad}]"
+    else:
+        inner, sep = pad + "  ", "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _pieces(item, inner)
+            sep = ",\n"
+        yield f"\n{pad}]"
 
 
 def _json_runs(runs: tuple, pad: str) -> Iterable[str]:
-    """A :class:`Runs` list as ``_indented`` writes the list of its rows."""
+    """A :class:`Runs` list as :func:`_pieces` writes the list of its rows."""
     if not any(rows and len(columns[0]) for rows, columns in runs):
         return ("[]",)
     inner, item = pad + "  ", pad + "    "
@@ -503,6 +495,11 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             ):
                 raise ValueError(f"bad table entry {row!r}")
             entries[(row[0], row[1])] = row[2]
+        if len(entries) < len(raw):  # a pair given twice: name its second entry
+            first: dict = {}
+            i = next(i for i, row in enumerate(raw) if first.setdefault(tuple(row[:2]), i) != i)
+            bits, cond, _ = raw[i]
+            raise ValueError(f"table entry #{i} repeats bits {bits!r} under condition {cond}")
         return ComplexityTable(entries=entries, mode=mode)
     mode = "conditional"
     entries = {}
@@ -522,8 +519,12 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         bits = "" if bits == _EMPTY_BITS else bits
         try:
             cond, value = parse_int(cond_text), parse_int(value_text)
+        except _TooManyDigits as exc:
+            raise ValueError(f"line {no}: {exc}") from None
         except ValueError:
             raise ValueError(f"line {no}: condition and value must be integers") from None
+        if (bits, cond) in entries:
+            raise ValueError(f"line {no}: repeats bits {bits!r} under condition {cond}")
         entries[(bits, cond)] = value
     return ComplexityTable(entries=entries, mode=mode)
 

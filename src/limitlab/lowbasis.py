@@ -8,17 +8,18 @@ answer is forced: it holds for every point of the final complement, and in
 particular for the extracted leftmost witness.  The answers are a function of
 the instance alone, never of the witness.
 
-U only grows, so it is held as merged integer ranges at the depth of the
-deepest interval in the instance; each query is one :func:`cantor._union`
-of U's ranges with the query's, and U becomes one :class:`ClopenSet` at the
-end, from which the witness is read.
+U only grows, so it is held as merged integer ranges.  One
+:func:`cantor._lift` of the initial U and every query gives the scale (the
+deepest interval in the instance) and each operand's ranges; each query is
+then one :func:`cantor._union` of U's ranges with the query's, and U becomes
+one :class:`ClopenSet` at the end, from which the witness is read.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cantor import ClopenSet, _clopen, _ranges, _union, max_interval_depth
+from .cantor import ClopenSet, _clopen, _lift, _union, max_interval_depth
 
 
 class ForcingInstance(NamedTuple):
@@ -32,13 +33,6 @@ class ForcingOutcome(NamedTuple):
     witness_prefix: str
 
 
-def _max_depth(instance: ForcingInstance) -> int:
-    depths = [len(x) for x in instance.initial_u.intervals]
-    for _, query in instance.queries:
-        depths.extend(len(x) for x in query.intervals)
-    return max(depths, default=0)
-
-
 def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     """Decide every query while keeping the complement nonempty.
 
@@ -47,9 +41,9 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     most the interval depth cap, so that the witness is no longer than any
     interval may be.
     """
-    deepest = _max_depth(instance)
+    deepest, (u, *queries) = _lift(instance.initial_u, *(q for _, q in instance.queries))
     full = [(0, 1 << deepest)]
-    u = _union(_ranges(instance.initial_u.intervals, deepest))
+    u = _union(u)
     if u == full:
         raise ValueError("initial U must have nonempty complement")
     if witness_length < deepest:
@@ -62,8 +56,8 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
             f"witness length {witness_length} exceeds the interval depth cap {cap}"
         )
     answers = []
-    for label, query in instance.queries:
-        merged = _union(u + _ranges(query.intervals, deepest))
+    for (label, _), query in zip(instance.queries, queries):
+        merged = _union(u + query)
         if merged == full:
             answers.append((label, "halts"))
         else:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -209,9 +210,31 @@ def test_covers_string_and_meets_interval():
 def test_interval_overlap_is_exact():
     rng = random.Random(31)
     for _ in range(150):
-        s = ll.normalize(rand_intervals(rng, rng.randint(0, 5)))
+        intervals = rand_intervals(rng, rng.randint(0, 5))
+        s = ll.normalize(intervals)
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
-        assert s.interval_overlap(x) == s.intersection(ll.interval(x)).measure()
+        # the part of the union below x, counted at depth 6 (below every interval)
+        inside = [x + w for w in all_strings(6 - len(x)) if member(x + w, intervals)]
+        assert s.interval_overlap(x) == measure_by_counting(inside, 6)
+
+
+def test_covers_string_and_meets_interval_match_membership_at_mixed_depths():
+    rng = random.Random(37)
+    for _ in range(150):
+        intervals = rand_intervals(rng, rng.randint(0, 4), max_len=6)
+        s = ll.normalize(intervals)
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+        depth = max([len(x)] + [len(i) for i in intervals])
+        points = [x + w for w in all_strings(depth - len(x))]
+        assert s.covers_string(x) == all(member(w, intervals) for w in points)
+        assert s.meets_interval(x) == any(member(w, intervals) for w in points)
+
+
+@pytest.mark.parametrize("method", ["covers_string", "meets_interval", "interval_overlap"])
+@pytest.mark.parametrize("x", ["abc", "012", "0" * 65])
+def test_interval_questions_refuse_a_non_interval(method, x):
+    with pytest.raises(ValueError):
+        getattr(ll.normalize(["01", "1"]), method)(x)
 
 
 def test_bad_characters_rejected():
@@ -236,6 +259,17 @@ def test_depth_cap_env_override(monkeypatch):
         monkeypatch.setenv("LIMITLAB_MAX_DEPTH", junk)
         with pytest.raises(ValueError):
             ll.max_interval_depth()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_depth_cap_env_names_the_digit_limit(monkeypatch):
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "9" * 5000)
+    with pytest.raises(ValueError) as refused:
+        ll.max_interval_depth()
+    assert str(refused.value) == (
+        "LIMITLAB_MAX_DEPTH: integer text has more digits than "
+        f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+    )
 
 
 def test_depth_cap_env_read_once_per_call(monkeypatch):

@@ -24,6 +24,15 @@ GOLDEN = HERE / "golden"
 
 EIGHTHS = "0/8,1/8,2/8,3/8,4/8,5/8,6/8,7/8,1"
 
+LONG_INT = "9" * 5000  # beyond CPython's default limit of 4300 digits
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+)
+TOO_MANY_DIGITS = (
+    "integer text has more digits than sys.get_int_max_str_digits() = "
+    f"{getattr(sys, 'get_int_max_str_digits', lambda: 0)()}"
+)
+
 GOLDEN_RUNS = [
     (
         "validate.json",
@@ -163,9 +172,14 @@ def test_validate_names_a_negative_index_by_its_record(tmp_path, capsys):
             '{"stage": 0, "kind": "tail", "index": 0, "element": "2", "value": "1/2"}\n',
             "event #0: bit string may contain only 0 and 1, got '2'",
         ),
+        (
+            '{"type": "set-family", "k": 1, "universe": ["0", "0"]}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "element": "0"}\n',
+            "universe lists element '0' twice",
+        ),
     ],
     ids=["negative-k", "universe-not-bits", "negative-epsilon", "negative-granularity",
-         "negative-stage", "value-element-not-bits"],
+         "negative-stage", "value-element-not-bits", "universe-repeats"],
 )
 def test_validate_names_each_structural_problem(text, problem, tmp_path, capsys):
     source = tmp_path / "family.jsonl"
@@ -174,6 +188,16 @@ def test_validate_names_each_structural_problem(text, problem, tmp_path, capsys)
     assert code == 1
     assert json.loads(body)["problems"] == [problem]
     assert capsys.readouterr().err.splitlines() == [problem]
+
+
+def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
+    source = tmp_path / "family.jsonl"
+    source.write_text(
+        '{"type": "set-family", "k": 1, "universe": ["0", "0"]}\n'
+        '{"stage": 0, "kind": "tail", "index": 0, "element": "0"}\n'
+    )
+    assert run(["cover-sets", "--input", str(source)], tmp_path) == (1, b"")
+    assert capsys.readouterr().err == "universe lists element '0' twice\n"
 
 
 @pytest.mark.parametrize(
@@ -219,11 +243,43 @@ def test_validate_names_each_structural_problem(text, problem, tmp_path, capsys)
             '{"type": "set-family", "k": 1, "universe": ["0"]}\n[1]\n',
             "line 2: event must be a JSON object",
         ),
+        (
+            ["randomness-report", "--omega", "0", "--c", "0"],
+            '{"entries": [["0", 1, 3], ["1", 1, 4], ["0", 1, 5]]}',
+            "table entry #2 repeats bits '0' under condition 1",
+        ),
+        (
+            ["randomness-report", "--omega", "0", "--c", "0"],
+            "0 1 3\n- 0 2\n0 1 5\n",
+            "line 3: repeats bits '0' under condition 1",
+        ),
+        pytest.param(
+            ["randomness-report", "--omega", "0", "--c", "0"], f"- 0 {LONG_INT}\n",
+            f"line 1: {TOO_MANY_DIGITS}", marks=NEEDS_DIGIT_LIMIT,
+        ),
+        pytest.param(
+            ["validate"],
+            '{"type": "semimeasure-family"}\n'
+            f'{{"stage": 0, "kind": "tail", "index": 0, "element": "0", "value": "1/{LONG_INT}"}}\n',
+            f"not an exact rational: {TOO_MANY_DIGITS}", marks=NEEDS_DIGIT_LIMIT,
+        ),
+        pytest.param(
+            ["validate"], f'{{"type": "open-family", "epsilon": "{LONG_INT}/2"}}\n',
+            f"not an exact rational: {TOO_MANY_DIGITS}", marks=NEEDS_DIGIT_LIMIT,
+        ),
+        (
+            ["validate"],
+            '{"type": "semimeasure-family"}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "element": "0", "value": "1/x"}\n',
+            "not an exact rational: '1/x'",
+        ),
     ],
     ids=[
         "forcing-not-object", "queries-not-list", "query-not-object", "label-not-string",
         "query-without-intervals", "initial-not-bits", "trace-not-object", "trace-without-period",
         "empty-log", "tree-not-bool", "universe-not-list", "event-not-object",
+        "table-entry-repeats", "table-line-repeats", "table-line-too-many-digits",
+        "value-too-many-digits", "epsilon-too-many-digits", "value-junk",
     ],
 )
 def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_path, capsys):
@@ -738,9 +794,6 @@ def test_bad_flag_values_exit_two_without_traceback(argv, tmp_path, capsys):
     assert "error:" in err or "usage:" in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
-
-
-LONG_INT = "9" * 5000  # beyond CPython's default limit of 4300 digits
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")

@@ -126,6 +126,23 @@ def test_cover_sets_invalid_presentation_rejected():
         ll.cover_sets(bad)
 
 
+@pytest.mark.parametrize(
+    "universe,problems",
+    [
+        (["0", "1", "0", "10", "1"],
+         ["universe lists element '0' twice", "universe lists element '1' twice"]),
+        (["0", "1", "0"], ["universe lists element '0' twice"]),
+        (["0", "0", "0"], ["universe lists element '0' twice"] * 2),
+    ],
+)
+def test_cover_sets_refuses_a_repeated_universe_entry(universe, problems):
+    p = set_presentation(2, universe, ll.SetEvent(0, ll.tail(0), "0"))
+    assert ll.validate(p).problems == tuple(problems)
+    with pytest.raises(ll.ValidationError) as refused:
+        ll.cover_sets(p)
+    assert refused.value.report.problems == tuple(problems)
+
+
 def test_cover_semimeasure_dominates_tail_value():
     p = ll.SemimeasureFamilyPresentation(
         events=(ll.ValueEvent(0, ll.tail(0), "0", Fraction(1, 2)),)
@@ -438,15 +455,16 @@ def _noop_heavy_sets():
     return set_presentation(2, universe, *singles, ll.SetEvent(0, ll.tail(150), "11"))
 
 
-# families the generators never make: repeated universe entries, k = 0,
-# k >= |universe|, and covers where most candidates change nothing
+# families the generators never make: k = 0, k >= |universe|, and covers
+# where most candidates change nothing (a repeated universe entry is refused:
+# test_cover_sets_refuses_a_repeated_universe_entry)
 HAND_MADE = {
     "set": [
         set_presentation(
-            2, ["0", "1", "0", "10", "1"],
+            2, ["0", "1", "10"],
             ll.SetEvent(0, ll.single(0), "1"), ll.SetEvent(0, ll.tail(2), "10"),
         ),
-        set_presentation(0, ["0", "1", "0"]),
+        set_presentation(0, ["0", "1"]),
         set_presentation(3, ["0", "1", "11"], ll.SetEvent(0, ll.tail(1), "0"),
                          ll.SetEvent(0, ll.single(0), "1"), ll.SetEvent(0, ll.single(3), "11")),
         set_presentation(40, ["0", "1"], ll.SetEvent(0, ll.tail(0), "1")),

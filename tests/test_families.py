@@ -346,6 +346,23 @@ def test_validate_iff_every_index_satisfies_invariants():
     assert 0 < invalid < 60
 
 
+@pytest.mark.parametrize(
+    "tree,problem",
+    [
+        (False, "semimeasure violated at n=1: total mass 5/4 > 1"),
+        (True, "tree semimeasure violated at n=1: root mass 5/4 > 1"),
+    ],
+    ids=["flat", "tree"],
+)
+def test_validate_names_the_semimeasure_budget(tree, problem):
+    events = (
+        ll.ValueEvent(0, ll.tail(0), "00", Fraction(3, 4)),
+        ll.ValueEvent(0, ll.single(1), "01", Fraction(1, 2)),
+    )
+    p = ll.SemimeasureFamilyPresentation(events=events, tree=tree)
+    assert ll.validate(p).problems == (problem,)
+
+
 def test_members_and_liminf_raise_the_validation_report():
     set_logs, open_logs = raw_logs()
     seen = set()

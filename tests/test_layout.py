@@ -1,5 +1,6 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
-every import is used, and every private module-level name is referenced."""
+every import is used, every private module-level name is referenced, and the
+package's ``__all__`` lists exactly the names its ``__init__`` imports."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,19 @@ def unread_private_names(paths):
     ]
 
 
+def export_drift(path):
+    """``(imported but not listed, listed but not imported, listed twice)``
+    for a package ``__init__``'s imports and its ``__all__``."""
+    listed = next(
+        ast.literal_eval(node.value) for node in parsed(path).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    )
+    bound = {name for name, _ in imported(path)}
+    twice = sorted({name for name in listed if listed.count(name) > 1})
+    return sorted(bound - set(listed)), sorted(set(listed) - bound), twice
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -71,6 +85,10 @@ def test_every_import_is_used(path):
 
 def test_every_private_name_is_referenced():
     assert unread_private_names(MODULES) == []
+
+
+def test_all_lists_exactly_the_package_imports():
+    assert export_drift(Path(limitlab.__file__)) == ([], [], [])
 
 
 def test_the_checks_catch_leftovers(tmp_path):
@@ -89,3 +107,10 @@ def test_the_checks_catch_leftovers(tmp_path):
     assert unread_private_names([leftover]) == [
         ("leftover.py", "_LISTS"), ("leftover.py", "_UNUSED"), ("leftover.py", "_helper")
     ]
+    package = tmp_path / "__init__.py"
+    package.write_text(
+        "from .a import kept, dropped\n"
+        "from .b import Record\n"
+        "__all__ = ['Record', 'kept', 'stale', 'kept']\n"
+    )
+    assert export_drift(package) == (["dropped"], ["stale"], ["kept"])
