@@ -261,7 +261,7 @@ def parse_fraction(text: str) -> Fraction:
         else:
             value = Fraction(parse_int(body))
     except _TooManyDigits as exc:
-        raise ValueError(f"not an exact rational: {exc}") from None
+        raise _TooManyDigits(f"not an exact rational: {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not an exact rational: {text!r}") from None
     return value

@@ -10,11 +10,18 @@ event log), and, for the row-shaped reports, a CSV writer of that payload.
 A command accepts only the flags its entry names, plus ``--output``, and
 ``--format`` when it has a CSV writer.
 
+A command line of declared ``--flag value`` pairs, each flag given once, is
+read straight from ``COMMANDS`` and ``FLAGS`` into the namespace argparse
+would build, so a run imports no argparse and builds no parser.  Any other
+command line, and any value a flag's type refuses, goes to the argparse
+parser, which writes every help, usage and error text.
+
 :func:`main` pauses the cyclic garbage collector for the command and restores
 the caller's setting when it returns.  Everything a command builds (tuples,
 lists, dicts, ``Fraction``s) is acyclic, so reference counting frees it; the
 collector's passes over 10^5 table rows and keys would find nothing.  The few
-cycles argparse makes are left for the collector once it is restored.  When
+cycles argparse makes, when a command line goes to it, are left for the
+collector once it is restored.  When
 ``main`` is the process entry point (called without ``argv``) it freezes the
 heap on the way out instead, so the interpreter's shutdown collections skip
 every object of the run: the process frees that memory by exiting, stdout and
@@ -24,14 +31,14 @@ closed by its ``with`` block and no limitlab object has a finaliser.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import jsonio
-from .cantor import parse_fraction, parse_int
+from .cantor import _TooManyDigits, parse_fraction, parse_int
 from .complexity import (
     complexity_blocks,
     cover_to_complexity_bounds,
@@ -62,20 +69,33 @@ class ConfigError(ValueError):
     pass
 
 
-# argparse names a type in its message: "argument --c: invalid natural value: '-1'"
+def _digits_named(parse: Callable[[str], Any], text: str) -> Any:
+    """``parse(text)``, refusing integer text too long to convert by naming the limit.
+
+    argparse words a ``ValueError`` with the whole text ("argument --c: invalid
+    natural value: '-1'"), which would echo every digit of such a value.
+    """
+    try:
+        return parse(text)
+    except _TooManyDigits as exc:
+        import argparse  # only a refused value needs it
+
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def natural(text: str) -> int:
-    value = parse_int(text)
+    value = _digits_named(parse_int, text)
     if value < 0:
         raise ValueError(text)
     return value
 
 
 def rational(text: str):
-    return parse_fraction(text)
+    return _digits_named(parse_fraction, text)
 
 
 def grid(text: str) -> list:
-    values = [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
+    values = [_digits_named(parse_fraction, piece) for piece in text.split(",") if piece.strip()]
     if not values:
         raise ValueError(text)
     return values
@@ -175,8 +195,12 @@ class Command(NamedTuple):
     help: str
     required: tuple[str, ...]
     optional: tuple[str, ...]
-    run: Callable[[argparse.Namespace], Any]  # JSON payload, or event-log text
+    run: Callable[[Any], Any]  # parsed flags as attributes -> JSON payload, or event-log text
     csv: Optional[Callable[[Any], Iterable[str]]] = None  # CSV text of the JSON payload, in pieces
+
+    def flags(self) -> tuple[str, ...]:
+        """Every flag the command accepts: its own, ``output``, and ``format`` with a CSV writer."""
+        return (*self.required, *self.optional, "output", *(("format",) if self.csv else ()))
 
 
 # Run functions look library and jsonio functions up when they run, so a
@@ -245,33 +269,63 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or only of ``name`` when it names one.
+def build_parser():
+    """The argparse parser of every command (imports argparse)."""
+    import argparse
 
-    A one-command parser can print no top-level text but its usage line (for
-    unrecognized arguments), so its metavar lists every command, as the full
-    parser's usage line does.
-    """
     parser = argparse.ArgumentParser(
         prog="limitlab",
         description="Exact staged-family constructions, covers and reports.",
     )
-    only = name in COMMANDS
-    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for key in [name] if only else COMMANDS:
-        command = COMMANDS[key]
-        cmd = sub.add_parser(key, help=command.help)
-        optional = (*command.optional, "output", *(("format",) if command.csv else ()))
-        for flag in command.required:
-            cmd.add_argument(f"--{flag}", required=True, **FLAGS[flag])
-        for flag in optional:
-            cmd.add_argument(f"--{flag}", **FLAGS[flag])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag in command.flags():
+            cmd.add_argument(f"--{flag}", required=flag in command.required, **FLAGS[flag])
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The flags argparse would parse from ``argv``, or None to leave ``argv`` to argparse.
+
+    Read here is only a command followed by ``--flag value`` pairs: each flag
+    declared for the command and given once, no value starting with "-", each
+    value passing its type and choices, and every required flag present.
+    Every flag takes one value, so such a line has one reading, argparse's.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    declared = command.flags()
+    values = {flag: FLAGS[flag].get("default") for flag in declared}
+    given = set()
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = option[2:]
+        if not option.startswith("--") or flag not in declared or flag in given:
+            return None
+        if text.startswith("-"):
+            return None
+        spec = FLAGS[flag]
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:  # argparse words the refusal, or raises what it does not word
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given.add(flag)
+        values[flag] = value
+    if not given.issuperset(command.required):
+        return None
+    return SimpleNamespace(
+        command=argv[0], **{flag.replace("-", "_"): value for flag, value in values.items()}
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit status; ``argv`` defaults to ``sys.argv[1:]``.
+
+    A well-formed command line runs without argparse (see :func:`_plain_args`);
+    argparse parses any other, and writes its help or its usage error.
 
     Without ``argv`` this is the process entry point, and it freezes the heap on
     return: the process is about to exit, so the shutdown collections would
@@ -289,11 +343,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:
-    try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage error or the help
-        return exc.code
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the usage error or the help
+            return exc.code
     command = COMMANDS[args.command]
     try:
         payload = command.run(args)

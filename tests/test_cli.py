@@ -716,19 +716,68 @@ def run_captured(run):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_one_command_parser_prints_the_full_parsers_text(name, monkeypatch):
-    # main builds only the named command's subparser; its help and its
-    # unrecognized-argument error read as the parser of all 16 commands writes them
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(args) or build_parser(*args))
+def test_one_command_parser_prints_the_full_parsers_text(name):
+    # help and usage errors come from the parser of all 16 commands
     required = [text for flag in COMMANDS[name].required for text in (f"--{flag}", "1")]
     for argv in ([name, "--help"], [name, *required, "--bogus"]):
         full = run_captured(lambda: build_parser().parse_args(argv))
         assert run_captured(lambda: main(argv)) == full
         assert full[0] in (0, 2) and full[1] + full[2]
-    assert built == [(name,), (name,)]
-    other = next(key for key in COMMANDS if key != name)
-    assert run_captured(lambda: build_parser(name).parse_args([other, "--help"]))[0] == 2
+
+
+PARSER = build_parser()
+
+
+def assert_plain_path_agrees(argv):
+    """main's own reading of ``argv`` is None or exactly argparse's."""
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(PARSER.parse_args(argv)), argv
+    return plain
+
+
+GOLDEN_ARGV = [with_input_paths(argv) for _, argv, _ in GOLDEN_RUNS]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=[name for name, _, _ in GOLDEN_RUNS])
+def test_plain_path_reads_the_golden_command_lines(argv):
+    assert assert_plain_path_agrees(argv) is not None
+    assert assert_plain_path_agrees([*argv, "--output", "out"]) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complexity", "--lmax=7", "--nmax", "2"],
+        ["complexity", "--lm", "7", "--nmax", "2"],
+        ["complexity", "--lmax", "7", "--nmax", "2", "--lmax", "3"],
+        ["complexity", "--", "--lmax", "7", "--nmax", "2"],
+        ["complexity", "--lmax", "7", "--nmax", "2", "--"],
+        ["complexity", "-h"],
+        ["complexity", "--lmax", "7", "--nmax", "2", "--help"],
+        ["deficiency-family", "--input", "t", "--c", "-1", "--nmin", "2", "--nmax", "4"],
+        ["deficiency-family", "--input", "t", "--c", "0", "--nmin", "2", "--nmax", "4",
+         "--format", "csv"],
+        ["complexity", "--lmax", "7"],
+        ["complexity", "--lmax", "7", "--nmax", "2", "--format", "xml"],
+        ["complexity", "--lmax", "x", "--nmax", "2"],
+        ["complexity", "--lmax", "7", "--nmax"],
+        ["complexity", "--lmax", "7", "2", "--nmax"],
+        ["complexity", "--lmax", "7", "--nmax", "2", "extra", "x"],
+        ["-h"],
+        ["--help", "complexity"],
+        ["compl", "--lmax", "7", "--nmax", "2"],
+        [],
+    ],
+    ids=[
+        "equals-sign", "abbreviation", "repeated-flag", "double-dash", "trailing-double-dash",
+        "short-help", "long-help", "negative-value", "format-without-csv", "missing-required",
+        "bad-choice", "bad-type", "missing-value", "value-out-of-place", "positional",
+        "top-level-help", "help-before-command", "command-abbreviation", "empty",
+    ],
+)
+def test_plain_path_leaves_irregular_command_lines_to_argparse(argv):
+    assert cli._plain_args(argv) is None
 
 
 def test_readme_lists_each_commands_flags():
@@ -821,6 +870,25 @@ def test_an_integer_too_long_to_read_is_named_by_its_place(command, text, where,
         f"error: {where}: an integer literal has more digits than "
         f"sys.get_int_max_str_digits() = {limit}\n"
     )
+
+
+@NEEDS_DIGIT_LIMIT
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complexity", "--nmax", "2", "--lmax", LONG_INT],
+        ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime",
+         f"1/{LONG_INT}"],
+        ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", f"0,{LONG_INT}/2"],
+    ],
+    ids=["lmax", "epsilon-prime", "grid"],
+)
+def test_a_flag_too_long_to_read_is_named_by_the_limit(argv, tmp_path, capsys):
+    assert run(with_input_paths(argv), tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(TOO_MANY_DIGITS)
+    assert len(err.encode()) < 1024
 
 
 def test_deficiency_family_refuses_a_c_too_long_to_write(tmp_path, capsys):
@@ -1025,6 +1093,7 @@ def test_fuzzed_runs_end_in_a_known_exit(case):
         for flag in flags:
             value = values.get(flag, f"{tmp}/{flag}")
             argv += [f"--{flag}", value]
+        assert_plain_path_agrees(argv)
         if data is not None:
             Path(tmp, "input").write_bytes(data)
         err = io.StringIO()
@@ -1033,6 +1102,32 @@ def test_fuzzed_runs_end_in_a_known_exit(case):
     event(f"exit {code}")
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+
+
+ODD_VALUES = st.sampled_from(["", "x", " 1", "a=b", "0", "1/2", "0,1", "csv", "-", "-1", "--lmax"])
+STRAY_TOKENS = st.sampled_from(["--", "-h", "--help", "--lm", "--lmax=2", "--out", "x", "freq"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command's flags in any order with plain or odd values, now and then one more token."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    optional = [flag for flag in command.flags() if flag not in command.required]
+    flags = [*command.required, *draw(st.lists(st.sampled_from(optional), unique=True))]
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        value = draw(st.one_of(FUZZ_VALUES.get(flag, st.integers(-1, 9).map(str)), ODD_VALUES))
+        argv += [f"--{flag}", value]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(STRAY_TOKENS))
+    return argv
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(command_lines())
+def test_plain_path_reads_command_lines_as_argparse_does(argv):
+    event("plain" if assert_plain_path_agrees(argv) is not None else "argparse")
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1250,25 @@ def test_unwritable_stdout_exits_two_with_one_error_line(stdout):
     assert done.returncode == 2, done.stderr
     assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: ")
     assert "Traceback" not in done.stderr
+
+
+def test_goldens_run_without_argparse():
+    # -S keeps the imports of site-packages .pth files out of the check
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    code = (
+        "import json, os, sys, tempfile\n"
+        "from limitlab.cli import main\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    codes = [main(argv + ['--output', os.path.join(tmp, 'out')])\n"
+        "             for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(GOLDEN_ARGV)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[want for _, _, want in GOLDEN_RUNS]} []\n"
 
 
 def test_cli_import_loads_no_dataclasses():
