@@ -20,7 +20,8 @@ print("valid:", ll.validate(p).ok)
 print("every member is the interval of '0', measure 1/2")
 
 cover = ll.cover_open(p, lmax=3)
-print("\naccepted pairs (interval, threshold):", len(cover.accepted_ops))
+accepted = sum((end - start) * len(ops) for start, end, ops in cover.runs)
+print("\naccepted pairs (interval, threshold):", accepted)
 print("cover region:", cover.region.intervals, " measure:", cover.region.measure())
 print("   ('1' was never affordable: it would push members to measure 1 > 1/2;")
 print("    all sub-intervals of '0' are free no-ops and normalize back to '0')")

@@ -32,8 +32,10 @@ print("runs (start, end, elements accepted at every threshold in [start, end)):"
 for run in cover.runs:
     print("  ", run)
 print("the same log per threshold (threshold, element):")
-for op in cover.accepted_ops:
-    print("  ", op)
+for start, end, ops in cover.runs:
+    for n in range(start, end):
+        for u in ops:
+            print("  ", (n, u))
 print("cover elements:", sorted(cover.elements), f" (bound: fewer than 2^{p.k} = {2**p.k})")
 print("contains the liminf:", ll.liminf_family(p) <= cover.elements)
 

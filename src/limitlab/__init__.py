@@ -16,7 +16,6 @@ from .cantor import (
     EMPTY,
     FULL,
     ClopenSet,
-    boolean_op,
     format_fraction,
     interval,
     max_interval_depth,
@@ -46,7 +45,6 @@ from .covers import (
     cover_semimeasure,
     cover_sets,
     decompose_liminf,
-    replay_set_ops,
     semimeasure_to_complexity,
 )
 from .families import (
@@ -95,7 +93,6 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "ValueEvent",
-    "boolean_op",
     "breakpoints",
     "complexity_blocks",
     "complexity_table",
@@ -120,7 +117,6 @@ __all__ = [
     "normalize",
     "parse_fraction",
     "randomness_report",
-    "replay_set_ops",
     "run_m0",
     "running_frequency",
     "semimeasure_to_complexity",

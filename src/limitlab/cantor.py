@@ -218,17 +218,6 @@ def interval(x: str) -> ClopenSet:
     return ClopenSet((check_bit_string(x),))
 
 
-def boolean_op(a: ClopenSet, b: ClopenSet, kind: str) -> ClopenSet:
-    """Dispatch union / intersection / difference by name."""
-    if kind == "union":
-        return a.union(b)
-    if kind == "intersection":
-        return a.intersection(b)
-    if kind == "difference":
-        return a.difference(b)
-    raise ValueError(f"unknown boolean operation {kind!r}")
-
-
 class _TooManyDigits(ValueError):
     """Integer text longer than the interpreter converts; the message names the limit."""
 

@@ -28,9 +28,9 @@ the start has left its element, value or interval in every later copy and is
 accepted again as a no-op.  Operations are therefore tried only at segment
 starts, and each construction logs one *run* ``(start, end, ops)`` per
 segment: ``ops`` is the list accepted at ``start``, in order, and it is
-accepted again, unchanged, at every threshold up to ``end - 1``.  A cover's
-``accepted_ops`` is the *expanded view* of its runs, one row per threshold
-and operation, exactly the per-index log; it is built only when read, so the
+accepted again, unchanged, at every threshold up to ``end - 1``.  The
+per-index log exists only as these runs (the writers fill ``acceptedOps``
+from them, and ``tests/oracles.py`` expands them by definition), so the
 cost of a construction grows with the number of breakpoints and the size of
 its output, not with the value of an index.
 
@@ -73,28 +73,15 @@ from .families import (
 )
 
 
-def _expand(runs: tuple, row) -> tuple:
-    """The per-threshold log of ``runs``: ``row(n, op)`` for each ``n`` of a run, then each op."""
-    return tuple(row(n, op) for start, end, ops in runs for n in range(start, end) for op in ops)
-
-
 class CoverSet(NamedTuple):
     elements: frozenset[str]
     runs: tuple[tuple[int, int, tuple[str, ...]], ...]
-
-    @property
-    def accepted_ops(self) -> tuple[tuple[int, str], ...]:
-        return _expand(self.runs, lambda n, u: (n, u))
 
 
 class CoverSemimeasure(NamedTuple):
     values: Mapping[str, Fraction]
     runs: tuple[tuple[int, int, tuple[tuple[Fraction, str], ...]], ...]
     tree: bool
-
-    @property
-    def accepted_ops(self) -> tuple[tuple[Fraction, int, str], ...]:
-        return _expand(self.runs, lambda n, op: (op[0], n, op[1]))
 
     def value(self, u: str) -> Fraction:
         return self.values.get(u, Fraction(0))
@@ -109,10 +96,6 @@ class CoverOpenSet(NamedTuple):
     region: ClopenSet
     runs: tuple[tuple[int, int, tuple[str, ...]], ...]
     slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
-
-    @property
-    def accepted_ops(self) -> tuple[tuple[str, int], ...]:
-        return _expand(self.runs, lambda n, x: (x, n))
 
 
 def _sweep(
@@ -336,29 +319,3 @@ def cover_open_strong(
     slack = tuple((i, diff / 2 ** (i + 1)) for i in range(len(parts)))
     assert region.measure() <= epsilon_prime
     return CoverOpenSet(region=region, runs=runs, slack_report=slack)
-
-
-def replay_set_ops(
-    p: SetFamilyPresentation, ops: Sequence[tuple[int, str]], nmax: Optional[int] = None
-) -> bool:
-    """Re-run a logged cover_sets schedule; True iff every op is acceptable.
-
-    An op whose threshold lies outside ``0..nmax`` (``nmax`` defaults to the
-    last breakpoint) or whose element is not in the universe is a ValueError.
-    """
-    working = [set(m) for start, end, m in members(p, nmax) for _ in range(start, end)]
-    cap = 2 ** min(p.k, len(p.universe))
-    universe = set(p.universe)
-    for big_n, u in ops:
-        if not 0 <= big_n < len(working):
-            raise ValueError(
-                f"operation ({big_n}, {u!r}): threshold must be a natural number "
-                f"up to nmax = {len(working) - 1}"
-            )
-        if u not in universe:
-            raise ValueError(f"operation ({big_n}, {u!r}): element is not in the universe")
-        if not all(u in w or len(w) < cap - 1 for w in working[big_n:]):
-            return False
-        for w in working[big_n:]:
-            w.add(u)
-    return True

@@ -3,10 +3,9 @@
 A presentation is an ordered event log.  Each event carries an index
 specification: ``single(n)`` touches index ``n`` only, ``tail(N)`` touches
 every index ``>= N``.  Because the log is finite, every presented family is
-eventually constant in the index, so its limit inferior is computable exactly
-and serves as the brute-force oracle for the covering constructions.
-Each kind has one member rule and budget, :func:`_rule`.  ``family_at(p, n)`` is the
-by-definition query that grows a member from the events covering ``n``;
+eventually constant in the index, so its limit inferior is computable exactly.
+Each kind has one member rule and budget, :func:`_rule`.  ``family_at(p, n)``
+grows the member at ``n`` alone from the events covering ``n``;
 ``validate`` and ``members`` read one sweep that grows every breakpoint
 segment's member in one pass over the log and checks the budget, so ``members``
 validates its input.  An open member grows as merged integer ranges at the
@@ -195,16 +194,15 @@ def _max_merge(events, table: dict[str, Fraction]) -> dict[str, Fraction]:
     return table
 
 
-def family_at(p: Presentation, n: int, stage: Optional[int] = None):
-    """The family member at index ``n`` (restricted to events up to ``stage``).
+def family_at(p: Presentation, n: int):
+    """The family member at index ``n``.
 
     Returns a frozenset for set families, a dict of positive values for
     semimeasure families and a ClopenSet for open families.  Assumes ``p``
-    is valid.
+    is valid.  Its per-index oracles live in ``tests/oracles.py``.
     """
     empty, grow, finish, _ = _rule(p)
-    events = [ev for ev in p.events if (stage is None or ev.stage <= stage) and ev.spec.covers(n)]
-    return finish(grow(events, empty))
+    return finish(grow([ev for ev in p.events if ev.spec.covers(n)], empty))
 
 
 def _sweep(p: Presentation, empty, grow):
@@ -248,7 +246,7 @@ def members(p: Presentation, nmax: Optional[int] = None) -> list[tuple]:
 def liminf_family(p: Presentation):
     """Exact liminf of ``p``, validated as by ``members``: the finite log leaves
     the family constant from the last breakpoint on, so it is the last segment's
-    member, finished alone.  The oracle every covering construction is tested against."""
+    member, finished alone; the per-index oracles live in ``tests/oracles.py``."""
     report, segments = _checked_sweep(p)
     if not report.ok:
         raise ValidationError(report)

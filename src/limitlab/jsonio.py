@@ -4,7 +4,8 @@ Presentations travel as line-oriented JSON event logs: a header line naming
 the family kind and its parameters, then one event per line with fields
 ``stage``, ``kind`` (single/tail), ``index`` and the payload (``element``,
 ``element``+``value`` or ``interval``).  Rationals are always the exact text
-"num/den"; no floats are read or written anywhere.
+"num/den"; no floats are read or written anywhere.  Every input object is
+closed: a key its format does not list is refused, naming the key.
 
 Emitted artifacts are deterministic: keys sorted, fixed indentation, one
 trailing newline, so identical inputs produce byte-identical outputs.  Their
@@ -246,6 +247,13 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
+def _require_known(obj: dict, known: frozenset, where: str) -> None:
+    """Refuse a key outside ``known``: a misspelt field would change what the input means."""
+    if not known.issuperset(obj):
+        key = next(key for key in obj if key not in known)
+        raise ValueError(f"{where}: unknown field {key!r}")
+
+
 def _require_int(obj: dict, key: str, where: str) -> int:
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -304,13 +312,16 @@ def parse_presentation(text: str) -> Presentation:
     kind = header["type"]
     if not isinstance(kind, str) or kind not in _EVENT_LOGS:
         raise ValueError(f"unknown presentation type {kind!r}")
-    cls, _, event_cls, payload_keys = _EVENT_LOGS[kind]
+    cls, header_keys, event_cls, payload_keys = _EVENT_LOGS[kind]
+    _require_known(header, frozenset(("type", *header_keys)), f"line {no}")
+    event_keys = frozenset(("stage", "kind", "index", *payload_keys))
     events = []
     for no, line in lines[1:]:
         obj = _loads(line, f"line {no}")
         if not isinstance(obj, dict):
             raise ValueError(f"line {no}: event must be a JSON object")
         where = f"line {no}"
+        _require_known(obj, event_keys, where)
         stage, spec = _require_int(obj, "stage", where), _parse_spec(obj, where)
         payload = [_LOAD.get(key, _same)(_require_str(obj, key, where)) for key in payload_keys]
         events.append(event_cls(stage, spec, *payload))
@@ -426,6 +437,7 @@ def parse_forcing_instance(text: str) -> ForcingInstance:
     obj = _loads(text, "forcing instance")
     if not isinstance(obj, dict):
         raise ValueError("forcing instance must be a JSON object")
+    _require_known(obj, frozenset(("initialU", "queries")), "forcing instance")
     initial = obj.get("initialU")
     if not isinstance(initial, list):
         raise ValueError("forcing instance needs 'initialU': a list of intervals")
@@ -436,6 +448,7 @@ def parse_forcing_instance(text: str) -> ForcingInstance:
     for i, q in enumerate(queries_json):
         if not isinstance(q, dict):
             raise ValueError(f"query #{i} must be an object")
+        _require_known(q, frozenset(("label", "intervals")), f"query #{i}")
         label = q.get("label", f"query-{i}")
         if not isinstance(label, str):
             raise ValueError(f"query #{i}: label must be a string")
@@ -458,6 +471,7 @@ def parse_trace(text: str) -> PartialTrace:
     obj = _loads(text, "trace")
     if not isinstance(obj, dict):
         raise ValueError("trace must be a JSON object with 'prefix' and 'period'")
+    _require_known(obj, frozenset(("prefix", "period")), "trace")
     prefix = obj.get("prefix", [])
     period = obj.get("period")
     if not isinstance(prefix, list) or not isinstance(period, list):
@@ -479,6 +493,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         obj = _loads(body, "table")
         if not isinstance(obj, dict):
             raise ValueError("table JSON must be an object with an 'entries' list")
+        _require_known(obj, frozenset(("conditionMode", "entries")), "table")
         mode = obj.get("conditionMode", "conditional")
         raw = obj.get("entries")
         if mode not in ("conditional", "plain") or not isinstance(raw, list):

@@ -153,6 +153,19 @@ def cover_open_by_index(p, lmax, nmax):
     return points_at_depth([x for x, _ in accepted], lmax), tuple(accepted)
 
 
+def accepted_ops(cover):
+    """A cover's per-threshold log, by the definition of its runs: each run's
+    ops, accepted again at every threshold of ``[start, end)``, in the shape
+    of the ``by_index`` oracles above: ``(n, u)`` for a set cover,
+    ``(r, n, u)`` for a semimeasure cover and ``(x, n)`` for an open cover."""
+    rows = [(n, op) for start, end, ops in cover.runs for n in range(start, end) for op in ops]
+    if hasattr(cover, "elements"):
+        return tuple(rows)
+    if hasattr(cover, "values"):
+        return tuple((r, n, u) for n, (r, u) in rows)
+    return tuple((x, n) for n, x in rows)
+
+
 def m0_reference(program, condition):
     """From-scratch rewrite of the reference machine semantics."""
     if len(program) < 2:

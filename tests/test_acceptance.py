@@ -209,7 +209,7 @@ def test_criterion_9_exactness_floor():
             ["".join(rng.choice("01") for _ in range(rng.randint(0, 6))) for _ in range(rng.randint(0, 5))]
         )
         for kind, expect in checks.items():
-            got = ll.boolean_op(a, b, kind)
+            got = getattr(a, kind)(b)
             for w in all_strings(8):
                 assert member(w, got.intervals) == expect(
                     member(w, a.intervals), member(w, b.intervals)

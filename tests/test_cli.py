@@ -273,6 +273,41 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
             '{"stage": 0, "kind": "tail", "index": 0, "element": "0", "value": "1/x"}\n',
             "not an exact rational: '1/x'",
         ),
+        # a misspelt key would silently drop a constraint or change the kind
+        (
+            ["validate"],
+            '{"type": "open-family", "epsilon": "1/2", "granularty": [[0, 1]]}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "interval": "0"}\n',
+            "line 1: unknown field 'granularty'",
+        ),
+        (
+            ["cover-tree", "--grid", "0,1/2,1"],
+            '{"type": "semimeasure-family", "tre": true}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "element": "0", "value": "1/2"}\n',
+            "line 1: unknown field 'tre'",
+        ),
+        (
+            ["validate"],
+            '{"type": "set-family", "k": 1, "universe": ["0"]}\n'
+            '{"stage": 0, "kind": "tail", "index": 0, "element": "0", "junk": 1}\n',
+            "line 2: unknown field 'junk'",
+        ),
+        (["freq"], '{"prefix": [], "perod": [1]}', "trace: unknown field 'perod'"),
+        (
+            ["randomness-report", "--omega", "0", "--c", "0"],
+            '{"conditionMode": "plain", "entries": [], "mode": "plain"}',
+            "table: unknown field 'mode'",
+        ),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "querys": []}',
+            "forcing instance: unknown field 'querys'",
+        ),
+        (
+            ["lowbasis", "--witness-length", "2"],
+            '{"initialU": [], "queries": [{"label": "T", "interval": ["1"]}]}',
+            "query #0: unknown field 'interval'",
+        ),
     ],
     ids=[
         "forcing-not-object", "queries-not-list", "query-not-object", "label-not-string",
@@ -280,6 +315,8 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
         "empty-log", "tree-not-bool", "universe-not-list", "event-not-object",
         "table-entry-repeats", "table-line-repeats", "table-line-too-many-digits",
         "value-too-many-digits", "epsilon-too-many-digits", "value-junk",
+        "header-unknown-key", "tree-header-unknown-key", "event-unknown-key", "trace-unknown-key",
+        "table-unknown-key", "forcing-unknown-key", "query-unknown-key",
     ],
 )
 def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_path, capsys):
@@ -287,6 +324,65 @@ def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_
     source.write_text(text)
     assert run(argv + ["--input", str(source)], tmp_path) == (2, b"")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def key_mutants(value):
+    """Copies of the JSON ``value`` in which one object, at any depth, has one
+    key misspelt (its last letter dropped, a short key doubled) or the key
+    ``junk`` added; each with the original key, or None, and the new one."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        for i, (key, item) in enumerate(items):
+            typo = key[:-1] if len(key) > 2 else key * 2
+            yield dict(items[:i] + [(typo, item)] + items[i + 1:]), key, typo
+            for mutant, old, new in key_mutants(item):
+                yield {**value, key: mutant}, old, new
+        yield {**value, "junk": 0}, None, "junk"
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for mutant, old, new in key_mutants(item):
+                yield value[:i] + [mutant] + value[i + 1:], old, new
+
+
+# each fixture made of JSON objects and a command that reads it
+OBJECT_INPUTS = {
+    **{path.name: ["validate"] for path in sorted(FIXTURES.glob("*.jsonl"))},
+    "forcing.json": ["lowbasis", "--witness-length", "2"],
+    "trace.json": ["freq"],
+    "table.json": ["randomness-report", "--omega", "0", "--c", "0"],
+}
+
+
+def mutated_inputs(name):
+    """``(text, old key, new key)`` for each key mutant of the fixture: one line
+    of an event log mutated at a time, a JSON file as a whole."""
+    text = (FIXTURES / name).read_text()
+    if not name.endswith(".jsonl"):
+        for mutant, old, new in key_mutants(json.loads(text)):
+            yield json.dumps(mutant), old, new
+        return
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        for mutant, old, new in key_mutants(json.loads(line)):
+            yield "\n".join(lines[:i] + [json.dumps(mutant)] + lines[i + 1:]) + "\n", old, new
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_INPUTS))
+def test_every_misspelt_or_added_key_is_refused_by_name(name, tmp_path, capsys):
+    # the schemas are closed: a mutant may not run as if the key were absent.
+    # The refusal names the new key, but for a header without "type", whose
+    # known keys depend on the type it lacks: that refusal names "type".
+    source = tmp_path / name
+    mutants = 0
+    for text, old, new in mutated_inputs(name):
+        source.write_text(text)
+        assert run(OBJECT_INPUTS[name] + ["--input", str(source)], tmp_path) == (2, b""), text
+        err = capsys.readouterr().err
+        named = "type" if old == "type" else new
+        assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+        assert repr(named) in err, (text, err)
+        mutants += 1
+    assert mutants >= 3
 
 
 @pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])

@@ -49,7 +49,7 @@ def test_cover_sets_noop_operations_always_accepted():
         cover = ll.cover_sets(p)
         last = max(ll.breakpoints(p))
         for u in ll.liminf_family(p):
-            assert (last, u) in cover.accepted_ops
+            assert (last, u) in oracles.accepted_ops(cover)
 
 
 def test_cover_sets_guarantees_randomized():
@@ -68,44 +68,14 @@ def test_cover_sets_deterministic_and_replayable():
         first = ll.cover_sets(p)
         second = ll.cover_sets(p)
         assert first == second
-        assert ll.replay_set_ops(p, first.accepted_ops)
+        last = max(ll.breakpoints(p))
+        assert (first.elements, oracles.accepted_ops(first)) == oracles.cover_sets_by_index(p, last)
 
 
 def test_cover_sets_nmax_below_last_breakpoint_rejected():
     p = set_presentation(2, ["0"], ll.SetEvent(0, ll.tail(3), "0"))
     with pytest.raises(ValueError):
         ll.cover_sets(p, nmax=1)
-
-
-@pytest.mark.parametrize("threshold", [-1, -5])
-def test_replay_set_ops_rejects_negative_threshold(threshold):
-    # -1 would alias the last working copy and -5 would run off the list
-    p = set_presentation(2, ["0"], ll.SetEvent(0, ll.tail(3), "0"))
-    with pytest.raises(ValueError, match=rf"operation \({threshold}, '0'\)"):
-        ll.replay_set_ops(p, [(0, "0"), (threshold, "0")])
-
-
-def test_replay_set_ops_rejects_an_element_outside_the_universe():
-    p = set_presentation(2, ["0", "1"])
-    with pytest.raises(ValueError, match=r"operation \(0, 'zz'\): element is not in the universe"):
-        ll.replay_set_ops(p, [(0, "zz")])
-
-
-@pytest.mark.parametrize("nmax", [None, 5])
-def test_replay_set_ops_rejects_a_threshold_past_nmax(nmax):
-    # nmax defaults to the last breakpoint, 3 here; past it no copy is left to check
-    p = set_presentation(2, ["0"], ll.SetEvent(0, ll.tail(3), "0"))
-    last = 3 if nmax is None else nmax
-    assert ll.replay_set_ops(p, [(last, "0")], nmax=nmax)
-    with pytest.raises(ValueError, match=rf"operation \({last + 1}, '0'\): .* nmax = {last}"):
-        ll.replay_set_ops(p, [(0, "0"), (last + 1, "0")], nmax=nmax)
-
-
-def test_replay_set_ops_refuses_an_overfull_schedule():
-    # with k = 1 every index holds at most one element
-    p = set_presentation(1, ["0", "1"])
-    assert ll.replay_set_ops(p, [(0, "0")])
-    assert not ll.replay_set_ops(p, [(0, "0"), (0, "1")])
 
 
 def test_cover_sets_larger_nmax_changes_nothing():
@@ -278,9 +248,9 @@ def test_cover_open_accepted_intervals_inside_final_tail():
         cover = ll.cover_open(p, lmax=lmax)
         last = max(ll.breakpoints(p))
         tail_member = ll.family_at(p, last)
-        for x, n in cover.accepted_ops:
+        for x, n in oracles.accepted_ops(cover):
             tail_member = tail_member.union(ll.interval(x))
-        for x, _ in cover.accepted_ops:
+        for x, _ in oracles.accepted_ops(cover):
             assert tail_member.covers_string(x)
         assert tail_member.measure() <= p.epsilon
 
@@ -503,16 +473,18 @@ def _cover_and_oracle(kind, family):
     for nmax in range(last, last + 4):
         if kind == "set":
             cover = ll.cover_sets(p, nmax=nmax)
-            yield (cover.elements, cover.accepted_ops), oracles.cover_sets_by_index(p, nmax)
+            got = (cover.elements, oracles.accepted_ops(cover))
+            yield got, oracles.cover_sets_by_index(p, nmax)
         elif kind == "open":
             cover = ll.cover_open(p, lmax=lmax, nmax=nmax)
             assert cover.slack_report is None
-            got = (oracles.points_at_depth(cover.region.intervals, lmax), cover.accepted_ops)
+            points = oracles.points_at_depth(cover.region.intervals, lmax)
+            got = (points, oracles.accepted_ops(cover))
             yield got, oracles.cover_open_by_index(p, lmax, nmax)
         else:
             cover = ll.cover_semimeasure(p, EIGHTHS, nmax=nmax)
             assert cover.tree == p.tree
-            got = (dict(cover.values), cover.accepted_ops)
+            got = (dict(cover.values), oracles.accepted_ops(cover))
             yield got, oracles.cover_semimeasure_by_index(p, EIGHTHS, nmax)
 
 
@@ -559,7 +531,7 @@ def test_covers_build_one_member_per_breakpoint(kind, monkeypatch):
     assert 0 < len(segments) <= len(ll.breakpoints(p))
     assert len(cover.runs) <= len(ll.breakpoints(p))
     # the log still names every threshold up to the last breakpoint
-    assert cover.accepted_ops[-1][0 if kind == "set" else 1] == 1000
+    assert oracles.accepted_ops(cover)[-1][0 if kind == "set" else 1] == 1000
 
 
 @pytest.mark.parametrize("run", ["decompose", "strong"])
@@ -577,7 +549,7 @@ def test_decompose_builds_one_member_per_breakpoint(run, monkeypatch):
     else:
         cover = ll.cover_open_strong(p, Fraction(3, 4))
         assert cover.runs == ((4000, 4001, ("0",)),)
-        assert cover.accepted_ops == (("0", 4000),)
+        assert oracles.accepted_ops(cover) == (("0", 4000),)
         assert len(cover.slack_report) == 4001
     assert 0 < len(segments) <= len(ll.breakpoints(p))
 
@@ -654,7 +626,7 @@ def test_cover_semimeasure_matches_oracle_on_grids_missing_closure_sums(tree):
             grid = sorted(values | extra)
             for nmax in (last, last + 2):
                 cover = ll.cover_semimeasure(p, grid, nmax=nmax)
-                got = (dict(cover.values), cover.accepted_ops)
+                got = (dict(cover.values), oracles.accepted_ops(cover))
                 assert got == oracles.cover_semimeasure_by_index(p, grid, nmax)
                 off_grid += any(v not in grid for v in cover.values.values())
     assert off_grid > 0 if tree else off_grid == 0
@@ -671,7 +643,8 @@ def test_cover_open_matches_oracle_on_non_dyadic_budgets(epsilon):
         nmax = max(ll.breakpoints(p)) + 1
         for lmax in range(deepest, deepest + 4):
             cover = ll.cover_open(p, lmax=lmax, nmax=nmax)
-            got = (oracles.points_at_depth(cover.region.intervals, lmax), cover.accepted_ops)
+            points = oracles.points_at_depth(cover.region.intervals, lmax)
+            got = (points, oracles.accepted_ops(cover))
             assert got == oracles.cover_open_by_index(p, lmax, nmax)
 
 
@@ -689,7 +662,7 @@ def test_cover_open_makes_no_clopen_union_or_overlap(monkeypatch):
     accepted = 0
     for p, extra in runs:
         lmax = max((len(ev.interval) for ev in p.events), default=0) + extra
-        accepted += len(ll.cover_open(p, lmax=lmax).accepted_ops)
+        accepted += len(oracles.accepted_ops(ll.cover_open(p, lmax=lmax)))
     # a strong cover's region is one normalize over its runs, not a union per part
     strong = [gen_open_family(rng, with_granularity=True) for _ in range(10)]
     strong.append(
@@ -699,6 +672,6 @@ def test_cover_open_makes_no_clopen_union_or_overlap(monkeypatch):
         )
     )
     for p in strong:
-        accepted += len(ll.cover_open_strong(p, p.epsilon + Fraction(1, 8)).accepted_ops)
+        accepted += len(oracles.accepted_ops(ll.cover_open_strong(p, p.epsilon + Fraction(1, 8))))
     assert accepted > 0
     assert calls == []

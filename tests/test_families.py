@@ -129,16 +129,6 @@ def test_family_at_takes_max_of_applicable_values():
     assert ll.family_at(p, 4) == {"0": Fraction(1, 4)}
 
 
-def test_family_at_respects_stage():
-    p = ll.SetFamilyPresentation(
-        k=2,
-        universe=("0", "1"),
-        events=(ll.SetEvent(1, ll.tail(0), "0"), ll.SetEvent(4, ll.tail(0), "1")),
-    )
-    assert ll.family_at(p, 0, stage=2) == {"0"}
-    assert ll.family_at(p, 0, stage=4) == {"0", "1"}
-
-
 def test_breakpoints_no_events():
     assert ll.breakpoints(ll.SetFamilyPresentation(k=1, universe=())) == [0]
 

@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 
 import limitlab as ll
-from limitlab import complexity, covers, jsonio
+from limitlab import complexity, jsonio
 from limitlab.cli import main
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
-from oracles import csv_by_join, dumps_artifact_by_json, rows_of_runs, table_payload_by_sort
+from oracles import accepted_ops, csv_by_join, dumps_artifact_by_json, rows_of_runs
+from oracles import table_payload_by_sort
 from test_cli import GOLDEN, GOLDEN_RUNS, run, with_input_paths
 
 
@@ -137,12 +138,11 @@ def test_artifacts_never_use_the_pure_python_encoder(monkeypatch, tmp_path):
 
 
 def test_goldens_are_written_without_expanding_a_log(monkeypatch, tmp_path):
-    # every log is written from its runs and the complexity table from its
-    # blocks: no cover's accepted_ops and no table map is built
+    # every log is written from its runs (the library has no expanded view
+    # of a cover's log) and the complexity table from its blocks: no table map is built
     def refuse(*args):
         raise AssertionError("an expanded view was built")
 
-    monkeypatch.setattr(covers, "_expand", refuse)
     monkeypatch.setattr(complexity, "complexity_table", refuse)
     for name, argv, code in GOLDEN_RUNS:
         assert run(with_input_paths(argv), tmp_path) == (code, (GOLDEN / name).read_bytes()), name
@@ -209,9 +209,9 @@ def test_semimeasure_log_formats_each_run_once(monkeypatch):
     payload = jsonio.cover_semimeasure_to_json(cover)
     ops = sum(len(ops) for _, _, ops in cover.runs)
     assert len(calls) <= ops + len(cover.values) + 1
-    assert len(cover.accepted_ops) > 10**4
+    assert len(accepted_ops(cover)) > 10**4
     assert json.loads(jsonio.dumps_artifact(payload))["acceptedOps"] == [
-        [real(r), n, u] for r, n, u in cover.accepted_ops
+        [real(r), n, u] for r, n, u in accepted_ops(cover)
     ]
 
 
@@ -244,21 +244,21 @@ def _fraction_text(r):
 
 def random_covers(rng):
     """A random cover of each kind: its artifact payload and the ``acceptedOps``
-    rows of its expanded view ``accepted_ops``."""
+    rows of its log expanded by ``oracles.accepted_ops``."""
     p = gen_set_family(rng)
     cover = ll.cover_sets(p, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
-    yield cover, jsonio.cover_set_to_json(cover, p.k), [[n, u] for n, u in cover.accepted_ops]
+    yield cover, jsonio.cover_set_to_json(cover, p.k), [[n, u] for n, u in accepted_ops(cover)]
     for tree in (False, True):
         p = gen_semimeasure_family(rng, tree=tree)
         cover = ll.cover_semimeasure(p, EIGHTHS, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
-        rows = [[_fraction_text(r), n, u] for r, n, u in cover.accepted_ops]
+        rows = [[_fraction_text(r), n, u] for r, n, u in accepted_ops(cover)]
         yield cover, jsonio.cover_semimeasure_to_json(cover), rows
     p = gen_open_family(rng, max_depth=4)
     cover = ll.cover_open(p, lmax=4, nmax=max(ll.breakpoints(p)) + rng.randint(0, 3))
-    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in cover.accepted_ops]
+    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in accepted_ops(cover)]
     p = gen_open_family(rng, with_granularity=True, max_depth=4)
     cover = ll.cover_open_strong(p, p.epsilon + Fraction(1, 8))
-    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in cover.accepted_ops]
+    yield cover, jsonio.cover_open_to_json(cover), [[x, n] for x, n in accepted_ops(cover)]
 
 
 def test_cover_logs_match_the_expanded_rows(monkeypatch):

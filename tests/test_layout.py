@@ -1,6 +1,7 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
-every import is used, every private module-level name is referenced, and the
-package's ``__all__`` lists exactly the names its ``__init__`` imports."""
+every import is used, every private module-level name is referenced, the
+package's ``__all__`` lists exactly the names its ``__init__`` imports, and
+each of those names is read by the library or a demo, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import limitlab
 
 MODULES = sorted(Path(limitlab.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def parsed(path):
@@ -63,17 +65,35 @@ def unread_private_names(paths):
     ]
 
 
-def export_drift(path):
-    """``(imported but not listed, listed but not imported, listed twice)``
-    for a package ``__init__``'s imports and its ``__all__``."""
-    listed = next(
+def exported(path):
+    """The ``__all__`` list of a package ``__init__``."""
+    return next(
         ast.literal_eval(node.value) for node in parsed(path).body
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
     )
+
+
+def export_drift(path):
+    """``(imported but not listed, listed but not imported, listed twice)``
+    for a package ``__init__``'s imports and its ``__all__``."""
+    listed = exported(path)
     bound = {name for name, _ in imported(path)}
     twice = sorted({name for name in listed if listed.count(name) > 1})
     return sorted(bound - set(listed)), sorted(set(listed) - bound), twice
+
+
+def orphan_exports(package, readers):
+    """The names of ``package``'s ``__all__`` that none of ``readers`` reads as
+    a name, an attribute or an import."""
+    read = set()
+    for path in readers:
+        tree = parsed(path)
+        read |= names_read(tree) | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+        }
+    return sorted(set(exported(package)) - read)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +109,12 @@ def test_every_private_name_is_referenced():
 
 def test_all_lists_exactly_the_package_imports():
     assert export_drift(Path(limitlab.__file__)) == ([], [], [])
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # a name only the tests call belongs in tests/oracles.py, not in the library
+    readers = [p for p in MODULES if p.name != "__init__.py"] + DEMOS
+    assert orphan_exports(Path(limitlab.__file__), readers) == []
 
 
 def test_the_checks_catch_leftovers(tmp_path):
@@ -114,3 +140,15 @@ def test_the_checks_catch_leftovers(tmp_path):
         "__all__ = ['Record', 'kept', 'stale', 'kept']\n"
     )
     assert export_drift(package) == (["dropped"], ["stale"], ["kept"])
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "from .a import kept\n"
+        "import b\n"
+        "b.Record(stale)\n"
+    )
+    package.write_text(
+        "from .a import kept, orphan\n"
+        "from .b import Record\n"
+        "__all__ = ['Record', 'kept', 'orphan', 'stale']\n"
+    )
+    assert orphan_exports(package, [reader]) == ["orphan"]
