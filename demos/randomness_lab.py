@@ -21,7 +21,7 @@ for x, n in [("0000", 4), ("0101", 4), ("01", 0), ("", 0)]:
 print("  (periodic strings compress; everything else costs its length plus two)")
 
 print("\n== the full table and the counting bound ==")
-table = ll.complexity_table(6, range(7))
+table = ll.complexity_table(6, 6)
 print(f"table entries: {len(table.entries)}")
 print("counting-bound violations:", ll.counting_violations(table) or "none")
 

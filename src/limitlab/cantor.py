@@ -45,10 +45,16 @@ def max_interval_depth() -> int:
     except _TooManyDigits as exc:
         raise ValueError(f"LIMITLAB_MAX_DEPTH: {exc}") from None
     except ValueError:
-        raise ValueError(f"LIMITLAB_MAX_DEPTH must be an integer, got {raw!r}") from None
+        raise ValueError(f"LIMITLAB_MAX_DEPTH must be an integer, got {_echo(raw)}") from None
     if depth < 1:
         raise ValueError(f"LIMITLAB_MAX_DEPTH must be positive, got {depth}")
     return depth
+
+
+def _echo(value: object) -> str:
+    """``repr(value)`` in a message; past 64 characters, the repr of the first 64 and the length."""
+    text = value if isinstance(value, str) else repr(value)
+    return repr(value) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
 
 
 def check_bit_string(x: str, cap: Optional[int] = None) -> str:
@@ -57,11 +63,11 @@ def check_bit_string(x: str, cap: Optional[int] = None) -> str:
     if not isinstance(x, str):
         raise ValueError(f"bit string expected, got {type(x).__name__}")
     if set(x) - _BITS:
-        raise ValueError(f"bit string may contain only 0 and 1, got {x!r}")
+        raise ValueError(f"bit string may contain only 0 and 1, got {_echo(x)}")
     if cap is None:
         cap = max_interval_depth()
     if len(x) > cap:
-        raise ValueError(f"interval {x!r} deeper than the configured cap {cap}")
+        raise ValueError(f"interval {_echo(x)} deeper than the configured cap {cap}")
     return x
 
 
@@ -230,7 +236,7 @@ def parse_int(text: str) -> int:
     """
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {_echo(text)}")
     try:
         return int(text)
     except ValueError:  # the only one left: more digits than the interpreter's limit
@@ -252,7 +258,7 @@ def parse_fraction(text: str) -> Fraction:
     except _TooManyDigits as exc:
         raise _TooManyDigits(f"not an exact rational: {exc}") from None
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not an exact rational: {text!r}") from None
+        raise ValueError(f"not an exact rational: {_echo(text)}") from None
     return value
 
 
@@ -260,6 +266,15 @@ def format_fraction(value: Fraction) -> str:
     """Serialize a rational as "num/den" (denominator always present)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _unit_grid(grid: Iterable) -> list[Fraction]:
+    """A grid of rationals, sorted without repeats; refused unless it lies in [0, 1]."""
+    values = sorted(set(map(Fraction, grid)))
+    outside = [v for v in values if not 0 <= v <= 1]
+    if outside:
+        raise ValueError(f"grid value {format_fraction(outside[0])} outside [0, 1]")
+    return values
 
 
 def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:

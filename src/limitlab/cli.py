@@ -239,7 +239,7 @@ COMMANDS: dict[str, Command] = {
     "complexity": Command(
         "exact description-length table of the reference machine", ("lmax", "nmax"), (),
         lambda a: jsonio.complexity_blocks_to_json(
-            complexity_blocks(max_len=a.lmax, conditions=range(a.nmax + 1))),
+            complexity_blocks(a.lmax, a.nmax)),
         lambda payload: jsonio.complexity_table_to_csv(payload)),
     "deficiency": Command(
         "per-prefix deficiency report of a sequence prefix", ("input", "omega", "horizon", "c"),

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .cantor import _require_writable_power, _strings_of_length, format_fraction
+from .cantor import _echo, _require_writable_power, _strings_of_length, format_fraction
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
@@ -78,7 +78,7 @@ def exact_complexity(x: str, condition: int) -> int:
             f"{EXACT_COMPLEXITY_BOUND}"
         )
     if x.strip("01"):
-        raise ValueError(f"M0 outputs bit strings only, got {x!r}")
+        raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
     return _m0_length(x, condition)
 
 
@@ -106,35 +106,41 @@ class ComplexityTable(NamedTuple):
         return (u, self.condition_for(u)) in self.entries
 
 
-def complexity_blocks(max_len: int, conditions: Iterable[int]) -> list[tuple]:
-    """Exact M0 table for all strings up to ``max_len`` per condition, as
-    ``(condition, strings, values)`` blocks, one per condition and length,
-    ordered by condition, then length: the order of the ``complexity``
-    artifact, whose rows are each block's strings in order.
+def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
+    """Exact M0 table for all strings up to ``max_len`` under the conditions up
+    to ``nmax``, as groups ``(conditions, blocks)`` in the artifact's order:
+    ``conditions`` a slice of ``range(nmax + 1)``, ``blocks`` one
+    ``(strings, values)`` per length, whose strings are the rows.
 
     Every string costs its literal length |x| + 2, so ``values`` is that one
-    int, except in the blocks of length n = condition >= 1, where it is the
-    list of per-string values 2 + per(x) (see exact_complexity).  Each
-    length's strings are listed once, for all conditions.
+    int, except in the block of length n = condition >= 1: the list of values
+    2 + per(x) (see exact_complexity).  So condition 0 and those above
+    ``max_len`` are two groups of one list of literal blocks, each of
+    1..max_len is a group, and they cost O(2^max_len * max_len) whatever ``nmax``.
     """
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
         )
+    conditions = range(nmax + 1)
     by_length = [_strings_of_length(n) for n in range(max_len + 1)]
-    return [
-        (cond, strings, [_m0_length(u, cond) for u in strings] if n == cond >= 1 else n + 2)
-        for cond in sorted(set(conditions))
-        for n, strings in enumerate(by_length)
-    ]
+    literal = [(strings, n + 2) for n, strings in enumerate(by_length)]
+    groups = [(conditions[:1], literal)]
+    for n in conditions[1:max_len + 1]:
+        periodic = (by_length[n], [_m0_length(u, n) for u in by_length[n]])
+        groups.append((conditions[n:n + 1], [*literal[:n], periodic, *literal[n + 1:]]))
+    groups.append((conditions[max_len + 1:], literal))
+    return [group for group in groups if group[0]]
 
 
-def complexity_table(max_len: int, conditions: Iterable[int]) -> ComplexityTable:
-    """Exact M0 table for all strings up to ``max_len`` per condition (see
-    complexity_blocks)."""
+def complexity_table(max_len: int, nmax: int) -> ComplexityTable:
+    """Exact M0 table for all strings up to ``max_len`` under every condition
+    up to ``nmax`` (see complexity_blocks)."""
     entries = {
         (u, cond): v
-        for cond, strings, values in complexity_blocks(max_len, conditions)
+        for conditions, blocks in complexity_blocks(max_len, nmax)
+        for cond in conditions
+        for strings, values in blocks
         for u, v in zip(strings, repeat(values) if type(values) is int else values)
     }
     return ComplexityTable(entries=entries, mode="conditional")
@@ -194,7 +200,7 @@ class DeficiencyReport(NamedTuple):
 def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
     missing = [u for u in prefixes if not t.has(u)]
     if missing:
-        shown = ", ".join(repr(u) for u in missing[:5])
+        shown = ", ".join(map(_echo, missing[:5]))
         raise ValueError(f"table is missing {len(missing)} prefixes of the omega prefix: {shown}")
 
 
@@ -231,7 +237,7 @@ def deficiency_report(
     if horizon < len(omega_prefix):
         raise ValueError(f"horizon {horizon} shorter than the prefix ({len(omega_prefix)})")
     if omega_prefix.strip("01"):
-        raise ValueError(f"omega prefix must be a bit string, got {omega_prefix!r}")
+        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
     _require_all_strings(t, range(horizon + 1))
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
@@ -301,7 +307,7 @@ def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> Randomne
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
     "infinitely many", so the largest qualifying n is reported alongside."""
     if omega_prefix.strip("01"):
-        raise ValueError(f"omega prefix must be a bit string, got {omega_prefix!r}")
+        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
     problems = counting_violations(t)
     if problems:
         raise ValueError(problems[0])

@@ -59,7 +59,7 @@ from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _ranges, _require_writable_power, _strings_of_length
-from .cantor import format_fraction, max_interval_depth, normalize
+from .cantor import _unit_grid, format_fraction, max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -144,10 +144,7 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
 
 
 def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) -> list[Fraction]:
-    values = sorted(set(Fraction(g) for g in grid))
-    outside = [v for v in values if not 0 <= v <= 1]
-    if outside:
-        raise ValueError(f"grid value {format_fraction(outside[0])} outside [0, 1]")
+    values = _unit_grid(grid)
     missing = sorted({ev.value for ev in p.events if ev.value not in values}, reverse=True)
     if missing:
         shown = ", ".join(format_fraction(v) for v in missing[:4])

@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .cantor import _clopen, _ranges, _union, check_bit_string, format_fraction, max_interval_depth
+from .cantor import _clopen, _echo, _ranges, _union, check_bit_string, format_fraction
+from .cantor import max_interval_depth
 
 
 class IndexSpec(NamedTuple):
@@ -308,7 +309,7 @@ def _structural_problems(p: Presentation) -> list[str]:
             except ValueError as exc:
                 problems.append(f"universe: {exc}")
             if u in seen:
-                problems.append(f"universe lists element {u!r} twice")
+                problems.append(f"universe lists element {_echo(u)} twice")
             seen.add(u)
     if isinstance(p, OpenFamilyPresentation):
         if p.epsilon < 0:
@@ -335,7 +336,7 @@ def _structural_problems(p: Presentation) -> list[str]:
             problems.append(f"{where}: malformed index spec {ev.spec!r}")
         if isinstance(ev, SetEvent):
             if universe is not None and ev.element not in universe:
-                problems.append(f"{where}: element {ev.element!r} not in the universe")
+                problems.append(f"{where}: element {_echo(ev.element)} not in the universe")
         if isinstance(ev, ValueEvent):
             try:
                 check_bit_string(ev.element, cap)

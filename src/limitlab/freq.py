@@ -14,6 +14,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from .cantor import _echo, _unit_grid
 from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
 
 Slot = Optional[int]
@@ -37,7 +38,7 @@ class PartialTrace(_Trace):
             if slot is not None and (
                 not isinstance(slot, int) or isinstance(slot, bool) or slot < 0
             ):
-                raise ValueError(f"trace values must be naturals or None, got {slot!r}")
+                raise ValueError(f"trace values must be naturals or None, got {_echo(slot)}")
         return super().__new__(cls, prefix, period)
 
     @classmethod
@@ -98,7 +99,7 @@ def trace_to_family(
             f"nmax must be a multiple of the period length {plen} and at least "
             f"{len(trace.prefix) + plen}"
         )
-    grid = sorted(set(Fraction(g) for g in grid))
+    grid = _unit_grid(grid)
     events: list[ValueEvent] = []
     counts: dict[int, int] = {}  # running count of each value over the first n terms
     for n in range(1, nmax + 1):

@@ -29,9 +29,9 @@ as the C encoder writes them, and fills the slots with
 A run of one slot is then one ``str.join`` of the slot texts, with the text
 from that slot round to the next as separator; any other run maps its
 ``str.format`` template over the rows of slot texts.  A piece holds at most
-``_CHUNK`` repeats, so a log of 10^6 thresholds never exists as one list or
-one string, and the command line writes the pieces as they come.  The CSV
-writer of the table fills the same runs.
+``_CHUNK`` rows of one run (or one repeat), so a log of 10^6 thresholds never
+exists as one list or one string, and the command line writes the pieces as
+they come.  The CSV writer of the table fills the same runs.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from itertools import chain, groupby, islice, starmap
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
-from .cantor import ClopenSet, _TooManyDigits, format_fraction, normalize, parse_fraction
+from .cantor import ClopenSet, _TooManyDigits, _echo, format_fraction, normalize, parse_fraction
 from .cantor import parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
@@ -67,7 +66,7 @@ from .lowbasis import ForcingInstance, ForcingOutcome
 # picked by exact type (subclasses, such as records, take the walk)
 _encode = json.JSONEncoder(separators=("\n", ":")).encode
 _SCALARS = {str, int, bool, type(None)}
-_CHUNK = 1 << 14  # repeats of a run per written piece
+_CHUNK = 1 << 14  # rows per written piece, unless one repeat of a run holds more
 
 
 class _Slot(int):
@@ -99,7 +98,7 @@ def dumps_artifact(payload: Any) -> str:
 
 def artifact_pieces(payload: Any) -> Iterator[str]:
     """The text of :func:`dumps_artifact`, in pieces: a :class:`Runs` value
-    comes run by run, at most ``_CHUNK`` repeats of a run per piece."""
+    comes run by run, at most ``_CHUNK`` rows (or one repeat) per piece."""
     yield from _pieces(payload, "")
     yield "\n"
 
@@ -183,50 +182,34 @@ def _texts(column, quote) -> Iterator[str]:
 
 
 def _run_pieces(runs: Iterable, template, sep: str, quote) -> Iterator[str]:
-    """The rows of ``runs``, ``sep`` between rows, in pieces of ``_CHUNK``
-    repeats (the last one fewer); none when there is no row.
+    """The rows of ``runs``, ``sep`` between rows, each run in pieces of at most
+    ``_CHUNK`` rows (or one repeat, when it holds more); none when there is no row.
 
     A run's ``template(rows)`` of one slot, ``head {i} tail``, is filled by
     one C join per piece, with ``tail + sep + head`` between the slot texts.
     Any other is a ``str.format`` string, its literal braces doubled, mapped
     over the rows of column texts.
     """
-    out: list[str] = []
-    held, started = 0, False  # repeats in out (fewer than _CHUNK between runs), any row yet
+    lead = ""  # sep once a row is written
     for rows, columns in runs:
-        count = len(columns[0]) if rows else 0
-        if not count:
+        if not (rows and len(columns[0])):
             continue
         parts = template(rows)
         if len(parts) == 3:
             head, slot, tail = parts
-            glue = tail + sep + head
-            values, fill = _texts(columns[slot], quote), glue.join
+            values, fill = _texts(columns[slot], quote), (tail + sep + head).join
         else:
             form = "".join(
                 f"{{{part}}}" if i % 2 else part.replace("{", "{{").replace("}", "}}")
                 for i, part in enumerate(parts)
             )
             head = tail = ""
-            glue, values = sep, zip(*(_texts(column, quote) for column in columns))
+            values = zip(*(_texts(column, quote) for column in columns))
             fill = lambda chunk: sep.join(starmap(form.format, chunk))  # noqa: E731
-        out.append(sep + head if started else head)
-        started = True
-        while held + count > _CHUNK:
-            take = _CHUNK - held
-            out += (fill(islice(values, take)), glue)
-            yield "".join(out)
-            out.clear()
-            count -= take
-            held = 0
-        out += (fill(values), tail)
-        held += count
-        if held == _CHUNK:
-            yield "".join(out)
-            out.clear()
-            held = 0
-    if out:
-        yield "".join(out)
+        step = max(1, _CHUNK // len(rows))
+        for _ in range(0, len(columns[0]), step):
+            yield f"{lead}{head}{fill(islice(values, step))}{tail}"
+            lead = sep
 
 
 def _one_line(payload: Any) -> str:
@@ -251,7 +234,7 @@ def _require_known(obj: dict, known: frozenset, where: str) -> None:
     """Refuse a key outside ``known``: a misspelt field would change what the input means."""
     if not known.issuperset(obj):
         key = next(key for key in obj if key not in known)
-        raise ValueError(f"{where}: unknown field {key!r}")
+        raise ValueError(f"{where}: unknown field {_echo(key)}")
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -311,7 +294,7 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError(f"line {no}: header must be an object with a 'type' field")
     kind = header["type"]
     if not isinstance(kind, str) or kind not in _EVENT_LOGS:
-        raise ValueError(f"unknown presentation type {kind!r}")
+        raise ValueError(f"unknown presentation type {_echo(kind)}")
     cls, header_keys, event_cls, payload_keys = _EVENT_LOGS[kind]
     _require_known(header, frozenset(("type", *header_keys)), f"line {no}")
     event_keys = frozenset(("stage", "kind", "index", *payload_keys))
@@ -508,13 +491,13 @@ def parse_complexity_table(text: str) -> ComplexityTable:
                 and type(row[1]) is int
                 and type(row[2]) is int
             ):
-                raise ValueError(f"bad table entry {row!r}")
+                raise ValueError(f"bad table entry {_echo(row)}")
             entries[(row[0], row[1])] = row[2]
         if len(entries) < len(raw):  # a pair given twice: name its second entry
             first: dict = {}
             i = next(i for i, row in enumerate(raw) if first.setdefault(tuple(row[:2]), i) != i)
             bits, cond, _ = raw[i]
-            raise ValueError(f"table entry #{i} repeats bits {bits!r} under condition {cond}")
+            raise ValueError(f"table entry #{i} repeats bits {_echo(bits)} under condition {cond}")
         return ComplexityTable(entries=entries, mode=mode)
     mode = "conditional"
     entries = {}
@@ -539,36 +522,30 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         except ValueError:
             raise ValueError(f"line {no}: condition and value must be integers") from None
         if (bits, cond) in entries:
-            raise ValueError(f"line {no}: repeats bits {bits!r} under condition {cond}")
+            raise ValueError(f"line {no}: repeats bits {_echo(bits)} under condition {cond}")
         entries[(bits, cond)] = value
     return ComplexityTable(entries=entries, mode=mode)
 
 
-def complexity_blocks_to_json(blocks: list[tuple]) -> dict:
+def complexity_blocks_to_json(groups: list[tuple]) -> dict:
     """The table of ``complexity.complexity_blocks`` as runs.
 
-    A block is one run, its strings in the first column (and its per-string
-    values in the second).  But consecutive conditions whose blocks are equal
-    and hold one value each (as every condition above the longest string
-    length does) differ only in the condition, so they make one run, filled
-    from the list of those conditions.
+    A group of several conditions has one value per block, so it is one run
+    filled from its range of conditions.  A single condition's block is one
+    run, its strings in the first column (and its values in the second).
     """
     runs = []
-    by_condition = (
-        (cond, [block[1:] for block in group]) for cond, group in groupby(blocks, itemgetter(0))
-    )
-    for group, alike in groupby(by_condition, itemgetter(1)):
-        conditions = [c for c, _ in alike]
-        if len(conditions) > 1 and all(type(values) is int for _, values in group):
-            rows = tuple((u, _FIRST, values) for strings, values in group for u in strings)
+    for conditions, blocks in groups:
+        if len(conditions) > 1:
+            rows = tuple((u, _FIRST, values) for strings, values in blocks for u in strings)
             runs.append((rows, (conditions,)))
             continue
-        for cond in conditions:
-            runs.extend(
-                (((_FIRST, cond, values),), (strings,)) if type(values) is int
-                else (((_FIRST, cond, _SECOND),), (strings, values))
-                for strings, values in group
-            )
+        cond = conditions[0]
+        runs.extend(
+            (((_FIRST, cond, values),), (strings,)) if type(values) is int
+            else (((_FIRST, cond, _SECOND),), (strings, values))
+            for strings, values in blocks
+        )
     return {"conditionMode": "conditional", "entries": Runs(runs)}
 
 

@@ -130,7 +130,7 @@ def test_criterion_6_exact_complexity_exhaustive():
         for x in strings_up_to(8):
             assert ll.exact_complexity(x, condition) == complexity_by_enumeration(x, condition)
             checked += 1
-    table = ll.complexity_table(8, range(9))
+    table = ll.complexity_table(8, 8)
     for condition in range(9):
         for m in range(11):
             count = sum(
@@ -144,7 +144,7 @@ def test_criterion_6_exact_complexity_exhaustive():
 
 
 def test_criterion_7_forward_pipeline():
-    table = ll.complexity_table(8, range(9))
+    table = ll.complexity_table(8, 8)
     checked = 0
     contained = 0
     for c in (0, 1, 2):

@@ -281,6 +281,16 @@ def test_depth_cap_env_read_once_per_call(monkeypatch):
     assert len(reads) == 2
 
 
+def test_echoed_input_is_cut_after_64_characters():
+    # a short input keeps its repr; a longer one shows its first 64 characters and its length
+    for text in ["", "x'y", "\u0663\n", "a" * 64, ["0"] * 12]:
+        assert ll.cantor._echo(text) == repr(text)
+    assert ll.cantor._echo("ab" * 50) == f"{'ab' * 32!r}... (100 characters)"
+    assert ll.cantor._echo(["0"] * 30) == f"{repr(['0'] * 30)[:64]!r}... (150 characters)"
+    with pytest.raises(ValueError, match=r"^not an integer: '7{64}'\.\.\. \(65 characters\)$"):
+        ll.cantor.parse_int("7" * 64 + "x")
+
+
 def test_fraction_round_trip():
     for text, value in [("1/2", Fraction(1, 2)), ("3", Fraction(3)), ("-2/4", Fraction(-1, 2))]:
         assert ll.parse_fraction(text) == value

@@ -28,6 +28,8 @@ LONG_INT = "9" * 5000  # beyond CPython's default limit of 4300 digits
 NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
 )
+LONG_TEXT = "x" * 100_000
+CUT_SHORT = f"{'x' * 64!r}... (100000 characters)"
 TOO_MANY_DIGITS = (
     "integer text has more digits than sys.get_int_max_str_digits() = "
     f"{getattr(sys, 'get_int_max_str_digits', lambda: 0)()}"
@@ -308,6 +310,25 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
             '{"initialU": [], "queries": [{"label": "T", "interval": ["1"]}]}',
             "query #0: unknown field 'interval'",
         ),
+        # an input echoed in a message is cut after 64 characters
+        (
+            ["validate"], '{"type": "open-family", "epsilon": "1/2", "%s": 1}\n' % LONG_TEXT,
+            f"line 1: unknown field {CUT_SHORT}",
+        ),
+        (["validate"], '{"type": "%s"}\n' % LONG_TEXT, f"unknown presentation type {CUT_SHORT}"),
+        (
+            ["validate"], '{"type": "open-family", "epsilon": "%s"}\n' % LONG_TEXT,
+            f"not an exact rational: {CUT_SHORT}",
+        ),
+        # the grid rule of the covers: sorted, and inside [0, 1]
+        (
+            ["trace-to-family", "--nmax", "1", "--grid", "0,2"], '{"prefix": [], "period": [1]}',
+            "grid value 2/1 outside [0, 1]",
+        ),
+        (
+            ["trace-to-family", "--nmax", "1", "--grid=-1/2,1/4,1"],
+            '{"prefix": [], "period": [1]}', "grid value -1/2 outside [0, 1]",
+        ),
     ],
     ids=[
         "forcing-not-object", "queries-not-list", "query-not-object", "label-not-string",
@@ -317,6 +338,8 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
         "value-too-many-digits", "epsilon-too-many-digits", "value-junk",
         "header-unknown-key", "tree-header-unknown-key", "event-unknown-key", "trace-unknown-key",
         "table-unknown-key", "forcing-unknown-key", "query-unknown-key",
+        "long-header-key", "long-type", "long-epsilon",
+        "trace-grid-above-one", "trace-grid-below-zero",
     ],
 )
 def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_path, capsys):
@@ -324,6 +347,18 @@ def test_malformed_inputs_exit_two_with_one_error_line(argv, text, message, tmp_
     source.write_text(text)
     assert run(argv + ["--input", str(source)], tmp_path) == (2, b"")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_long_interval_is_cut_short_in_the_problem_line(tmp_path, capsys):
+    source = tmp_path / "family.jsonl"
+    source.write_text(
+        '{"type": "open-family", "epsilon": "1/2"}\n'
+        '{"stage": 0, "kind": "tail", "index": 0, "interval": "%s"}\n' % LONG_TEXT
+    )
+    problem = f"event #0: bit string may contain only 0 and 1, got {CUT_SHORT}"
+    code, body = run(["validate", "--input", str(source)], tmp_path)
+    assert (code, capsys.readouterr().err) == (1, problem + "\n")
+    assert json.loads(body)["problems"] == [problem]
 
 
 def key_mutants(value):

@@ -24,7 +24,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def m0_table():
-    return ll.complexity_table(5, range(6))
+    return ll.complexity_table(5, 5)
 
 
 def test_run_m0_literal_mode():
@@ -96,14 +96,13 @@ def test_counting_bound_holds_for_m0(m0_table):
 @pytest.mark.parametrize("max_len", range(9))
 def test_complexity_table_matches_program_enumeration(max_len):
     # conditions 0..L+3 take in condition 0 and conditions beyond every length
-    conditions = range(max_len + 4)
-    table = ll.complexity_table(max_len, conditions)
-    assert table.entries == complexity_table_by_enumeration(max_len, conditions)
+    table = ll.complexity_table(max_len, max_len + 3)
+    assert table.entries == complexity_table_by_enumeration(max_len, range(max_len + 4))
 
 
-def written_rows(max_len, conditions):
-    """The ``entries`` of the ``complexity`` artifact, written from its blocks."""
-    payload = jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+def written_rows(max_len, nmax):
+    """The ``entries`` of the ``complexity`` artifact, written from its groups."""
+    payload = jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, nmax))
     return json.loads(jsonio.dumps_artifact(payload))["entries"]
 
 
@@ -111,29 +110,28 @@ def written_rows(max_len, conditions):
 def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
     # `limitlab complexity` writes the rows as they come, unsorted
     for nmax in range(8):
-        rows = table_payload_by_sort(ll.complexity_table(max_len, range(nmax + 1)))["entries"]
-        assert rows == written_rows(max_len, range(nmax + 1))
+        rows = table_payload_by_sort(ll.complexity_table(max_len, nmax))["entries"]
+        assert rows == written_rows(max_len, nmax)
         assert all(v == ll.exact_complexity(u, cond) for u, cond, v in rows)
-
-
-def test_complexity_rows_sort_and_merge_the_conditions():
-    table = ll.complexity_table(3, [0, 1, 4])
-    assert ll.complexity_table(3, [4, 1, 0, 1]) == table
-    assert written_rows(3, [4, 1, 0, 1]) == table_payload_by_sort(table)["entries"]
 
 
 def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(monkeypatch):
     calls = []
     real = complexity._least_period
     monkeypatch.setattr(complexity, "_least_period", lambda x: calls.append(x) or real(x))
-    blocks = ll.complexity_blocks(5, range(9))
+    groups = ll.complexity_blocks(5, 8)
     assert sorted(calls) == sorted(u for n in range(1, 6) for u in all_strings(n))
-    assert [(cond, len(strings)) for cond, strings, _ in blocks] == [
-        (cond, 2**n) for cond in range(9) for n in range(6)
+    # condition 0, each of 1..5 alone, then 6..8 together
+    assert [conditions for conditions, _ in groups] == [
+        range(0, 1), range(1, 2), range(2, 3), range(3, 4), range(4, 5), range(5, 6), range(6, 9)
     ]
-    assert [type(values) for _, _, values in blocks] == [
-        list if cond == n >= 1 else int for cond in range(9) for n in range(6)
-    ]
+    for conditions, blocks in groups:
+        assert [len(strings) for strings, _ in blocks] == [2**n for n in range(6)]
+        assert [type(values) for _, values in blocks] == [
+            list if n in conditions and n >= 1 else int for n in range(6)
+        ]
+    # the groups without a periodic block share one list of literal blocks
+    assert groups[0][1] is groups[-1][1]
 
 
 def test_measure_bound_is_decided_on_integers():
@@ -158,7 +156,7 @@ def expected_violations(entries, m_max=None):
 
 
 COUNTING_TABLES = {
-    "m0": ll.complexity_table(5, range(7)).entries,
+    "m0": ll.complexity_table(5, 6).entries,
     "flat": {(u, len(u)): 0 for u in strings_up_to(3)},
     "negative": {("", 0): -2, ("0", 0): -1, ("1", 0): 3, ("00", 1): -5, ("01", 1): 1},
     "mixed": {
@@ -214,21 +212,21 @@ def test_deficiency_zero_when_complexity_equals_length():
 
 
 def test_dbar_antitone_in_the_prefix():
-    t = ll.complexity_table(4, range(5))
+    t = ll.complexity_table(4, 4)
     report = ll.deficiency_report(t, "01", horizon=4, c=0)
     assert report.dbar("") <= report.dbar("0")
     assert report.dbar("0") <= report.dbar("01")
 
 
 def test_deficiency_of_example_string():
-    t = ll.complexity_table(4, range(5))
+    t = ll.complexity_table(4, 4)
     report = ll.deficiency_report(t, "0000", horizon=4, c=0)
     rows = {x: (d, dbar) for x, d, dbar in report.per_prefix}
     assert rows["0000"][0] == 4 - 3 == 1
 
 
 def test_dbar_matches_direct_scan():
-    t = ll.complexity_table(4, range(5))
+    t = ll.complexity_table(4, 4)
     report = ll.deficiency_report(t, "0110", horizon=4, c=1)
     for x, d, dbar in report.per_prefix:
         assert d == len(x) - t.value(x)
@@ -268,7 +266,7 @@ def test_deficiency_family_single_compressible_string():
 
 
 def test_deficiency_family_validates_by_construction():
-    t = ll.complexity_table(5, range(6))
+    t = ll.complexity_table(5, 5)
     for c in (0, 1, 2):
         family = ll.deficiency_family(t, c=c, n_range=(2, 5))
         assert ll.validate(family).ok
@@ -324,7 +322,7 @@ def test_randomness_report_checks_the_omega_first(omega):
 
 
 def test_randomness_report_on_m0_values():
-    t = ll.complexity_table(4, range(5))
+    t = ll.complexity_table(4, 4)
     report = ll.randomness_report(t, "0000", c=0)
     assert 0 in report.qualifying  # C('') = 2 >= 0
     assert 4 not in report.qualifying  # C('0000'|4) = 3 < 4
@@ -422,7 +420,7 @@ def test_plain_mode_uses_condition_zero():
 
 def test_forward_pipeline_low_dbar_strings_not_forced():
     # sanity: with the plain machine table nothing of length <= 2 has dbar > 0
-    t = ll.complexity_table(8, range(9))
+    t = ll.complexity_table(8, 8)
     for x in strings_up_to(2):
         report = ll.deficiency_report(t, x, horizon=8, c=0)
         assert report.dbar(x) <= 0

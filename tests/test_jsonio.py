@@ -148,8 +148,8 @@ def test_goldens_are_written_without_expanding_a_log(monkeypatch, tmp_path):
         assert run(with_input_paths(argv), tmp_path) == (code, (GOLDEN / name).read_bytes()), name
 
 
-def complexity_payload(max_len, conditions):
-    return jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, conditions))
+def complexity_payload(max_len, nmax):
+    return jsonio.complexity_blocks_to_json(ll.complexity_blocks(max_len, nmax))
 
 
 def golden(name):
@@ -163,8 +163,8 @@ CSV_SHAPES = {
         # "-" for the empty bits, and for any empty field of a random run
         lambda p: ([format(v) or "-" for v in row] for row in rows_of_runs(p["entries"])),
         lambda rng, n: {"entries": rand_runs(rng)} if rng.random() < 0.5 else complexity_payload(
-            rng.randint(0, 4), [rng.randint(0, 9) for _ in range(n)]),
-        complexity_payload(2, range(3)),  # as `complexity --lmax 2 --nmax 2` builds it
+            rng.randint(0, 4), rng.randint(-1, 9)),
+        complexity_payload(2, 2),  # as `complexity --lmax 2 --nmax 2` builds it
     ),
     "deficiency": (
         jsonio.deficiency_report_to_csv, ("prefix", "d", "dbar"),
@@ -226,16 +226,56 @@ def written(payload, monkeypatch, chunk):
 
 def test_complexity_artifacts_match_the_expanded_rows(monkeypatch):
     # the oracles sort the map of complexity_table, the expanded view, never the runs
-    cases = [(lmax, range(nmax + 1)) for lmax in range(8) for nmax in range(8)]
-    for max_len, conditions in cases + [(3, [4, 1, 0, 1])]:
-        expanded = table_payload_by_sort(ll.complexity_table(max_len, conditions))
+    cases = [(lmax, nmax) for lmax in range(8) for nmax in range(8)]
+    for max_len, nmax in cases + [(3, 40), (0, -1)]:
+        expanded = table_payload_by_sort(ll.complexity_table(max_len, nmax))
         want = dumps_artifact_by_json(expanded)
         rows = ([bits or "-", cond, value] for bits, cond, value in expanded["entries"])
         want_csv = csv_by_join(("bits", "condition", "value"), rows)
-        payload = complexity_payload(max_len, conditions)
+        payload = complexity_payload(max_len, nmax)
         for chunk in CHUNKS:
-            assert written(payload, monkeypatch, chunk) == want, (max_len, conditions, chunk)
+            assert written(payload, monkeypatch, chunk) == want, (max_len, nmax, chunk)
             assert "".join(jsonio.complexity_table_to_csv(payload)) == want_csv
+
+
+def test_complexity_groups_are_bounded_whatever_the_condition_count():
+    # the 299,998 conditions above --lmax 2 are one group, one run filled from their range
+    tracemalloc.start()
+    try:
+        payload = complexity_payload(2, 300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert payload["entries"].runs[-1][1] == (range(3, 300_001),)
+
+
+def single_lines(runs):
+    """``runs`` with each newline in a string made a space, so that a CSV row is one line."""
+    flat = lambda value: value.replace("\n", " ") if type(value) is str else value  # noqa: E731
+    return jsonio.Runs(
+        (tuple(tuple(map(flat, row)) for row in rows),
+         tuple(column if type(column) is range else list(map(flat, column)) for column in columns))
+        for rows, columns in runs.runs
+    )
+
+
+def test_csv_pieces_hold_at_most_a_chunk_of_rows(monkeypatch):
+    # a piece holds at most _CHUNK rows of one run, or one repeat of a run whose rows are more
+    def widest_piece(payload):
+        return max(piece.count("\n") for piece in jsonio.complexity_table_to_csv(payload))
+
+    payload = complexity_payload(11, 300)
+    widest_run = max(len(rows) for rows, _ in payload["entries"].runs)
+    assert widest_run == 2**12 - 1
+    assert widest_piece(payload) <= max(jsonio._CHUNK, widest_run)
+    rng = random.Random("csv-pieces")
+    for chunk in CHUNKS:
+        monkeypatch.setattr(jsonio, "_CHUNK", chunk)
+        for _ in range(300):
+            runs = single_lines(rand_runs(rng))
+            widest_run = max((len(rows) for rows, _ in runs.runs), default=0)
+            assert widest_piece({"entries": runs}) <= max(chunk, widest_run), runs.runs
 
 
 def _fraction_text(r):
