@@ -1,8 +1,10 @@
 """Batch front door: validate inputs, run a construction, emit one artifact.
 
-One command per process; exit status 0 on success, 1 when the input fails
-validation, 2 on parse or configuration errors.  Identical input and flags
-produce byte-identical output.
+One command per process; exit status 0 on success, 1 on a
+``ValidationError`` (the input fails validation, or a construction's check
+of its own guarantee fails), 2 on any other ``ValueError`` (parse or
+configuration errors).  Identical input and flags produce byte-identical
+output.
 
 Every command is one entry of ``COMMANDS``: its help text, its required and
 optional flags, a run function returning the JSON payload (or the text of an
@@ -14,7 +16,8 @@ A command line of declared ``--flag value`` pairs, each flag given once, is
 read straight from ``COMMANDS`` and ``FLAGS`` into the namespace argparse
 would build, so a run imports no argparse and builds no parser.  Any other
 command line, and any value a flag's type refuses, goes to the argparse
-parser, which writes every help, usage and error text.
+parser, which writes every help, usage and error text; a refused value is
+echoed cut short, by ``cantor._echo``.
 
 :func:`main` pauses the cyclic garbage collector for the command and restores
 the caller's setting when it returns.  Everything a command builds (tuples,
@@ -38,7 +41,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import jsonio
-from .cantor import _TooManyDigits, parse_fraction, parse_int
+from .cantor import _TooManyDigits, _echo, parse_fraction, parse_int
 from .complexity import (
     complexity_blocks,
     cover_to_complexity_bounds,
@@ -65,37 +68,19 @@ from .freq import limit_frequency, trace_to_family
 from .lowbasis import force
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _digits_named(parse: Callable[[str], Any], text: str) -> Any:
-    """``parse(text)``, refusing integer text too long to convert by naming the limit.
-
-    argparse words a ``ValueError`` with the whole text ("argument --c: invalid
-    natural value: '-1'"), which would echo every digit of such a value.
-    """
-    try:
-        return parse(text)
-    except _TooManyDigits as exc:
-        import argparse  # only a refused value needs it
-
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def natural(text: str) -> int:
-    value = _digits_named(parse_int, text)
+    value = parse_int(text)
     if value < 0:
         raise ValueError(text)
     return value
 
 
 def rational(text: str):
-    return _digits_named(parse_fraction, text)
+    return parse_fraction(text)
 
 
 def grid(text: str) -> list:
-    values = [_digits_named(parse_fraction, piece) for piece in text.split(",") if piece.strip()]
+    values = [parse_fraction(piece) for piece in text.split(",") if piece.strip()]
     if not values:
         raise ValueError(text)
     return values
@@ -124,13 +109,13 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _write(pieces: Iterable[str], path: Optional[str]) -> None:
     where = "standard output" if path is None else path
     if path is None and sys.stdout is None:  # file descriptor 1 was closed at start-up
-        raise ConfigError(f"cannot write {where}: it is closed")
+        raise ValueError(f"cannot write {where}: it is closed")
     try:
         if path is None:
             sys.stdout.writelines(pieces)
@@ -143,20 +128,20 @@ def _write(pieces: Iterable[str], path: Optional[str]) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise ConfigError(f"cannot write {where}: {exc}") from None
+        raise ValueError(f"cannot write {where}: {exc}") from None
 
 
 def _presentation(args, expected=None):
     p = jsonio.parse_presentation(_read(args.input))
     if expected is not None and not isinstance(p, expected):
-        raise ConfigError(
+        raise ValueError(
             f"this command expects a {expected.__name__} event log, got {type(p).__name__}"
         )
     for flag, kind in (("k", SetFamilyPresentation), ("epsilon", OpenFamilyPresentation)):
         value = getattr(args, flag, None)
         if value is not None:
             if not isinstance(p, kind):
-                raise ConfigError(
+                raise ValueError(
                     f"--{flag} applies only to {kind.__name__} event logs, not {type(p).__name__}"
                 )
             p = p._replace(**{flag: value})
@@ -183,7 +168,7 @@ def _cover_sets(args) -> dict:
 def _cover_semimeasure(args, tree: bool) -> dict:
     p = _presentation(args, SemimeasureFamilyPresentation)
     if p.tree != tree:
-        raise ConfigError("cover-tree expects a tree event log and cover-semimeasure a flat one")
+        raise ValueError("cover-tree expects a tree event log and cover-semimeasure a flat one")
     return jsonio.cover_semimeasure_to_json(cover_semimeasure(p, args.grid, nmax=args.nmax))
 
 
@@ -270,8 +255,30 @@ COMMANDS: dict[str, Command] = {
 
 
 def build_parser():
-    """The argparse parser of every command (imports argparse)."""
+    """The argparse parser of every command (imports argparse).
+
+    A flag with a type or choices refuses a value in argparse's words, the value
+    cut short by ``_echo``, and names the limit for integer text too long to convert.
+    """
     import argparse
+
+    def worded(parse: Callable[[str], Any], choices) -> Callable[[str], Any]:
+        def parse_flag(text: str) -> Any:
+            try:
+                value = parse(text)
+            except _TooManyDigits as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            except (TypeError, ValueError):
+                refusal = f"invalid {parse.__name__} value: {_echo(text)}"
+                raise argparse.ArgumentTypeError(refusal) from None
+            if choices is not None and value not in choices:
+                shown = ", ".join(map(repr, choices))
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {_echo(value)} (choose from {shown})"
+                )
+            return value
+
+        return parse_flag
 
     parser = argparse.ArgumentParser(
         prog="limitlab",
@@ -281,7 +288,10 @@ def build_parser():
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name, help=command.help)
         for flag in command.flags():
-            cmd.add_argument(f"--{flag}", required=flag in command.required, **FLAGS[flag])
+            spec = FLAGS[flag]
+            if "type" in spec or "choices" in spec:
+                spec = {**spec, "type": worded(spec.get("type", str), spec.get("choices"))}
+            cmd.add_argument(f"--{flag}", required=flag in command.required, **spec)
     return parser
 
 
@@ -364,7 +374,7 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         for problem in exc.report.problems:
             print(problem, file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # validate writes its report either way and exits 1 when it is not valid

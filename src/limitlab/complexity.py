@@ -27,6 +27,7 @@ from .cantor import _echo, _require_writable_power, _strings_of_length, format_f
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
+    _guarantee,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
     single,
@@ -362,10 +363,8 @@ def cover_to_complexity_bounds(
         if not covered:
             continue
         count = len(covered)
-        if _exceeds_power(count, 2**n, c):
-            raise ValueError(
-                f"measure bound violated at n={n}: {count} covered strings"
-            )
+        too_many = _exceeds_power(count, 2**n, c)  # count / 2^n > 2^-c
+        _guarantee(not too_many, f"complexity-bounds covers {count} strings at n={n}, over 2^(n-c)")
         code_length = (count - 1).bit_length()
         for w in covered:
             result[w] = code_length

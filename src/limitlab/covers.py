@@ -65,6 +65,7 @@ from .families import (
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
     _closed,
+    _guarantee,
     _raise,
     breakpoints,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
@@ -138,8 +139,8 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     pieces = [(point[u], point[u] + 1) for u in p.universe]
     runs = tuple(_sweep(segments, bases, pieces, p.universe, cap - 1))
     elements = frozenset(u for _, _, ops in runs for u in ops)
-    assert len(elements) < cap
-    assert segments[-1][2] <= elements  # the liminf
+    _guarantee(len(elements) < cap, f"cover-sets holds {len(elements)} elements, not < 2^k")
+    _guarantee(segments[-1][2] <= elements, "cover-sets misses an element of the liminf")
     return CoverSet(elements=elements, runs=runs)
 
 
@@ -200,11 +201,10 @@ def cover_semimeasure(
                 here.append((r, u))
         runs.append((start, end, tuple(here)))
     values = {u: Fraction(v, scale) for u, v in built.items()}
-    if p.tree:
-        assert values.get("", Fraction(0)) <= 1
-    else:
-        assert sum(values.values(), Fraction(0)) <= 1
-    assert all(values.get(u, Fraction(0)) >= v for u, v in segments[-1][2].items())
+    mass = values.get("", Fraction(0)) if p.tree else sum(values.values(), Fraction(0))
+    _guarantee(mass <= 1, f"the semimeasure cover has mass {format_fraction(mass)} > 1")
+    below = [u for u, v in segments[-1][2].items() if values.get(u, 0) < v]
+    _guarantee(not below, "the semimeasure cover falls below the liminf")
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
 
 
@@ -255,8 +255,8 @@ def cover_open(
     pieces = _ranges(candidates, lmax)
     runs = tuple(_sweep(segments, bases, pieces, candidates, budget))
     region = normalize(x for _, _, ops in runs for x in ops)
-    assert region.measure() <= p.epsilon
-    assert segments[-1][2].difference(region).is_empty()
+    _guarantee(region.measure() <= p.epsilon, "cover-open has measure above epsilon")
+    _guarantee(segments[-1][2].difference(region).is_empty(), "cover-open misses the liminf")
     return CoverOpenSet(region=region, runs=runs)
 
 
@@ -314,5 +314,5 @@ def cover_open_strong(
     runs = tuple((i, i + 1, part.intervals) for i, part in enumerate(parts) if part.intervals)
     region = normalize(x for _, _, ops in runs for x in ops)
     slack = tuple((i, diff / 2 ** (i + 1)) for i in range(len(parts)))
-    assert region.measure() <= epsilon_prime
+    _guarantee(region.measure() <= epsilon_prime, "cover-open-strong has measure above epsilon'")
     return CoverOpenSet(region=region, runs=runs, slack_report=slack)

@@ -116,11 +116,19 @@ class ValidationReport(NamedTuple):
 
 
 class ValidationError(ValueError):
-    """Raised by operations whose precondition is a valid presentation."""
+    """Raised by operations whose precondition is a valid presentation, and
+    by a construction whose own guarantee fails (see :func:`_guarantee`)."""
 
     def __init__(self, report: ValidationReport):
         self.report = report
         super().__init__("; ".join(report.problems) or "invalid presentation")
+
+
+def _guarantee(holds: bool, what: str) -> None:
+    """Raise :class:`ValidationError` with the one problem ``guarantee violated:
+    <what>`` unless ``holds``: the check a construction makes of its own result."""
+    if not holds:
+        raise ValidationError(ValidationReport((f"guarantee violated: {what}",)))
 
 
 def breakpoints(p: Presentation) -> list[int]:
@@ -333,7 +341,7 @@ def _structural_problems(p: Presentation) -> list[str]:
             )
         last_stage = ev.stage if ev.stage >= 0 else last_stage
         if not ev.spec.well_formed():
-            problems.append(f"{where}: malformed index spec {ev.spec!r}")
+            problems.append(f"{where}: malformed index spec {_echo(ev.spec)}")
         if isinstance(ev, SetEvent):
             if universe is not None and ev.element not in universe:
                 problems.append(f"{where}: element {_echo(ev.element)} not in the universe")
@@ -368,7 +376,7 @@ def _checked_sweep(p: Presentation) -> tuple[ValidationReport, list[tuple]]:
             if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
                 problems.append(
                     f"granularity violated at n={n}: event #{pos} interval "
-                    f"{ev.interval!r} longer than c(n)={c}"
+                    f"{_echo(ev.interval)} longer than c(n)={c}"
                 )
     return ValidationReport(tuple(problems)), segments
 

@@ -11,8 +11,9 @@ family whose liminf is exactly the (grid-floored) frequency table.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cantor import _echo, _unit_grid
 from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
@@ -52,25 +53,22 @@ class PartialTrace(_Trace):
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
 
+def _shares(slots: Iterable[Slot], n: int) -> dict[int, Fraction]:
+    """Each value's count among ``slots`` over ``n``, in order of first occurrence."""
+    counts = Counter(slot for slot in slots if slot is not None)
+    return {x: Fraction(c, n) for x, c in counts.items()}
+
+
 def limit_frequency(trace: PartialTrace) -> dict[int, Fraction]:
     """Limit share of each value: its count in the period over the period length."""
-    table: dict[int, Fraction] = {}
-    for slot in trace.period:
-        if slot is not None:
-            table[slot] = table.get(slot, Fraction(0)) + Fraction(1, len(trace.period))
-    return table
+    return _shares(trace.period, len(trace.period))
 
 
 def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
     """Share of each value among the first n terms (undefined slots count in n)."""
     if n <= 0:
         raise ValueError("the running frequency needs at least one term")
-    table: dict[int, Fraction] = {}
-    for i in range(n):
-        slot = trace.term(i)
-        if slot is not None:
-            table[slot] = table.get(slot, Fraction(0)) + Fraction(1, n)
-    return table
+    return _shares(map(trace.term, range(n)), n)
 
 
 def _grid_floor(value: Fraction, grid: Sequence[Fraction]) -> Fraction:

@@ -57,6 +57,7 @@ from .families import (
     SetFamilyPresentation,
     ValidationReport,
     ValueEvent,
+    _same,
 )
 from .freq import PartialTrace
 from .lowbasis import ForcingInstance, ForcingOutcome
@@ -226,7 +227,7 @@ def _parse_spec(obj: dict, where: str) -> IndexSpec:
 def _require_str(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str):
-        raise ValueError(f"{where}: missing or non-string field {key!r}")
+        raise ValueError(f"{where}: missing or non-string field {_echo(key)}")
     return value
 
 
@@ -240,7 +241,7 @@ def _require_known(obj: dict, known: frozenset, where: str) -> None:
 def _require_int(obj: dict, key: str, where: str) -> int:
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{where}: missing or non-integer field {key!r}")
+        raise ValueError(f"{where}: missing or non-integer field {_echo(key)}")
     return value
 
 
@@ -263,10 +264,6 @@ _DUMP = {
     "granularity": lambda g: None if g is None else [list(pair) for pair in g],
 }
 _LOAD = {"value": parse_fraction}
-
-
-def _same(value: Any) -> Any:
-    return value
 
 
 def _loads(text: str, where: str) -> Any:
@@ -355,12 +352,8 @@ def dump_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def clopen_to_json(s: ClopenSet) -> list[str]:
-    return list(s.intervals)
-
-
 def _region(s: ClopenSet) -> dict:
-    return {"intervals": clopen_to_json(s), "measure": format_fraction(s.measure())}
+    return {"intervals": list(s.intervals), "measure": format_fraction(s.measure())}
 
 
 def _values(values: dict[str, Fraction]) -> dict[str, str]:
@@ -445,7 +438,7 @@ def parse_forcing_instance(text: str) -> ForcingInstance:
 def forcing_outcome_to_json(outcome: ForcingOutcome) -> dict:
     return {
         "answers": [[label, verdict] for label, verdict in outcome.answers],
-        "finalU": clopen_to_json(outcome.final_u),
+        "finalU": list(outcome.final_u.intervals),
         "witness": outcome.witness_prefix,
     }
 

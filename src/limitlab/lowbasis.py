@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cantor import ClopenSet, _clopen, _lift, _union, max_interval_depth
+from .families import _guarantee
 
 
 class ForcingInstance(NamedTuple):
@@ -64,9 +65,8 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
             answers.append((label, "diverges"))
             u = merged
     final_u = _clopen(u, deepest)
-    assert not final_u.is_full()
     witness = final_u.leftmost_avoiding(witness_length)
-    assert witness is not None
+    _guarantee(witness is not None, "forcing left no point outside U")
     return ForcingOutcome(
         answers=tuple(answers), final_u=final_u, witness_prefix=witness
     )

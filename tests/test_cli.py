@@ -361,6 +361,19 @@ def test_a_long_interval_is_cut_short_in_the_problem_line(tmp_path, capsys):
     assert json.loads(body)["problems"] == [problem]
 
 
+def test_a_long_index_is_cut_short_in_the_problem_line(tmp_path, capsys):
+    source = tmp_path / "family.jsonl"
+    source.write_text(
+        '{"type": "set-family", "k": 1, "universe": ["0"]}\n'
+        '{"stage": 0, "kind": "single", "index": -%s, "element": "0"}\n' % ("9" * 4000)
+    )
+    spec = repr(ll.single(-int("9" * 4000)))
+    problem = f"event #0: malformed index spec {spec[:64]!r}... ({len(spec)} characters)"
+    code, body = run(["validate", "--input", str(source)], tmp_path)
+    assert (code, capsys.readouterr().err) == (1, problem + "\n")
+    assert json.loads(body)["problems"] == [problem]
+
+
 def key_mutants(value):
     """Copies of the JSON ``value`` in which one object, at any depth, has one
     key misspelt (its last letter dropped, a short key doubled) or the key
@@ -388,18 +401,65 @@ OBJECT_INPUTS = {
 }
 
 
-def mutated_inputs(name):
-    """``(text, old key, new key)`` for each key mutant of the fixture: one line
-    of an event log mutated at a time, a JSON file as a whole."""
+# the optional keys of the input formats and the value each stands for when
+# absent; a query's label defaults to "query-<its position>"
+OPTIONAL = {
+    "granularity": None, "tree": False, "queries": [], "label": "query-{}", "prefix": [],
+    "conditionMode": "conditional",
+}
+# null, boolean, number, string, array and object, each its own Python type
+ONE_OF_EACH_TYPE = [None, True, 1, "1", [], {}]
+
+
+def shape_mutants(value, position=None):
+    """Copies of the JSON ``value`` in which one object, at any depth, lacks
+    one key or has one value replaced by a value of another JSON type; each
+    with the copy it must run as, or None where it must be refused.
+
+    A dropped optional key runs as its default.  A granularity is a list of
+    ``[n, c]`` pairs or null, the form ``dump_presentation`` writes for none:
+    null runs as the key dropped, and a list is no change of type.  Any other
+    change of type is refused."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        for i, (key, item) in enumerate(items):
+            dropped, default = dict(items[:i] + items[i + 1:]), OPTIONAL.get(key, ())
+            if key == "label":
+                default = default.format(position)
+            yield dropped, None if default == () else {**value, key: default}
+            for other in ONE_OF_EACH_TYPE:
+                if type(other) is type(item) or (key == "granularity" and other == []):
+                    continue
+                absent = key == "granularity" and other is None
+                yield {**value, key: other}, dropped if absent else None
+            for mutant, twin in shape_mutants(item):
+                yield {**value, key: mutant}, None if twin is None else {**value, key: twin}
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for mutant, twin in shape_mutants(item, i):
+                yield (value[:i] + [mutant] + value[i + 1:],
+                       None if twin is None else value[:i] + [twin] + value[i + 1:])
+
+
+def mutated_inputs(name, mutants=key_mutants):
+    """``(text, *rest)`` for each ``(mutant, *rest)`` of ``mutants`` on the
+    fixture: one line of an event log mutated at a time, a JSON file as a
+    whole.  Each of ``rest`` that is a JSON object or list takes the mutant's
+    place the same way."""
     text = (FIXTURES / name).read_text()
-    if not name.endswith(".jsonl"):
-        for mutant, old, new in key_mutants(json.loads(text)):
-            yield json.dumps(mutant), old, new
-        return
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        for mutant, old, new in key_mutants(json.loads(line)):
-            yield "\n".join(lines[:i] + [json.dumps(mutant)] + lines[i + 1:]) + "\n", old, new
+    if name.endswith(".jsonl"):
+        lines = text.splitlines()
+        places = [
+            (json.loads(line), lambda obj, i=i: "\n".join(
+                lines[:i] + [json.dumps(obj)] + lines[i + 1:]) + "\n")
+            for i, line in enumerate(lines)
+        ]
+    else:
+        places = [(json.loads(text), json.dumps)]
+    for value, place in places:
+        for mutant, *rest in mutants(value):
+            yield place(mutant), *(
+                place(x) if isinstance(x, (dict, list)) else x for x in rest)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECT_INPUTS))
@@ -418,6 +478,28 @@ def test_every_misspelt_or_added_key_is_refused_by_name(name, tmp_path, capsys):
         assert repr(named) in err, (text, err)
         mutants += 1
     assert mutants >= 3
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_INPUTS))
+def test_every_dropped_key_or_retyped_value_ends_as_documented(name, tmp_path, capsys):
+    # a refused mutant ends with exit 2 (or 1 and its named problem) and one
+    # stderr line; a harmless one writes what its twin writes
+    source, twin_source = tmp_path / name, tmp_path / f"twin-{name}"
+    refused = 0
+    for text, twin in mutated_inputs(name, shape_mutants):
+        source.write_text(text)
+        (tmp_path / "out").unlink(missing_ok=True)
+        code, body = run(OBJECT_INPUTS[name] + ["--input", str(source)], tmp_path)
+        err = capsys.readouterr().err
+        if twin is None:
+            assert code in (1, 2) and err.count("\n") == 1, (text, code, err)
+            assert code == 1 or (body == b"" and err.startswith("error: ")), (text, err)
+            refused += 1
+        else:
+            twin_source.write_text(twin)
+            want = run(OBJECT_INPUTS[name] + ["--input", str(twin_source)], tmp_path, "twin")
+            assert (code, body, err) == (*want, capsys.readouterr().err), text
+    assert refused >= 6
 
 
 @pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])
@@ -1022,6 +1104,48 @@ def test_a_flag_too_long_to_read_is_named_by_the_limit(argv, tmp_path, capsys):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize(
+    "argv,shown",
+    [
+        (["complexity", "--nmax", "2", "--lmax", LONG_TEXT], "natural"),
+        (["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime",
+          LONG_TEXT], "rational"),
+        (["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", f"0,1,{LONG_TEXT}"],
+         "grid"),
+        (["complexity", "--nmax", "2", "--lmax", "2", "--format", LONG_TEXT], "choice"),
+    ],
+    ids=["lmax", "epsilon-prime", "grid", "format"],
+)
+def test_a_long_flag_value_is_echoed_cut_short(argv, shown, tmp_path, capsys):
+    assert run(with_input_paths(argv), tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"invalid {shown}" in errors[0] and "characters)" in errors[0]
+    assert len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["complexity", "--lmax", "abc", "--nmax", "2"],
+         "limitlab complexity: error: argument --lmax: invalid natural value: 'abc'"),
+        (["complexity", "--lmax", "2", "--nmax", "2", "--format", "xml"],
+         "limitlab complexity: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'json', 'csv')"),
+        (["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", "0,1/0"],
+         "limitlab cover-semimeasure: error: argument --grid: invalid grid value: '0,1/0'"),
+        (["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "x"],
+         "limitlab cover-open-strong: error: argument --epsilon-prime: "
+         "invalid rational value: 'x'"),
+    ],
+    ids=["natural", "choice", "grid", "rational"],
+)
+def test_a_short_flag_value_is_refused_in_argparse_words(argv, line, tmp_path, capsys):
+    assert run(with_input_paths(argv), tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.endswith(f"\n{line}\n")
+
+
 def test_deficiency_family_refuses_a_c_too_long_to_write(tmp_path, capsys):
     # 2^20000 has 6021 digits, beyond CPython's default 4300-digit text limit
     argv = ["deficiency-family", "--input", "table.json", "--nmin", "2", "--nmax", "4", "--c"]
@@ -1333,7 +1457,7 @@ def limitlab(*argv, interpreter_flags=(), **kwargs):
     )
 
 
-# -O compiles the guarantee asserts out: no artifact byte may depend on them
+# the library holds no assert (tests/test_layout.py), so -O may change no byte
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_process_entry_writes_the_goldens(flags, tmp_path):
     for golden_name, argv, want_code in GOLDEN_RUNS:
@@ -1351,6 +1475,87 @@ def test_process_entry_writes_the_goldens(flags, tmp_path):
                     interpreter_flags=flags, stdout=subprocess.PIPE)
     assert (done.returncode, done.stdout) == (2, "")
     assert "unrecognized arguments: --k 3" in done.stderr and "Traceback" not in done.stderr
+
+
+SET_FAMILY_K1 = (
+    '{"type": "set-family", "k": 1, "universe": ["0", "1", "00"]}\n'
+    '{"stage": 0, "kind": "tail", "index": 0, "element": "0"}\n'
+)
+
+
+def _accept_all(segments, bases, pieces, labels, budget):  # a point-mask sweep without budget
+    return ((start, end, tuple(labels)) for start, end, _ in segments)
+
+
+def _accept_none(segments, bases, pieces, labels, budget):
+    return ((start, end, ()) for start, end, _ in segments)
+
+
+def _raise_free(table, u, r, tree):  # every raise passes the budget check
+    return ll.families._raise(table, u, r, tree)[0], 0
+
+
+# (module, name, replacement, argv): one break of each guarantee check
+BROKEN = {
+    "cover-sets-budget": ("covers", "_sweep", _accept_all, ["cover-sets"]),
+    "cover-sets-liminf": ("covers", "_sweep", _accept_none, ["cover-sets"]),
+    "cover-open-budget": ("covers", "_sweep", _accept_all,
+                          ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
+    "cover-open-liminf": ("covers", "_sweep", _accept_none,
+                          ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
+    "cover-semimeasure-budget": (
+        "covers", "_raise", _raise_free,
+        ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
+    "cover-semimeasure-liminf": (
+        "covers", "_raise", lambda table, u, r, tree: ({}, 0),
+        ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
+    "cover-open-strong-budget": (
+        "covers", "decompose_liminf", lambda p: [ll.FULL],
+        ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "3/4"]),
+    "lowbasis-witness": (
+        "lowbasis", "_clopen", lambda ranges, depth: ll.FULL,
+        ["lowbasis", "--input", "forcing.json", "--witness-length", "2"]),
+    "complexity-bounds-count": (
+        "complexity", "members", lambda p, nmax=None: [(2, 3, ll.FULL)],
+        ["complexity-bounds", "--input", "open_family_levels.jsonl", "--c", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_a_broken_guarantee_exits_one_naming_it(case, monkeypatch, tmp_path, capsys):
+    module, name, broken, argv = BROKEN[case]
+    monkeypatch.setattr(getattr(ll, module), name, broken)
+    if argv == ["cover-sets"]:
+        (tmp_path / "family.jsonl").write_text(SET_FAMILY_K1)
+        argv = argv + ["--input", str(tmp_path / "family.jsonl")]
+    out = tmp_path / "out"
+    assert main(with_input_paths(argv) + ["--output", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("guarantee violated: "), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_a_broken_guarantee_exits_one_under_every_flag(flags, tmp_path):
+    (tmp_path / "family.jsonl").write_text(SET_FAMILY_K1)
+    out = tmp_path / "out.json"
+    code = (
+        "import sys\n"
+        "from limitlab import covers\n"
+        "from limitlab.cli import main\n"
+        "covers._sweep = lambda segments, bases, pieces, labels, budget: (\n"
+        "    (start, end, tuple(labels)) for start, end, _ in segments)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", code, "cover-sets", "--input",
+         str(tmp_path / "family.jsonl"), "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "guarantee violated: cover-sets holds 3 elements, not < 2^k\n"
+    assert not out.exists()
 
 
 def _broken_pipe():

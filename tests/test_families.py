@@ -415,6 +415,20 @@ def test_granularity_violation_reported():
     assert not report.ok and "granularity" in report.problems[0] and "n=5" in report.problems[0]
 
 
+def test_a_long_interval_is_cut_short_in_the_granularity_problem(monkeypatch):
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "200")
+    interval = "0" * 100
+    p = ll.OpenFamilyPresentation(
+        epsilon=Fraction(1),
+        events=(ll.IntervalEvent(0, ll.tail(0), interval),),
+        granularity=((0, 1),),
+    )
+    assert ll.validate(p).problems == (
+        f"granularity violated at n=0: event #0 interval {interval[:64]!r}... "
+        "(100 characters) longer than c(n)=1",
+    )
+
+
 def test_granularity_duplicate_index_reported():
     p = ll.OpenFamilyPresentation(
         epsilon=Fraction(1, 2), granularity=((1, 2), (1, 3))

@@ -69,6 +69,25 @@ def test_running_frequency_counts_undefined_slots_in_the_denominator():
     assert ll.running_frequency(trace, 4) == {1: Fraction(1, 4), 2: Fraction(1, 2)}
 
 
+def test_frequencies_are_the_sums_of_their_slots_in_order():
+    # by definition: 1/n per slot, the values in order of first occurrence
+    def summed(slots, n):
+        table = {}
+        for slot in slots:
+            if slot is not None:
+                table[slot] = table.get(slot, Fraction(0)) + Fraction(1, n)
+        return list(table.items())
+
+    rng = random.Random(406)
+    for _ in range(80):
+        trace = gen_trace(rng)
+        plen = len(trace.period)
+        assert list(ll.limit_frequency(trace).items()) == summed(trace.period, plen)
+        for n in (1, plen, len(trace.prefix) + 2 * plen + 1):
+            terms = [trace.term(i) for i in range(n)]
+            assert list(ll.running_frequency(trace, n).items()) == summed(terms, n)
+
+
 def test_trace_to_family_empty_trace():
     family = ll.trace_to_family(ll.PartialTrace(prefix=(), period=(None,)), 4, QUARTERS)
     assert family.events == ()

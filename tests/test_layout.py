@@ -1,7 +1,9 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
 every import is used, every private module-level name is referenced, the
 package's ``__all__`` lists exactly the names its ``__init__`` imports, and
-each of those names is read by the library or a demo, not only by tests."""
+each of those names is read by the library or a demo, not only by tests.
+No module holds an ``assert`` statement, which ``python -O`` would drop, and
+only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short."""
 
 import ast
 from pathlib import Path
@@ -96,6 +98,28 @@ def orphan_exports(package, readers):
     return sorted(set(exported(package)) - read)
 
 
+def asserts(path):
+    """The line of each ``assert`` statement in a module."""
+    return [node.lineno for node in ast.walk(parsed(path)) if isinstance(node, ast.Assert)]
+
+
+def repr_conversions(path):
+    """``(function, line)`` of each ``!r`` conversion in a module, the
+    function being the innermost one around it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(parsed(path), None)
+    return found
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -107,6 +131,17 @@ def test_only_the_tracer_bindings_skip_the_import_check():
     # perfbench's tracer looks family_at up by name in these two modules
     marked = [(path.name, name) for path in MODULES for name, _ in imported(path, marked=True)]
     assert marked == [("complexity.py", "family_at"), ("covers.py", "family_at")]
+
+
+def test_no_module_asserts():
+    # a construction checks its guarantee with families._guarantee, the same under -O
+    assert [(path.name, line) for path in MODULES for line in asserts(path)] == []
+
+
+def test_only_echo_writes_a_repr():
+    # every other message echoes a value through cantor._echo, which cuts it short
+    found = {(path.name, function) for path in MODULES for function, _ in repr_conversions(path)}
+    assert found == {("cantor.py", "_echo")}
 
 
 def test_every_private_name_is_referenced():
@@ -135,12 +170,20 @@ def test_the_checks_catch_leftovers(tmp_path):
         "def _helper():\n"
         "    return sep, _USED\n"
         "import re  # noqa: F401  (an escape the marked list names)\n"
+        "def _echo(value):\n"
+        "    assert value\n"
+        "    return f'{value!r}'\n"
+        "def _report(value):\n"
+        "    return f'{value!s} {value!r}'\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
     assert unread_private_names([leftover]) == [
-        ("leftover.py", "_LISTS"), ("leftover.py", "_UNUSED"), ("leftover.py", "_helper")
+        ("leftover.py", "_LISTS"), ("leftover.py", "_UNUSED"), ("leftover.py", "_helper"),
+        ("leftover.py", "_echo"), ("leftover.py", "_report"),
     ]
+    assert asserts(leftover) == [11]
+    assert repr_conversions(leftover) == [("_echo", 12), ("_report", 14)]
     package = tmp_path / "__init__.py"
     package.write_text(
         "from .a import kept, dropped\n"
