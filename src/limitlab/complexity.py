@@ -352,13 +352,18 @@ def cover_to_complexity_bounds(
     for n, cn in p.granularity:
         if cn > n:
             raise ValueError(f"granularity c({n}) = {cn} exceeds the level {n}")
+    # a bounded level holds no interval deeper than c(n) <= n, by validation
+    for n, _, member in segments:
+        for i in member.intervals:
+            if len(i) > n:
+                raise ValueError(
+                    f"the granularity does not bound n={n}, "
+                    f"whose member holds the interval {_echo(i)}, longer than n"
+                )
     result: dict[str, int] = {}
     for n, _, member in segments:
         covered = sorted(
-            i + suffix
-            for i in member.intervals
-            if len(i) <= n
-            for suffix in _strings_of_length(n - len(i))
+            i + suffix for i in member.intervals for suffix in _strings_of_length(n - len(i))
         )
         if not covered:
             continue

@@ -44,16 +44,20 @@ cover's the strings of length ``lmax`` (budget ``floor(epsilon * 2^lmax)``,
 exact as nothing is deeper).  A candidate inside ``built`` changes no copy
 and is accepted unchecked, which is exact: each later copy is within budget
 already, its member by validation and ``built`` by the checks that admitted
-it.  ``cover_semimeasure`` keeps a table per segment (a tree copy is the
-closure of that combination, raised by ``families._raise``) and counts in
-integer units of ``1/scale``, ``scale`` the grid's least common denominator:
-every event value is on the grid, and closure sums of such values are whole
-units too.  Only the final guarantee checks use :class:`Fraction` and
-:class:`ClopenSet`.
+it.  ``cover_semimeasure`` counts in integer units of ``1/scale``, ``scale``
+the grid's least common denominator: every event value is on the grid, and
+closure sums of such values are whole units too.  A flat copy holds an
+element at ``max(bases[j][u], built[u])`` and keeps only its mass, so each
+element's grid scan is decided by one integer bound per segment
+(``_ceiling``).  A tree copy's root mass is a heaviest antichain, not a
+pointwise maximum, so the tree cover keeps a closed table per segment,
+raised by ``families._raise``.  Only the final guarantee checks use
+:class:`Fraction` and :class:`ClopenSet`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -170,6 +174,17 @@ def cover_semimeasure(
     refusal changes no table, so the grid scan for an element stops at its
     first refused value.
 
+    A flat copy j holds u at ``m_j = max(member_j(u), accepted(u))``, so
+    raising u to r adds ``max(0, r - m_j)`` to its mass, which stays within
+    budget iff ``r <= m_j + 1 - mass_j``; let B be the least of these bounds
+    over the later copies.  Accepting a step raises each ``mass_j`` by
+    exactly as much as it raises ``m_j``, so B stays the same for the rest
+    of u's scan, and the accepted values are exactly the grid values up to
+    B: one bound and one bisection per segment and element, whatever the
+    grid, and only the largest accepted value is applied.  A tree copy's
+    root mass is a heaviest antichain, not a pointwise maximum, so each
+    tree copy stays a closed table and each grid value is tried on it.
+
     The returned values are the accepted increases replayed on an initially
     empty table, which keeps them below the final working tables, hence
     within the same mass budget.
@@ -177,35 +192,83 @@ def cover_semimeasure(
     segments = list(members(p, nmax))
     rgrid = _prepare_grid(p, grid)
     scale = lcm(*(r.denominator for r in rgrid))
-    steps = [(r, int(r * scale)) for r in rgrid]
     elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
-    working = [
-        _closed(((u, int(v * scale)) for u, v in member.items()), p.tree)
-        for _, _, member in segments
-    ]
-    masses = [w.get("", 0) if p.tree else sum(w.values()) for w in working]
-    runs: list[tuple[int, int, tuple[tuple[Fraction, str], ...]]] = []
-    built: dict[str, int] = {}
-    for i, (start, end, _) in enumerate(segments):
-        later = range(i, len(segments))
-        here = []
-        for u in elements:
-            for r, units in steps:
-                raises = [_raise(working[j], u, units, p.tree) for j in later]
-                if any(masses[j] + gain > scale for j, (_, gain) in zip(later, raises)):
-                    break
-                for j, (changed, gain) in zip(later, raises):
-                    working[j].update(changed)
-                    masses[j] += gain
-                built.update(_raise(built, u, units, p.tree)[0])
-                here.append((r, u))
-        runs.append((start, end, tuple(here)))
+    runs, built = (_tree_runs if p.tree else _flat_runs)(segments, elements, rgrid, scale)
     values = {u: Fraction(v, scale) for u, v in built.items()}
     mass = values.get("", Fraction(0)) if p.tree else sum(values.values(), Fraction(0))
     _guarantee(mass <= 1, f"the semimeasure cover has mass {format_fraction(mass)} > 1")
     below = [u for u, v in segments[-1][2].items() if values.get(u, 0) < v]
     _guarantee(not below, "the semimeasure cover falls below the liminf")
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
+
+
+def _ceiling(column: list[int], masses: list[int], held: int, scale: int) -> int:
+    """B of :func:`cover_semimeasure`, in units: the highest value an element
+    may be raised to at a segment, ``column`` holding its member values and
+    ``masses`` the copy masses from that segment on, ``held`` its accepted value."""
+    return min(max(base, held) + scale - mass for base, mass in zip(column, masses))
+
+
+def _flat_runs(
+    segments: list, elements: list[str], rgrid: list[Fraction], scale: int
+) -> tuple[list, dict[str, int]]:
+    """``(runs, built)`` of a flat cover, ``built`` in units of ``1/scale``:
+    an element's scan at a segment accepts the grid values up to its
+    :func:`_ceiling`, which no accepted step moves (see :func:`cover_semimeasure`);
+    each accepted value is logged and the largest is applied."""
+    units = [int(r * scale) for r in rgrid]
+    columns = {u: [0] * len(segments) for u in elements}
+    masses = []
+    for j, (_, _, member) in enumerate(segments):
+        for u, v in member.items():
+            columns[u][j] = int(v * scale)
+        masses.append(sum(columns[u][j] for u in member))
+    runs = []
+    built: dict[str, int] = {}
+    for i, (start, end, _) in enumerate(segments):
+        here = []
+        for u in elements:
+            column, held = columns[u][i:], built.get(u, 0)
+            accepted = bisect_right(units, _ceiling(column, masses[i:], held, scale))
+            here.extend((r, u) for r in rgrid[:accepted])
+            top = units[accepted - 1] if accepted else 0
+            if top > held:
+                built[u] = top
+                for j, base in enumerate(column, i):
+                    masses[j] += max(0, top - max(base, held))
+        runs.append((start, end, tuple(here)))
+    return runs, built
+
+
+def _tree_runs(
+    segments: list, elements: list[str], rgrid: list[Fraction], scale: int
+) -> tuple[list, dict[str, int]]:
+    """``(runs, built)`` of a tree cover, ``built`` in units of ``1/scale``:
+    each segment's copy is a closed table, every grid value is tried by
+    :func:`families._raise` on each later copy, and the scan of an element
+    stops at its first refused value."""
+    working = [
+        _closed((u, int(v * scale)) for u, v in member.items()) for _, _, member in segments
+    ]
+    masses = [w.get("", 0) for w in working]
+    steps = [(r, int(r * scale)) for r in rgrid]
+    runs = []
+    built: dict[str, int] = {}
+    for i, (start, end, _) in enumerate(segments):
+        later = range(i, len(segments))
+        here = []
+        for u in elements:
+            for r, units in steps:
+                raises = [_raise(working[j], u, units) for j in later]
+                if any(masses[j] + gain > scale for j, (_, gain) in zip(later, raises)):
+                    break
+                for j, (changed, gain) in zip(later, raises):
+                    working[j].update(changed)
+                    masses[j] += gain
+                built.update(_raise(built, u, units)[0])
+                here.append((r, u))
+        runs.append((start, end, tuple(here)))
+    return runs, built
 
 
 def _ceil_log2_reciprocal(value: Fraction) -> int:

@@ -11,7 +11,8 @@ segment's member in one pass over the log and checks the budget, so ``members``
 validates its input.  An open member grows as merged integer ranges at the
 depth of the deepest event interval (one :func:`cantor._union` per step), so
 validation counts its points without building a set.  :func:`_raise` is the
-one upward-closure step for tree values.
+one upward-closure step for tree values, and :func:`_closed` closes a tree
+table by it.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -262,35 +263,34 @@ def liminf_family(p: Presentation):
     return _rule(p)[2](segments[-1][2])
 
 
-def _raise(table: dict, u: str, r: int | Fraction, tree: bool) -> tuple[dict, int | Fraction]:
-    """(entries changed, mass gained) when ``u`` is raised to ``r``; ``table``
-    is left as it is.
+def _raise(table: dict, u: str, r: int | Fraction) -> tuple[dict, int | Fraction]:
+    """(entries changed, root mass gained) when ``u`` is raised to ``r`` in a
+    closed tree table (every node at least its children's sum); ``table`` is
+    left as it is.
 
-    A flat table changes at ``u`` only and gains the sum of the deltas.  In a
-    closed tree table only ancestors of ``u`` can fall below their children,
-    and none above the first one that does not; the mass is the root's, so
-    the gain is the root's delta.
+    Only ancestors of ``u`` can fall below their children, and none above
+    the first one that does not; the mass is the root's, so the gain is the
+    root's delta, zero when the raise stops below the root.
     """
     if r <= table.get(u, 0):
         return {}, 0
     changed = {u: r}
     node = u
-    while tree and node:
+    while node:
         parent = node[:-1]
         r += table.get(parent + ("1" if node[-1] == "0" else "0"), 0)  # the sibling
         if r <= table.get(parent, 0):
-            break
+            return changed, 0
         changed[parent] = r
         node = parent
-    gain = sum(v - table.get(y, 0) for y, v in changed.items() if not tree or y == "")
-    return changed, gain
+    return changed, r - table.get("", 0)
 
 
-def _closed(bounds, tree: bool) -> dict:
-    """Least closed table above the ``(u, value)`` bounds, raised in any order."""
+def _closed(bounds) -> dict:
+    """Least closed tree table above the ``(u, value)`` bounds, raised in any order."""
     table: dict = {}
     for u, r in bounds:
-        table.update(_raise(table, u, r, tree)[0])
+        table.update(_raise(table, u, r)[0])
     return table
 
 
@@ -300,7 +300,7 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     Every node receives max(own bound, sum of children); only the event
     elements and their prefixes can be positive.
     """
-    return _closed(table.items(), True)
+    return _closed(table.items())
 
 
 def _structural_problems(p: Presentation) -> list[str]:

@@ -1212,6 +1212,33 @@ def test_complexity_bounds_decides_a_large_c_without_writing_it(tmp_path, capsys
         assert (code, out) == (0, b'{\n  "bounds": {}\n}\n')
 
 
+@pytest.mark.parametrize(
+    "granularity,want",
+    [
+        ("[]", 2),
+        ("[[5, 5]]", 2),
+        ("[[2, 2]]", 1),  # the level is bounded, so validation refuses the deep event
+    ],
+)
+def test_complexity_bounds_refuses_a_level_the_granularity_leaves_unbounded(
+    granularity, want, tmp_path, capsys
+):
+    log = tmp_path / "deep.jsonl"
+    log.write_text(
+        f'{{"type": "open-family", "epsilon": "1/16", "granularity": {granularity}}}\n'
+        '{"stage": 0, "kind": "tail", "index": 2, "interval": "0000"}\n'
+    )
+    assert run(["complexity-bounds", "--input", str(log), "--c", "2"], tmp_path) == (want, b"")
+    lines = capsys.readouterr().err.splitlines()
+    if want == 2:
+        assert lines == [
+            "error: the granularity does not bound n=2, whose member holds the interval "
+            "'0000', longer than n"
+        ]
+    else:
+        assert lines == ["granularity violated at n=2: event #0 interval '0000' longer than c(n)=2"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_full_output_file_exits_two_with_one_error_line():
     done = limitlab("complexity", "--lmax", "11", "--nmax", "11", "--output", "/dev/full",
@@ -1491,8 +1518,9 @@ def _accept_none(segments, bases, pieces, labels, budget):
     return ((start, end, ()) for start, end, _ in segments)
 
 
-def _raise_free(table, u, r, tree):  # every raise passes the budget check
-    return ll.families._raise(table, u, r, tree)[0], 0
+def _root_doubled(table, u, r):  # the root books twice each raise, and no raise costs mass
+    changed = ll.families._raise(table, u, r)[0]
+    return ({**changed, "": 2 * r} if changed else {}), 0
 
 
 # (module, name, replacement, argv): one break of each guarantee check
@@ -1503,12 +1531,18 @@ BROKEN = {
                           ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
     "cover-open-liminf": ("covers", "_sweep", _accept_none,
                           ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
-    "cover-semimeasure-budget": (
-        "covers", "_raise", _raise_free,
+    "cover-semimeasure-budget": (  # every grid value is within the ceiling
+        "covers", "_ceiling", lambda column, masses, held, scale: scale,
         ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
-    "cover-semimeasure-liminf": (
-        "covers", "_raise", lambda table, u, r, tree: ({}, 0),
+    "cover-semimeasure-liminf": (  # no grid value is
+        "covers", "_ceiling", lambda column, masses, held, scale: -1,
         ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
+    "cover-tree-budget": (
+        "covers", "_raise", _root_doubled,
+        ["cover-tree", "--input", "semimeasure_tree.jsonl", "--grid", EIGHTHS]),
+    "cover-tree-liminf": (
+        "covers", "_raise", lambda table, u, r: ({}, 0),
+        ["cover-tree", "--input", "semimeasure_tree.jsonl", "--grid", EIGHTHS]),
     "cover-open-strong-budget": (
         "covers", "decompose_liminf", lambda p: [ll.FULL],
         ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "3/4"]),

@@ -632,6 +632,60 @@ def test_cover_semimeasure_matches_oracle_on_grids_missing_closure_sums(tree):
     assert off_grid > 0 if tree else off_grid == 0
 
 
+MIXED_GRIDS = {
+    "eighths-and-thirds": EIGHTHS + [Fraction(1, 3), Fraction(2, 3)],
+    "eighths-and-sevenths": EIGHTHS + [Fraction(n, 7) for n in range(1, 7)],
+    "large-primes": [Fraction(v) for v in ("0", "1/4", "1/2", "1/1000003", "1/999983", "1")],
+}
+
+
+def onto_grid(p, grid):
+    """``p`` with each event value lowered to the grid; lower values keep a flat family valid."""
+    return p._replace(events=tuple(
+        ev._replace(value=max(v for v in grid if v <= ev.value)) for ev in p.events
+    ))
+
+
+@pytest.mark.parametrize("name", MIXED_GRIDS)
+def test_flat_cover_matches_oracle_on_mixed_denominators(name):
+    # the bound per element is exact in units of 1/scale whatever the grid's denominators
+    grid = MIXED_GRIDS[name]
+    rng = random.Random(f"flat-grid:{name}")
+    off_eighths = 0  # accepted steps between the eighths
+    for _ in range(80):
+        p = onto_grid(gen_semimeasure_family(rng, tree=False), grid)
+        last = max(ll.breakpoints(p))
+        for nmax in (last, last + 2):
+            cover = ll.cover_semimeasure(p, grid, nmax=nmax)
+            got = (dict(cover.values), oracles.accepted_ops(cover))
+            assert got == oracles.cover_semimeasure_by_index(p, grid, nmax)
+            off_eighths += sum(r not in EIGHTHS for r, _, _ in got[1])
+    assert off_eighths > 0
+
+
+def test_flat_cover_takes_one_ceiling_per_segment_and_element(monkeypatch):
+    # the grid scan of an element is one bound and one bisection, and no table is raised
+    events = [
+        (ll.tail(0), "0", "1/4"), (ll.single(1), "1", "1/2"), (ll.tail(2), "00", "1/4"),
+        (ll.tail(3), "0", "1/2"), (ll.single(5), "11", "1/4"),
+    ]
+    p = ll.SemimeasureFamilyPresentation(
+        events=tuple(ll.ValueEvent(0, spec, u, Fraction(v)) for spec, u, v in events)
+    )
+    ceilings, raises = [], []
+    ceiling = covers._ceiling
+    monkeypatch.setattr(covers, "_ceiling", lambda *args: ceilings.append(args) or ceiling(*args))
+    monkeypatch.setattr(covers, "_raise", lambda *args: raises.append(args) or families._raise(*args))
+    for size in (5, 257):
+        grid = [Fraction(n, size - 1) for n in range(size)]
+        ceilings.clear()
+        cover = ll.cover_semimeasure(p, grid)
+        assert len(ceilings) == len(ll.breakpoints(p)) * 4 == 24
+        got = (dict(cover.values), oracles.accepted_ops(cover))
+        assert got == oracles.cover_semimeasure_by_index(p, grid, max(ll.breakpoints(p)))
+    assert raises == []
+
+
 @pytest.mark.parametrize("epsilon", ["0", "1/3", "5/7", "1"])
 def test_cover_open_matches_oracle_on_non_dyadic_budgets(epsilon):
     # floor(epsilon * 2^lmax) is the whole budget test, at every lmax from the deepest interval on

@@ -1,6 +1,6 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
-every import is used, every private module-level name is referenced, the
-package's ``__all__`` lists exactly the names its ``__init__`` imports, and
+every import is used, every private module-level name is referenced, every
+parameter not named ``_x`` is read by its function or lambda, the package's ``__all__`` lists exactly the names its ``__init__`` imports, and
 each of those names is read by the library or a demo, not only by tests.
 No module holds an ``assert`` statement, which ``python -O`` would drop, and
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short."""
@@ -98,6 +98,28 @@ def orphan_exports(package, readers):
     return sorted(set(exported(package)) - read)
 
 
+def unread_parameters(path):
+    """``(function, parameter)`` of each parameter not named ``_x`` that its
+    function or lambda never reads, nested functions included."""
+    found = []
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [arg for arg in (args.vararg, args.kwarg) if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id for part in body for name in ast.walk(part)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            function = getattr(node, "name", "<lambda>")
+            found += [
+                (function, param.arg) for param in params
+                if param.arg not in read and not param.arg.startswith("_")
+            ]
+    return found
+
+
 def asserts(path):
     """The line of each ``assert`` statement in a module."""
     return [node.lineno for node in ast.walk(parsed(path)) if isinstance(node, ast.Assert)]
@@ -148,6 +170,13 @@ def test_every_private_name_is_referenced():
     assert unread_private_names(MODULES) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter no branch reads any more goes with the branch; name it _x where a
+    # signature is fixed from outside
+    assert unread_parameters(path) == []
+
+
 def test_all_lists_exactly_the_package_imports():
     assert export_drift(Path(limitlab.__file__)) == ([], [], [])
 
@@ -175,12 +204,19 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    return f'{value!r}'\n"
         "def _report(value):\n"
         "    return f'{value!s} {value!r}'\n"
+        "def _raise(table, u, r, tree, *rest, _spare=0, **options):\n"
+        "    def inner(x):\n"
+        "        return table, rest, x\n"
+        "    return inner(u), lambda node, depth: node\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
     assert unread_private_names([leftover]) == [
         ("leftover.py", "_LISTS"), ("leftover.py", "_UNUSED"), ("leftover.py", "_helper"),
-        ("leftover.py", "_echo"), ("leftover.py", "_report"),
+        ("leftover.py", "_echo"), ("leftover.py", "_report"), ("leftover.py", "_raise"),
+    ]
+    assert unread_parameters(leftover) == [
+        ("_raise", "r"), ("_raise", "tree"), ("_raise", "options"), ("<lambda>", "depth"),
     ]
     assert asserts(leftover) == [11]
     assert repr_conversions(leftover) == [("_echo", 12), ("_report", 14)]
