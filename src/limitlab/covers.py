@@ -46,13 +46,12 @@ and is accepted unchecked, which is exact: each later copy is within budget
 already, its member by validation and ``built`` by the checks that admitted
 it.  ``cover_semimeasure`` counts in integer units of ``1/scale``, ``scale``
 the grid's least common denominator: every event value is on the grid, and
-closure sums of such values are whole units too.  A flat copy holds an
-element at ``max(bases[j][u], built[u])`` and keeps only its mass, so each
-element's grid scan is decided by one integer bound per segment
-(``_ceiling``).  A tree copy's root mass is a heaviest antichain, not a
-pointwise maximum, so the tree cover keeps a closed table per segment,
-raised by ``families._raise``.  Only the final guarantee checks use
-:class:`Fraction` and :class:`ClopenSet`.
+closure sums of such values are whole units too.  Each copy is an integer
+table with its mass, flat or closed on the tree, and one loop,
+``_semimeasure_runs``, serves both: an element's grid scan at a segment is
+decided by one bound over the later copies, and only its largest accepted
+value is applied.  Only the final guarantee checks use :class:`Fraction`
+and :class:`ClopenSet`.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
-    _closed,
     _guarantee,
     _raise,
     breakpoints,
@@ -150,7 +148,7 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
 
 def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) -> list[Fraction]:
     values = _unit_grid(grid)
-    missing = sorted({ev.value for ev in p.events if ev.value not in values}, reverse=True)
+    missing = sorted({ev.value for ev in p.events}.difference(values), reverse=True)
     if missing:
         shown = ", ".join(format_fraction(v) for v in missing[:4])
         raise ValueError(f"grid is missing event values: {shown}")
@@ -174,16 +172,16 @@ def cover_semimeasure(
     refusal changes no table, so the grid scan for an element stops at its
     first refused value.
 
-    A flat copy j holds u at ``m_j = max(member_j(u), accepted(u))``, so
-    raising u to r adds ``max(0, r - m_j)`` to its mass, which stays within
-    budget iff ``r <= m_j + 1 - mass_j``; let B be the least of these bounds
-    over the later copies.  Accepting a step raises each ``mass_j`` by
-    exactly as much as it raises ``m_j``, so B stays the same for the rest
+    Raising u to r in copy j adds ``max(0, r - T_j)`` to its mass, where
+    ``T_j`` is u's value in a flat copy, and in a closed tree copy u's value
+    plus the slack ``w[a] - w[a+"0"] - w[a+"1"]`` (never negative) of each
+    proper ancestor a.  So the step stays within budget iff
+    ``r <= T_j + 1 - mass_j``; let B be the least of these bounds over the
+    later copies.  Accepting a step raises each ``mass_j`` by exactly as
+    much as it raises ``T_j``, or neither, so B stays the same for the rest
     of u's scan, and the accepted values are exactly the grid values up to
     B: one bound and one bisection per segment and element, whatever the
-    grid, and only the largest accepted value is applied.  A tree copy's
-    root mass is a heaviest antichain, not a pointwise maximum, so each
-    tree copy stays a closed table and each grid value is tried on it.
+    grid, and only the largest accepted value is applied.
 
     The returned values are the accepted increases replayed on an initially
     empty table, which keeps them below the final working tables, hence
@@ -193,7 +191,7 @@ def cover_semimeasure(
     rgrid = _prepare_grid(p, grid)
     scale = lcm(*(r.denominator for r in rgrid))
     elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
-    runs, built = (_tree_runs if p.tree else _flat_runs)(segments, elements, rgrid, scale)
+    runs, built = _semimeasure_runs(segments, elements, rgrid, scale, p.tree)
     values = {u: Fraction(v, scale) for u, v in built.items()}
     mass = values.get("", Fraction(0)) if p.tree else sum(values.values(), Fraction(0))
     _guarantee(mass <= 1, f"the semimeasure cover has mass {format_fraction(mass)} > 1")
@@ -202,71 +200,63 @@ def cover_semimeasure(
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
 
 
-def _ceiling(column: list[int], masses: list[int], held: int, scale: int) -> int:
-    """B of :func:`cover_semimeasure`, in units: the highest value an element
-    may be raised to at a segment, ``column`` holding its member values and
-    ``masses`` the copy masses from that segment on, ``held`` its accepted value."""
-    return min(max(base, held) + scale - mass for base, mass in zip(column, masses))
+def _floor(table: dict, u: str) -> int:
+    """T of :func:`cover_semimeasure` for a closed tree ``table``: ``u``'s value
+    plus the slack ``w[a] - w[a+"0"] - w[a+"1"]`` of each proper ancestor ``a``,
+    which telescopes to the root's value less the siblings along ``u``'s path."""
+    floor = table.get("", 0)
+    while u:
+        floor -= table.get(u[:-1] + ("1" if u[-1] == "0" else "0"), 0)
+        u = u[:-1]
+    return floor
 
 
-def _flat_runs(
-    segments: list, elements: list[str], rgrid: list[Fraction], scale: int
+def _held(table: dict, u: str) -> int:
+    """T of :func:`cover_semimeasure` for a flat ``table``: ``u``'s value."""
+    return table.get(u, 0)
+
+
+def _set(table: dict, u: str, r: int) -> tuple[dict, int]:
+    """(entries changed, mass gained) when ``u`` is raised to ``r`` in a flat table."""
+    held = table.get(u, 0)
+    return ({u: r}, r - held) if r > held else ({}, 0)
+
+
+def _semimeasure_runs(
+    segments: list, elements: list[str], rgrid: list[Fraction], scale: int, tree: bool
 ) -> tuple[list, dict[str, int]]:
-    """``(runs, built)`` of a flat cover, ``built`` in units of ``1/scale``:
-    an element's scan at a segment accepts the grid values up to its
-    :func:`_ceiling`, which no accepted step moves (see :func:`cover_semimeasure`);
-    each accepted value is logged and the largest is applied."""
+    """``(runs, built)`` of a semimeasure cover, in units of ``1/scale``.
+
+    ``tables[j]`` is copy ``j``, its member with every accepted step applied,
+    and ``masses[j]`` its mass.  ``built`` is one more table, with an empty
+    member: it lies below every copy, so it never lowers a bound.
+    """
+    floor, lift = (_floor, _raise) if tree else (_held, _set)
     units = [int(r * scale) for r in rgrid]
-    columns = {u: [0] * len(segments) for u in elements}
-    masses = []
+    tables = [{} for _ in range(len(segments) + 1)]
+    masses = [0] * len(tables)
+
+    def apply(j: int, u: str, r: int) -> None:
+        changed, gain = lift(tables[j], u, r)
+        tables[j].update(changed)
+        masses[j] += gain
+
     for j, (_, _, member) in enumerate(segments):
         for u, v in member.items():
-            columns[u][j] = int(v * scale)
-        masses.append(sum(columns[u][j] for u in member))
+            apply(j, u, int(v * scale))
+    built = tables[-1]
     runs = []
-    built: dict[str, int] = {}
     for i, (start, end, _) in enumerate(segments):
+        later = range(i, len(tables))
         here = []
         for u in elements:
-            column, held = columns[u][i:], built.get(u, 0)
-            accepted = bisect_right(units, _ceiling(column, masses[i:], held, scale))
+            bound = min(floor(tables[j], u) - masses[j] for j in later) + scale
+            accepted = bisect_right(units, bound)
             here.extend((r, u) for r in rgrid[:accepted])
             top = units[accepted - 1] if accepted else 0
-            if top > held:
-                built[u] = top
-                for j, base in enumerate(column, i):
-                    masses[j] += max(0, top - max(base, held))
-        runs.append((start, end, tuple(here)))
-    return runs, built
-
-
-def _tree_runs(
-    segments: list, elements: list[str], rgrid: list[Fraction], scale: int
-) -> tuple[list, dict[str, int]]:
-    """``(runs, built)`` of a tree cover, ``built`` in units of ``1/scale``:
-    each segment's copy is a closed table, every grid value is tried by
-    :func:`families._raise` on each later copy, and the scan of an element
-    stops at its first refused value."""
-    working = [
-        _closed((u, int(v * scale)) for u, v in member.items()) for _, _, member in segments
-    ]
-    masses = [w.get("", 0) for w in working]
-    steps = [(r, int(r * scale)) for r in rgrid]
-    runs = []
-    built: dict[str, int] = {}
-    for i, (start, end, _) in enumerate(segments):
-        later = range(i, len(segments))
-        here = []
-        for u in elements:
-            for r, units in steps:
-                raises = [_raise(working[j], u, units) for j in later]
-                if any(masses[j] + gain > scale for j, (_, gain) in zip(later, raises)):
-                    break
-                for j, (changed, gain) in zip(later, raises):
-                    working[j].update(changed)
-                    masses[j] += gain
-                built.update(_raise(built, u, units)[0])
-                here.append((r, u))
+            if top > built.get(u, 0):  # else every copy holds u at top or more
+                for j in later:
+                    apply(j, u, top)
         runs.append((start, end, tuple(here)))
     return runs, built
 

@@ -456,6 +456,7 @@ def parse_trace(text: str) -> PartialTrace:
 
 
 _EMPTY_BITS = "-"
+_NOT_BITS = "bit string may contain only 0 and 1, got "
 
 
 def parse_complexity_table(text: str) -> ComplexityTable:
@@ -486,6 +487,10 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             ):
                 raise ValueError(f"bad table entry {_echo(row)}")
             entries[(row[0], row[1])] = row[2]
+        # one C-level pass over every string: deleting the bits leaves nothing
+        if "".join([bits for bits, _ in entries]).encode().translate(None, b"01"):
+            i = next(i for i, row in enumerate(raw) if row[0].strip("01"))
+            raise ValueError(f"table entry #{i}: {_NOT_BITS}{_echo(raw[i][0])}")
         if len(entries) < len(raw):  # a pair given twice: name its second entry
             first: dict = {}
             i = next(i for i, row in enumerate(raw) if first.setdefault(tuple(row[:2]), i) != i)
@@ -508,6 +513,8 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             raise ValueError(f"line {no}: expected 'bits condition value'")
         bits, cond_text, value_text = fields
         bits = "" if bits == _EMPTY_BITS else bits
+        if bits.strip("01"):
+            raise ValueError(f"line {no}: {_NOT_BITS}{_echo(bits)}")
         try:
             cond, value = parse_int(cond_text), parse_int(value_text)
         except _TooManyDigits as exc:

@@ -502,6 +502,36 @@ def test_every_dropped_key_or_retyped_value_ends_as_documented(name, tmp_path, c
     assert refused >= 6
 
 
+NON_BITS = ["abc", "012", "0\u0661"]  # a letter, a digit past 1, a non-ASCII digit
+
+
+def non_bit_rows(value):
+    """Copies of a table object with one row of non-bit strings inserted at
+    each place of its entries; each with the row's entry number and its string."""
+    rows = value["entries"]
+    for i in range(len(rows) + 1):
+        for bits in NON_BITS:
+            yield {**value, "entries": rows[:i] + [[bits, 2, 3]] + rows[i:]}, i, bits
+
+
+@pytest.mark.parametrize("name", ["table.json", "table_lines.txt"])
+def test_a_non_bit_table_string_is_refused_naming_its_entry(name, tmp_path, capsys):
+    source = tmp_path / name
+    if name.endswith(".json"):
+        mutants = [(text, f"table entry #{i}", bits)
+                   for text, i, bits in mutated_inputs(name, non_bit_rows)]
+    else:
+        lines = (FIXTURES / name).read_text().splitlines(keepends=True)
+        mutants = [("".join(lines[:i] + [f"{bits} 2 3\n"] + lines[i:]), f"line {i + 1}", bits)
+                   for i in range(len(lines) + 1) for bits in NON_BITS + ["-0"]]
+    for text, place, bits in mutants:
+        source.write_text(text)
+        assert run(OBJECT_INPUTS["table.json"] + ["--input", str(source)], tmp_path) == (2, b"")
+        want = f"error: {place}: bit string may contain only 0 and 1, got {bits!r}\n"
+        assert capsys.readouterr().err == want, text
+    assert len(mutants) > 20
+
+
 @pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])
 def test_liminf_of_semimeasure_families(name, tmp_path):
     code, body = run(["liminf", "--input", str(FIXTURES / name)], tmp_path)
@@ -1518,9 +1548,14 @@ def _accept_none(segments, bases, pieces, labels, budget):
     return ((start, end, ()) for start, end, _ in segments)
 
 
-def _root_doubled(table, u, r):  # the root books twice each raise, and no raise costs mass
-    changed = ll.families._raise(table, u, r)[0]
-    return ({**changed, "": 2 * r} if changed else {}), 0
+def _over_budget(segments, elements, rgrid, scale, tree):  # a semimeasure loop without budget
+    runs = [(start, end, tuple((r, u) for u in elements for r in rgrid))
+            for start, end, _ in segments]
+    return runs, dict.fromkeys(["", *elements], 2 * scale)  # the root and every element at 2
+
+
+def _no_value(segments, elements, rgrid, scale, tree):
+    return [(start, end, ()) for start, end, _ in segments], {}
 
 
 # (module, name, replacement, argv): one break of each guarantee check
@@ -1531,17 +1566,13 @@ BROKEN = {
                           ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
     "cover-open-liminf": ("covers", "_sweep", _accept_none,
                           ["cover-open", "--input", "open_family.jsonl", "--lmax", "2"]),
-    "cover-semimeasure-budget": (  # every grid value is within the ceiling
-        "covers", "_ceiling", lambda column, masses, held, scale: scale,
+    "cover-semimeasure-budget": ("covers", "_semimeasure_runs", _over_budget,
         ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
-    "cover-semimeasure-liminf": (  # no grid value is
-        "covers", "_ceiling", lambda column, masses, held, scale: -1,
+    "cover-semimeasure-liminf": ("covers", "_semimeasure_runs", _no_value,
         ["cover-semimeasure", "--input", "semimeasure_flat.jsonl", "--grid", EIGHTHS]),
-    "cover-tree-budget": (
-        "covers", "_raise", _root_doubled,
+    "cover-tree-budget": ("covers", "_semimeasure_runs", _over_budget,
         ["cover-tree", "--input", "semimeasure_tree.jsonl", "--grid", EIGHTHS]),
-    "cover-tree-liminf": (
-        "covers", "_raise", lambda table, u, r: ({}, 0),
+    "cover-tree-liminf": ("covers", "_semimeasure_runs", _no_value,
         ["cover-tree", "--input", "semimeasure_tree.jsonl", "--grid", EIGHTHS]),
     "cover-open-strong-budget": (
         "covers", "decompose_liminf", lambda p: [ll.FULL],

@@ -640,20 +640,22 @@ MIXED_GRIDS = {
 
 
 def onto_grid(p, grid):
-    """``p`` with each event value lowered to the grid; lower values keep a flat family valid."""
+    """``p`` with each event value lowered to the grid; lower values keep a
+    family valid, as a tree's closure is monotone."""
     return p._replace(events=tuple(
         ev._replace(value=max(v for v in grid if v <= ev.value)) for ev in p.events
     ))
 
 
 @pytest.mark.parametrize("name", MIXED_GRIDS)
-def test_flat_cover_matches_oracle_on_mixed_denominators(name):
+@pytest.mark.parametrize("kind", ["flat", "tree"])
+def test_semimeasure_cover_matches_oracle_on_mixed_denominators(kind, name):
     # the bound per element is exact in units of 1/scale whatever the grid's denominators
     grid = MIXED_GRIDS[name]
-    rng = random.Random(f"flat-grid:{name}")
+    rng = random.Random(f"{kind}-grid:{name}")
     off_eighths = 0  # accepted steps between the eighths
     for _ in range(80):
-        p = onto_grid(gen_semimeasure_family(rng, tree=False), grid)
+        p = onto_grid(gen_semimeasure_family(rng, tree=kind == "tree"), grid)
         last = max(ll.breakpoints(p))
         for nmax in (last, last + 2):
             cover = ll.cover_semimeasure(p, grid, nmax=nmax)
@@ -663,27 +665,36 @@ def test_flat_cover_matches_oracle_on_mixed_denominators(name):
     assert off_eighths > 0
 
 
-def test_flat_cover_takes_one_ceiling_per_segment_and_element(monkeypatch):
-    # the grid scan of an element is one bound and one bisection, and no table is raised
+@pytest.mark.parametrize("kind", ["flat", "tree"])
+def test_semimeasure_cover_work_does_not_grow_with_the_grid(kind, monkeypatch):
+    # an element's grid scan at a segment reads one floor per later copy, and
+    # only its largest accepted value is lifted into each later copy
     events = [
         (ll.tail(0), "0", "1/4"), (ll.single(1), "1", "1/2"), (ll.tail(2), "00", "1/4"),
         (ll.tail(3), "0", "1/2"), (ll.single(5), "11", "1/4"),
     ]
     p = ll.SemimeasureFamilyPresentation(
-        events=tuple(ll.ValueEvent(0, spec, u, Fraction(v)) for spec, u, v in events)
+        events=tuple(ll.ValueEvent(0, spec, u, Fraction(v)) for spec, u, v in events),
+        tree=kind == "tree",
     )
-    ceilings, raises = [], []
-    ceiling = covers._ceiling
-    monkeypatch.setattr(covers, "_ceiling", lambda *args: ceilings.append(args) or ceiling(*args))
-    monkeypatch.setattr(covers, "_raise", lambda *args: raises.append(args) or families._raise(*args))
+    floors, lifts = [], []
+    names = ("_floor", "_raise") if p.tree else ("_held", "_set")
+    floor, lift = (getattr(covers, name) for name in names)
+    monkeypatch.setattr(covers, names[0], lambda *args: floors.append(args) or floor(*args))
+    monkeypatch.setattr(covers, names[1], lambda *args: lifts.append(args) or lift(*args))
+    segments = list(families.members(p))
+    # copies each element reads, over all segments: segment i's, the later ones, and built
+    later = sum(len(segments) + 1 - i for i in range(len(segments)))
+    entries = sum(len(member) for _, _, member in segments)  # lifted to build the copies
     for size in (5, 257):
         grid = [Fraction(n, size - 1) for n in range(size)]
-        ceilings.clear()
+        floors.clear()
+        lifts.clear()
         cover = ll.cover_semimeasure(p, grid)
-        assert len(ceilings) == len(ll.breakpoints(p)) * 4 == 24
+        assert len(floors) == 4 * later == 108
+        assert len(lifts) <= entries + 4 * later
         got = (dict(cover.values), oracles.accepted_ops(cover))
         assert got == oracles.cover_semimeasure_by_index(p, grid, max(ll.breakpoints(p)))
-    assert raises == []
 
 
 @pytest.mark.parametrize("epsilon", ["0", "1/3", "5/7", "1"])
