@@ -50,20 +50,10 @@ def run_m0(program: str, condition: int) -> Optional[str]:
 
 
 def _least_period(x: str) -> int:
-    """Smallest p >= 1 with x[i] == x[i + p] wherever both exist (x nonempty).
-
-    The KMP prefix function gives the longest proper border of x, and the
-    least period is |x| minus its length.
-    """
-    border = [0] * len(x)
-    k = 0
-    for i in range(1, len(x)):
-        while k and x[i] != x[k]:
-            k = border[k - 1]
-        if x[i] == x[k]:
-            k += 1
-        border[i] = k
-    return len(x) - border[-1]
+    """Smallest p >= 1 with x[i] == x[i + p] wherever both exist (x nonempty),
+    by that definition: the first shift p < |x| with x[p:] == x[:-p], else |x|;
+    at most |x|^2 / 2 character comparisons, |x| <= EXACT_COMPLEXITY_BOUND."""
+    return next((p for p in range(1, len(x)) if x[p:] == x[:-p]), len(x))
 
 
 def exact_complexity(x: str, condition: int) -> int:
@@ -205,6 +195,11 @@ def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
         raise ValueError(f"table is missing {len(missing)} prefixes of the omega prefix: {shown}")
 
 
+def _require_bit_prefix(omega_prefix: str) -> None:
+    if omega_prefix.strip("01"):
+        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
+
+
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
     """Refuse unless the table defines all 2^l bit strings of every length l.
 
@@ -237,8 +232,7 @@ def deficiency_report(
     """Deficiency d and horizon-truncated extension deficiency dbar per prefix."""
     if horizon < len(omega_prefix):
         raise ValueError(f"horizon {horizon} shorter than the prefix ({len(omega_prefix)})")
-    if omega_prefix.strip("01"):
-        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
+    _require_bit_prefix(omega_prefix)
     _require_all_strings(t, range(horizon + 1))
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
@@ -307,8 +301,7 @@ class RandomnessReport(NamedTuple):
 def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> RandomnessReport:
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
     "infinitely many", so the largest qualifying n is reported alongside."""
-    if omega_prefix.strip("01"):
-        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
+    _require_bit_prefix(omega_prefix)
     problems = counting_violations(t)
     if problems:
         raise ValueError(problems[0])
@@ -337,7 +330,7 @@ def cover_to_complexity_bounds(
     """Description-length bounds read off a small cover by ordinal coding.
 
     At each breakpoint n, the length-n strings whose whole interval lies in
-    U_n are counted and sorted; naming one by its ordinal number in that list
+    U_n are counted in lex order; naming one by its ordinal number in that list
     takes ceil(log2(count)) bits, which bounds its complexity at that level.
     """
     segments = list(members(p))
@@ -362,9 +355,9 @@ def cover_to_complexity_bounds(
                 )
     result: dict[str, int] = {}
     for n, _, member in segments:
-        covered = sorted(
+        covered = [
             i + suffix for i in member.intervals for suffix in _strings_of_length(n - len(i))
-        )
+        ]
         if not covered:
             continue
         count = len(covered)

@@ -67,6 +67,7 @@ from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
     SetFamilyPresentation,
+    _floor,
     _guarantee,
     _raise,
     breakpoints,
@@ -198,17 +199,6 @@ def cover_semimeasure(
     below = [u for u, v in segments[-1][2].items() if values.get(u, 0) < v]
     _guarantee(not below, "the semimeasure cover falls below the liminf")
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
-
-
-def _floor(table: dict, u: str) -> int:
-    """T of :func:`cover_semimeasure` for a closed tree ``table``: ``u``'s value
-    plus the slack ``w[a] - w[a+"0"] - w[a+"1"]`` of each proper ancestor ``a``,
-    which telescopes to the root's value less the siblings along ``u``'s path."""
-    floor = table.get("", 0)
-    while u:
-        floor -= table.get(u[:-1] + ("1" if u[-1] == "0" else "0"), 0)
-        u = u[:-1]
-    return floor
 
 
 def _held(table: dict, u: str) -> int:

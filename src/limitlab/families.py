@@ -11,8 +11,8 @@ segment's member in one pass over the log and checks the budget, so ``members``
 validates its input.  An open member grows as merged integer ranges at the
 depth of the deepest event interval (one :func:`cantor._union` per step), so
 validation counts its points without building a set.  :func:`_raise` is the
-one upward-closure step for tree values, and :func:`_closed` closes a tree
-table by it.
+one upward-closure step for tree values: :func:`tree_closure` closes a table
+by it, and :func:`_floor` reads how far a closed table lets a node rise.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
@@ -239,9 +239,7 @@ def members(p: Presentation, nmax: Optional[int] = None) -> list[tuple]:
     segment ends at ``nmax + 1`` (``nmax`` defaults to the last breakpoint).
     Segments may share a member, so treat members as read-only.
     """
-    report, segments = _checked_sweep(p)
-    if not report.ok:
-        raise ValidationError(report)
+    segments = _valid_segments(p)
     last = segments[-1][0]
     if nmax is not None and nmax < last:
         raise ValueError(
@@ -257,10 +255,7 @@ def liminf_family(p: Presentation):
     """Exact liminf of ``p``, validated as by ``members``: the finite log leaves
     the family constant from the last breakpoint on, so it is the last segment's
     member, finished alone; the per-index oracles live in ``tests/oracles.py``."""
-    report, segments = _checked_sweep(p)
-    if not report.ok:
-        raise ValidationError(report)
-    return _rule(p)[2](segments[-1][2])
+    return _rule(p)[2](_valid_segments(p)[-1][2])
 
 
 def _raise(table: dict, u: str, r: int | Fraction) -> tuple[dict, int | Fraction]:
@@ -286,12 +281,15 @@ def _raise(table: dict, u: str, r: int | Fraction) -> tuple[dict, int | Fraction
     return changed, r - table.get("", 0)
 
 
-def _closed(bounds) -> dict:
-    """Least closed tree table above the ``(u, value)`` bounds, raised in any order."""
-    table: dict = {}
-    for u, r in bounds:
-        table.update(_raise(table, u, r)[0])
-    return table
+def _floor(table: dict, u: str) -> int:
+    """T of ``covers.cover_semimeasure`` for a closed tree ``table``: ``u``'s value
+    plus the slack ``w[a] - w[a+"0"] - w[a+"1"]`` of each proper ancestor ``a``,
+    which telescopes to the root's value less the siblings along ``u``'s path."""
+    floor = table.get("", 0)
+    while u:
+        floor -= table.get(u[:-1] + ("1" if u[-1] == "0" else "0"), 0)
+        u = u[:-1]
+    return floor
 
 
 def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -300,7 +298,10 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     Every node receives max(own bound, sum of children); only the event
     elements and their prefixes can be positive.
     """
-    return _closed(table.items())
+    closed: dict = {}
+    for u, r in table.items():
+        closed.update(_raise(closed, u, r)[0])
+    return closed
 
 
 def _structural_problems(p: Presentation) -> list[str]:
@@ -345,20 +346,13 @@ def _structural_problems(p: Presentation) -> list[str]:
         if isinstance(ev, SetEvent):
             if universe is not None and ev.element not in universe:
                 problems.append(f"{where}: element {_echo(ev.element)} not in the universe")
-        if isinstance(ev, ValueEvent):
+        else:
             try:
-                check_bit_string(ev.element, cap)
+                check_bit_string(ev.interval if isinstance(ev, IntervalEvent) else ev.element, cap)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
-            if not Fraction(0) <= ev.value <= Fraction(1):
-                problems.append(
-                    f"{where}: value {format_fraction(ev.value)} outside [0, 1]"
-                )
-        if isinstance(ev, IntervalEvent):
-            try:
-                check_bit_string(ev.interval, cap)
-            except ValueError as exc:
-                problems.append(f"{where}: {exc}")
+        if isinstance(ev, ValueEvent) and not Fraction(0) <= ev.value <= Fraction(1):
+            problems.append(f"{where}: value {format_fraction(ev.value)} outside [0, 1]")
     return problems
 
 
@@ -373,12 +367,20 @@ def _checked_sweep(p: Presentation) -> tuple[ValidationReport, list[tuple]]:
     problems = [text for n, _, member in segments if (text := excess(n, member))]
     for n, c in isinstance(p, OpenFamilyPresentation) and p.granularity or ():
         for pos, ev in enumerate(p.events):
-            if ev.spec.well_formed() and ev.spec.covers(n) and len(ev.interval) > c:
+            if ev.spec.covers(n) and len(ev.interval) > c:
                 problems.append(
                     f"granularity violated at n={n}: event #{pos} interval "
                     f"{_echo(ev.interval)} longer than c(n)={c}"
                 )
     return ValidationReport(tuple(problems)), segments
+
+
+def _valid_segments(p: Presentation) -> list[tuple]:
+    """``_checked_sweep``'s segments, or its report raised as :class:`ValidationError`."""
+    report, segments = _checked_sweep(p)
+    if not report.ok:
+        raise ValidationError(report)
+    return segments
 
 
 def validate(p: Presentation) -> ValidationReport:

@@ -192,6 +192,13 @@ def complexity_by_enumeration(x, condition):
     return best
 
 
+def least_period_by_definition(x):
+    """The least p >= 1 with x[i] == x[i + p] for every i < |x| - p (x nonempty)."""
+    return min(
+        p for p in range(1, len(x) + 1) if all(x[i] == x[i + p] for i in range(len(x) - p))
+    )
+
+
 def complexity_table_by_enumeration(max_len, conditions):
     """The whole (string, condition) -> length map by running every program
     of length up to max_len + 2 under every condition, shortest first."""

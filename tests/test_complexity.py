@@ -16,6 +16,7 @@ from oracles import (
     complexity_table_by_enumeration,
     counting_violations_by_scan,
     dbar_by_scan,
+    least_period_by_definition,
     require_all_strings_by_count,
     strings_up_to,
     table_payload_by_sort,
@@ -132,6 +133,20 @@ def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(mo
         ]
     # the groups without a periodic block share one list of literal blocks
     assert groups[0][1] is groups[-1][1]
+
+
+def test_least_period_matches_its_definition_beyond_the_enumerated_lengths():
+    # the enumeration oracles stop at length 8; `complexity --lmax` reaches 16
+    for x in (u for n in range(9, 14) for u in all_strings(n)):
+        assert complexity._least_period(x) == least_period_by_definition(x)
+    rng = random.Random("least-period")
+    for n in range(14, complexity.EXACT_COMPLEXITY_BOUND + 1):
+        for _ in range(1000):
+            # the fill of a random block of length q <= n has least period at most q
+            # (q = n draws a uniform string)
+            block = "".join(rng.choice("01") for _ in range(rng.randint(1, n)))
+            x = (block * n)[:n]
+            assert complexity._least_period(x) == least_period_by_definition(x)
 
 
 def test_measure_bound_is_decided_on_integers():

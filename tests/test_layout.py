@@ -2,8 +2,9 @@
 every import is used, every private module-level name is referenced, every
 parameter not named ``_x`` is read by its function or lambda, the package's ``__all__`` lists exactly the names its ``__init__`` imports, and
 each of those names is read by the library or a demo, not only by tests.
-No module holds an ``assert`` statement, which ``python -O`` would drop, and
-only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short."""
+No module holds an ``assert`` statement, which ``python -O`` would drop,
+only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
+and no two ``raise ValueError`` refusals word the same message."""
 
 import ast
 from pathlib import Path
@@ -142,6 +143,28 @@ def repr_conversions(path):
     return found
 
 
+def refusals(path):
+    """``(template, line)`` of each ``raise ValueError(<message>)`` in a module
+    whose message is worded (a string or an f-string), the template being the
+    message's ``ast.unparse``; ``argparse`` types raise their bare input instead."""
+    for node in ast.walk(parsed(path)):
+        if (
+            isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ValueError" and node.exc.args
+            and isinstance(node.exc.args[0], (ast.Constant, ast.JoinedStr))
+        ):
+            yield ast.unparse(node.exc.args[0]), node.lineno
+
+
+def repeated_refusals(paths):
+    """``(template, [(module, line), ...])`` of each template worded more than once."""
+    where = {}
+    for path in paths:
+        for template, line in sorted(refusals(path), key=lambda found: found[1]):
+            where.setdefault(template, []).append((path.name, line))
+    return [(template, places) for template, places in where.items() if len(places) > 1]
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -164,6 +187,11 @@ def test_only_echo_writes_a_repr():
     # every other message echoes a value through cantor._echo, which cuts it short
     found = {(path.name, function) for path in MODULES for function, _ in repr_conversions(path)}
     assert found == {("cantor.py", "_echo")}
+
+
+def test_each_refusal_is_worded_once():
+    # a rule refused in two places is stated in one helper both call
+    assert repeated_refusals(MODULES) == []
 
 
 def test_every_private_name_is_referenced():
@@ -208,6 +236,16 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    def inner(x):\n"
         "        return table, rest, x\n"
         "    return inner(u), lambda node, depth: node\n"
+        "def refuse(text):\n"
+        "    if text == '':\n"
+        "        raise ValueError(f'bad input {text}')\n"
+        "    if text == '?':\n"
+        "        raise ValueError(text)\n"
+        "    if text == '!':\n"
+        "        raise TypeError(f'bad input {text}')\n"
+        "    if text == '.':\n"
+        "        raise ValueError('bad input')\n"
+        "    raise ValueError(f'bad input {text}') from ValueError(text)\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -220,6 +258,9 @@ def test_the_checks_catch_leftovers(tmp_path):
     ]
     assert asserts(leftover) == [11]
     assert repr_conversions(leftover) == [("_echo", 12), ("_report", 14)]
+    assert repeated_refusals([leftover]) == [
+        ("f'bad input {text}'", [("leftover.py", 21), ("leftover.py", 28)]),
+    ]
     package = tmp_path / "__init__.py"
     package.write_text(
         "from .a import kept, dropped\n"
