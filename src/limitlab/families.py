@@ -12,7 +12,7 @@ validates its input.  An open member grows as merged integer ranges at the
 depth of the deepest event interval (one :func:`cantor._union` per step), so
 validation counts its points without building a set.  :func:`_raise` is the
 one upward-closure step for tree values: :func:`tree_closure` closes a table
-by it, and :func:`_floor` reads how far a closed table lets a node rise.
+by it, and :func:`_floor` reads the highest raise that leaves the root fixed.
 
 Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
