@@ -6,10 +6,10 @@ their liminf, the acceptable-operation covering constructions, a tiny exact
 complexity lab with randomness-deficiency analysis, a forcing simulator for
 low witnesses, and limit frequencies of eventually periodic traces.
 
-Presentations, events and results are immutable ``typing.NamedTuple``
-records, chosen over dataclasses for their far lower import cost.  Being
-tuples, they iterate over their fields and compare by value alone: a record
-equals a plain tuple, or a record of another class, with the same fields.
+Presentations, events and results are immutable ``collections.namedtuple``
+records: every run imports them, and ``typing.NamedTuple`` classes made the
+package's own import a third slower.  Being tuples, they iterate over their
+fields and compare by value alone, equal to any tuple with the same fields.
 """
 
 from .cantor import (

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -139,7 +140,7 @@ def _lift(*sets: "ClopenSet", depth: int = 0) -> tuple[int, list[list[tuple[int,
     return depth, [_ranges(s.intervals, depth) for s in sets]
 
 
-class ClopenSet(NamedTuple):
+class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
     """Canonical finite union of basic intervals.
 
     ``intervals`` is always a lexicographically sorted prefix-free antichain
@@ -147,7 +148,7 @@ class ClopenSet(NamedTuple):
     or the set operations below rather than by hand.
     """
 
-    intervals: tuple[str, ...] = ()
+    __slots__ = ()
 
     def measure(self) -> Fraction:
         """Exact uniform measure: 2^-len per interval, summed as integers at the deepest scale."""

@@ -37,8 +37,9 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import jsonio
 from .cantor import _TooManyDigits, _echo, parse_fraction, parse_int
@@ -176,12 +177,11 @@ def _open(args):
     return _presentation(args, OpenFamilyPresentation)
 
 
-class Command(NamedTuple):
-    help: str
-    required: tuple[str, ...]
-    optional: tuple[str, ...]
-    run: Callable[[Any], Any]  # parsed flags as attributes -> JSON payload, or event-log text
-    csv: Optional[Callable[[Any], Iterable[str]]] = None  # CSV text of the JSON payload, in pieces
+class Command(namedtuple("Command", "help required optional run csv", defaults=(None,))):
+    """``run``: parsed flags (as attributes) -> JSON payload, or event-log text;
+    ``csv``, if any: JSON payload -> CSV text, in pieces."""
+
+    __slots__ = ()
 
     def flags(self) -> tuple[str, ...]:
         """Every flag the command accepts: its own, ``output``, and ``format`` with a CSV writer."""

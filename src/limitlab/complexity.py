@@ -19,9 +19,10 @@ description-length bounds.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .cantor import _echo, _require_writable_power, _strings_of_length, format_fraction
 from .families import (
@@ -70,22 +71,29 @@ def exact_complexity(x: str, condition: int) -> int:
         )
     if x.strip("01"):
         raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
-    return _m0_length(x, condition)
-
-
-def _m0_length(x: str, condition: int) -> int:
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
-class ComplexityTable(NamedTuple):
-    """Finite exact map (string, condition) -> description length.
+def _periods(n: int) -> list[int]:
+    """per(x) of each bit string x of length n >= 1, in lex order.  "01"+q prints
+    the fill of q out to n bits, so per(x) is the length of the shortest q whose
+    fill is x: the fills are written from |q| = n down, so the last write wins,
+    and |q| = n writes each x once, in lex order."""
+    per: dict[str, int] = {}
+    for p in range(n, 0, -1):
+        reps = -(-n // p)
+        per.update(zip([(q * reps)[:n] for q in _strings_of_length(p)], repeat(p)))
+    return list(per.values())
+
+
+class ComplexityTable(namedtuple("ComplexityTable", "entries mode", defaults=("conditional",))):
+    """Finite exact map ``entries``: (string, condition) -> description length.
 
     ``mode`` fixes how a string is looked up: "conditional" uses the string's
     length as the condition, "plain" uses the fixed condition 0.
     """
 
-    entries: Mapping[tuple[str, int], int]
-    mode: str = "conditional"
+    __slots__ = ()
 
     def condition_for(self, u: str) -> int:
         return len(u) if self.mode == "conditional" else 0
@@ -118,7 +126,7 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
     literal = [(strings, n + 2) for n, strings in enumerate(by_length)]
     groups = [(conditions[:1], literal)]
     for n in conditions[1:max_len + 1]:
-        periodic = (by_length[n], [_m0_length(u, n) for u in by_length[n]])
+        periodic = (by_length[n], [2 + p for p in _periods(n)])
         groups.append((conditions[n:n + 1], [*literal[:n], periodic, *literal[n + 1:]]))
     groups.append((conditions[max_len + 1:], literal))
     return [group for group in groups if group[0]]
@@ -151,16 +159,17 @@ def _sorted_values(t: ComplexityTable) -> dict[int, list[int]]:
 def counting_violations(t: ComplexityTable) -> list[str]:
     """Failures of the bound: fewer than 2^m strings of complexity below m.
 
-    Checked for every condition appearing in the table and every m up to the
-    largest value plus one (the count is constant beyond).
+    Checked for every condition in the table and every m up to the largest
+    value plus one, but below the bit length of the table's size: no count
+    exceeds the size, so a larger m cannot fail.
     """
     problems = []
     if not t.entries:
         return problems
-    top = max(t.entries.values()) + 1
+    stop = min(max(t.entries.values()) + 2, len(t.entries).bit_length())
     groups = _sorted_values(t)
     for condition in sorted(groups):
-        for m in range(top + 1):
+        for m in range(stop):
             count = bisect_left(groups[condition], m)
             if count >= 2**m:
                 problems.append(
@@ -170,16 +179,14 @@ def counting_violations(t: ComplexityTable) -> list[str]:
     return problems
 
 
-class DeficiencyReport(NamedTuple):
-    """Per-prefix deficiencies of one sequence prefix.
+class DeficiencyReport(namedtuple("DeficiencyReport", "per_prefix horizon c")):
+    """Per-prefix deficiencies ``per_prefix``: one ``(prefix, d, dbar)`` per prefix.
 
     ``dbar`` is the minimum deficiency over all extensions up to ``horizon``;
     the horizon is carried so the truncation is never overstated.
     """
 
-    per_prefix: tuple[tuple[str, int, int], ...]  # (prefix, d, dbar)
-    horizon: int
-    c: int
+    __slots__ = ()
 
     def dbar(self, x: str) -> int:
         for prefix, _, dbar in self.per_prefix:
@@ -289,13 +296,10 @@ def deficiency_family(
     )
 
 
-class RandomnessReport(NamedTuple):
+class RandomnessReport(namedtuple("RandomnessReport", "qualifying count largest c")):
     """Prefix lengths at which the sequence stays incompressible."""
 
-    qualifying: tuple[int, ...]
-    count: int
-    largest: Optional[int]
-    c: int
+    __slots__ = ()
 
 
 def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> RandomnessReport:

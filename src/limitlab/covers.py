@@ -57,9 +57,10 @@ and :class:`ClopenSet`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _ranges, _require_writable_power, _strings_of_length
 from .cantor import _unit_grid, format_fraction, max_interval_depth, normalize
@@ -77,15 +78,15 @@ from .families import (
 )
 
 
-class CoverSet(NamedTuple):
-    elements: frozenset[str]
-    runs: tuple[tuple[int, int, tuple[str, ...]], ...]
+class CoverSet(namedtuple("CoverSet", "elements runs")):
+    """``runs``: one ``(start, end, elements accepted at start)`` per segment."""
+    __slots__ = ()
 
 
-class CoverSemimeasure(NamedTuple):
-    values: Mapping[str, Fraction]
-    runs: tuple[tuple[int, int, tuple[tuple[Fraction, str], ...]], ...]
-    tree: bool
+class CoverSemimeasure(namedtuple("CoverSemimeasure", "values runs tree")):
+    """``runs``: one ``(start, end, ((value, element), ...) accepted at start)`` per segment."""
+
+    __slots__ = ()
 
     def value(self, u: str) -> Fraction:
         return self.values.get(u, Fraction(0))
@@ -96,10 +97,10 @@ class CoverSemimeasure(NamedTuple):
         return sum(self.values.values(), Fraction(0))
 
 
-class CoverOpenSet(NamedTuple):
-    region: ClopenSet
-    runs: tuple[tuple[int, int, tuple[str, ...]], ...]
-    slack_report: Optional[tuple[tuple[int, Fraction], ...]] = None
+class CoverOpenSet(namedtuple("CoverOpenSet", "region runs slack_report", defaults=(None,))):
+    """``runs``: one ``(start, end, intervals accepted at start)`` per segment;
+    ``slack_report``, if any: one ``(i, slack of part i)`` per decomposition part."""
+    __slots__ = ()
 
 
 def _sweep(

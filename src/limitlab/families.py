@@ -18,25 +18,25 @@ Three kinds are supported: set families (with a capacity bound ``< 2^k`` per
 index), semimeasure families (value tables, flat or on the binary tree) and
 open families (clopen subsets of Cantor space with a measure bound).
 
-Presentations and events are ``NamedTuple`` records, so they compare as
-tuples: a ``SetEvent`` equals an ``IntervalEvent`` with the same fields.
+Presentations and events are ``collections.namedtuple`` records, so they
+compare as tuples: a ``SetEvent`` equals an ``IntervalEvent`` with the same fields.
 Code that must tell the kinds apart does so with ``isinstance``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .cantor import _clopen, _echo, _ranges, _union, check_bit_string, format_fraction
 from .cantor import max_interval_depth
 
 
-class IndexSpec(NamedTuple):
-    """Which indices an event applies to."""
+class IndexSpec(namedtuple("IndexSpec", "kind index")):
+    """Which indices an event applies to: ``kind`` is "single" or "tail"."""
 
-    kind: str  # "single" or "tail"
-    index: int
+    __slots__ = ()
 
     def covers(self, n: int) -> bool:
         if self.kind == "single":
@@ -55,34 +55,27 @@ def tail(n: int) -> IndexSpec:
     return IndexSpec("tail", n)
 
 
-class SetEvent(NamedTuple):
-    stage: int
-    spec: IndexSpec
-    element: str
+class SetEvent(namedtuple("SetEvent", "stage spec element")):
+    __slots__ = ()
 
 
-class ValueEvent(NamedTuple):
-    stage: int
-    spec: IndexSpec
-    element: str
-    value: Fraction
+class ValueEvent(namedtuple("ValueEvent", "stage spec element value")):
+    __slots__ = ()
 
 
-class IntervalEvent(NamedTuple):
-    stage: int
-    spec: IndexSpec
-    interval: str
+class IntervalEvent(namedtuple("IntervalEvent", "stage spec interval")):
+    __slots__ = ()
 
 
-class SetFamilyPresentation(NamedTuple):
+class SetFamilyPresentation(namedtuple("SetFamilyPresentation", "k universe events",
+                                       defaults=((),))):
     """Staged family of finite string sets, each kept below 2^k elements."""
 
-    k: int
-    universe: tuple[str, ...]
-    events: tuple[SetEvent, ...] = ()
+    __slots__ = ()
 
 
-class SemimeasureFamilyPresentation(NamedTuple):
+class SemimeasureFamilyPresentation(namedtuple("SemimeasureFamilyPresentation", "events tree",
+                                               defaults=((), False))):
     """Staged family of value tables; an event raises m_n(element) to value.
 
     With ``tree=False`` each index must carry total mass at most 1.  With
@@ -91,16 +84,18 @@ class SemimeasureFamilyPresentation(NamedTuple):
     semimeasure (equivalently: the minimal upward closure has root at most 1).
     """
 
-    events: tuple[ValueEvent, ...] = ()
-    tree: bool = False
+    __slots__ = ()
 
 
-class OpenFamilyPresentation(NamedTuple):
-    """Staged family of clopen sets, each of measure at most epsilon."""
+class OpenFamilyPresentation(namedtuple("OpenFamilyPresentation", "epsilon events granularity",
+                                        defaults=((), None))):
+    """Staged family of clopen sets, each of measure at most epsilon.
 
-    epsilon: Fraction
-    events: tuple[IntervalEvent, ...] = ()
-    granularity: Optional[tuple[tuple[int, int], ...]] = None
+    ``granularity``, if any, holds one ``(n, c)`` per bounded index n: the
+    intervals of events covering n are at most c bits long.
+    """
+
+    __slots__ = ()
 
 
 Presentation = Union[
@@ -108,8 +103,8 @@ Presentation = Union[
 ]
 
 
-class ValidationReport(NamedTuple):
-    problems: tuple[str, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "problems", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

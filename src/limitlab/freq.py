@@ -11,9 +11,9 @@ family whose liminf is exactly the (grid-floored) frequency table.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cantor import _echo, _unit_grid
 from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
@@ -21,14 +21,10 @@ from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
 Slot = Optional[int]
 
 
-class _Trace(NamedTuple):
-    prefix: tuple[Slot, ...]
-    period: tuple[Slot, ...]
-
-
-class PartialTrace(_Trace):
-    """A validated trace record; ``NamedTuple`` forbids ``__new__`` in its own
-    body, so the check lives in this subclass."""
+class PartialTrace(namedtuple("PartialTrace", "prefix period")):
+    """A validated trace: ``prefix`` and the nonempty ``period`` are tuples of
+    naturals or None.  Building one checks them, through ``__new__``,
+    ``_make`` and so ``_replace``."""
 
     __slots__ = ()
 
@@ -44,7 +40,7 @@ class PartialTrace(_Trace):
 
     @classmethod
     def _make(cls, iterable) -> "PartialTrace":
-        # the inherited _make (and so _replace) builds with tuple.__new__, skipping the check
+        # namedtuple's _make (and so _replace) builds with tuple.__new__, skipping the check
         return cls(*iterable)
 
     def term(self, i: int) -> Slot:

@@ -17,21 +17,20 @@ one :class:`ClopenSet` at the end, from which the witness is read.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .cantor import ClopenSet, _clopen, _lift, _union, max_interval_depth
+from .cantor import _clopen, _lift, _union, max_interval_depth
 from .families import _guarantee
 
 
-class ForcingInstance(NamedTuple):
-    initial_u: ClopenSet
-    queries: tuple[tuple[str, ClopenSet], ...]  # (label, query set)
+class ForcingInstance(namedtuple("ForcingInstance", "initial_u queries")):
+    """``queries``: one ``(label, query set)`` per query, in order."""
+    __slots__ = ()
 
 
-class ForcingOutcome(NamedTuple):
-    answers: tuple[tuple[str, str], ...]  # (label, "halts" | "diverges")
-    final_u: ClopenSet
-    witness_prefix: str
+class ForcingOutcome(namedtuple("ForcingOutcome", "answers final_u witness_prefix")):
+    """``answers``: one ``(label, "halts" | "diverges")`` per query, in order."""
+    __slots__ = ()
 
 
 def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:

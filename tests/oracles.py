@@ -282,7 +282,7 @@ def trace_to_family_by_index(prefix, period, nmax, grid):
 
     Returned as plain tuples ``(events, tree)`` with events
     ``(stage, (kind, index), element, value)``; the library's records are
-    NamedTuples, so a presentation equals this field for field."""
+    namedtuples, so a presentation equals this field for field."""
     grid = [Fraction(g) for g in grid]
 
     def floored(share):

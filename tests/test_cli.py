@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -1240,6 +1241,18 @@ def test_complexity_bounds_decides_a_large_c_without_writing_it(tmp_path, capsys
     for c in ("0", "20000", "10000000000"):
         code, out = run(["complexity-bounds", "--input", str(log), "--c", c], tmp_path)
         assert (code, out) == (0, b'{\n  "bounds": {}\n}\n')
+
+
+def test_randomness_report_checks_counting_in_time_of_the_table_size(tmp_path):
+    # a count is at most the number of entries, so a large value adds no m to check
+    table = tmp_path / "table.json"
+    table.write_text('{"conditionMode":"conditional","entries":[["",0,2],["0",1,100000]]}\n')
+    argv = ["randomness-report", "--input", str(table), "--omega", "0", "--c", "0"]
+    started = time.monotonic()
+    code, out = run(argv, tmp_path)
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert json.loads(out) == {"c": 0, "count": 2, "largest": 1, "qualifying": [0, 1]}
 
 
 @pytest.mark.parametrize(

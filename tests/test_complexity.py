@@ -118,10 +118,10 @@ def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
 
 def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(monkeypatch):
     calls = []
-    real = complexity._least_period
-    monkeypatch.setattr(complexity, "_least_period", lambda x: calls.append(x) or real(x))
+    real = complexity._periods
+    monkeypatch.setattr(complexity, "_periods", lambda n: calls.append(n) or real(n))
     groups = ll.complexity_blocks(5, 8)
-    assert sorted(calls) == sorted(u for n in range(1, 6) for u in all_strings(n))
+    assert sorted(calls) == [1, 2, 3, 4, 5]
     # condition 0, each of 1..5 alone, then 6..8 together
     assert [conditions for conditions, _ in groups] == [
         range(0, 1), range(1, 2), range(2, 3), range(3, 4), range(4, 5), range(5, 6), range(6, 9)
@@ -147,6 +147,19 @@ def test_least_period_matches_its_definition_beyond_the_enumerated_lengths():
             block = "".join(rng.choice("01") for _ in range(rng.randint(1, n)))
             x = (block * n)[:n]
             assert complexity._least_period(x) == least_period_by_definition(x)
+
+
+def test_block_periods_match_the_definition():
+    # _periods reads per(x) off M0's periodic programs, shortest payload last
+    for n in range(1, 14):
+        assert complexity._periods(n) == [least_period_by_definition(x) for x in all_strings(n)]
+    rng = random.Random("block-periods")
+    for n in range(14, complexity.EXACT_COMPLEXITY_BOUND + 1):
+        periods = complexity._periods(n)
+        for _ in range(1000):
+            block = "".join(rng.choice("01") for _ in range(rng.randint(1, n)))
+            x = (block * n)[:n]
+            assert periods[int(x, 2)] == least_period_by_definition(x)
 
 
 def test_measure_bound_is_decided_on_integers():

@@ -36,7 +36,18 @@ def test_make_and_replace_check_the_trace():
         ll.PartialTrace((), (1,))._replace(period=())
     with pytest.raises(ValueError):
         ll.PartialTrace._make(((), (True,)))
-    assert ll.PartialTrace((), (1,))._replace(prefix=(2,)) == ll.PartialTrace((2,), (1,))
+    with pytest.raises(ValueError):
+        ll.PartialTrace._make(((), ()))
+    replaced = ll.PartialTrace((), (1,))._replace(prefix=(2,))
+    assert replaced == ll.PartialTrace((2,), (1,))
+    assert type(replaced) is ll.PartialTrace
+
+
+def test_a_trace_is_the_plain_tuple_of_its_fields():
+    trace = ll.PartialTrace(prefix=(5, None), period=(1,))
+    assert trace == ((5, None), (1,)) and tuple(trace) == ((5, None), (1,))
+    assert trace.period == trace[1] == (1,)
+    assert not hasattr(trace, "__dict__")
 
 
 def test_trace_values_must_be_naturals():

@@ -4,9 +4,12 @@ parameter not named ``_x`` is read by its function or lambda, the package's ``__
 each of those names is read by the library or a demo, not only by tests.
 No module holds an ``assert`` statement, which ``python -O`` would drop,
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
-and no two ``raise ValueError`` refusals word the same message."""
+and no two ``raise ValueError`` refusals word the same message.  Records stay
+cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
+``__slots__ = ()``, so its instances carry no ``__dict__``."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -165,6 +168,26 @@ def repeated_refusals(paths):
     return [(template, places) for template, places in where.items() if len(places) > 1]
 
 
+def typed_records(path):
+    """``(class, line)`` of each class in a module with ``NamedTuple`` as a base."""
+    return [
+        (node.name, node.lineno) for node in ast.walk(parsed(path))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases)
+    ]
+
+
+def tuples_with_a_dict(module):
+    """The tuple subclasses a module defines without ``__slots__ = ()`` in their
+    own body, whose instances so carry a ``__dict__``."""
+    return sorted(
+        name for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, tuple)
+        and value.__module__ == module.__name__ and value.__dict__.get("__slots__") != ()
+    )
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
@@ -192,6 +215,16 @@ def test_only_echo_writes_a_repr():
 def test_each_refusal_is_worded_once():
     # a rule refused in two places is stated in one helper both call
     assert repeated_refusals(MODULES) == []
+
+
+def test_records_are_plain_namedtuples():
+    # every run imports them: a typing.NamedTuple class costs more to build, and
+    # a tuple subclass without __slots__ gives each instance a dict
+    assert [found for path in MODULES for found in typed_records(path)] == []
+    modules = [importlib.import_module(f"limitlab.{path.stem}") for path in MODULES]
+    assert [(module.__name__, tuples_with_a_dict(module)) for module in modules] == [
+        (module.__name__, []) for module in modules
+    ]
 
 
 def test_every_private_name_is_referenced():
@@ -246,6 +279,14 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    if text == '.':\n"
         "        raise ValueError('bad input')\n"
         "    raise ValueError(f'bad input {text}') from ValueError(text)\n"
+        "from collections import namedtuple\n"
+        "from typing import NamedTuple\n"
+        "class Typed(NamedTuple):\n"
+        "    x: int\n"
+        "class Loose(namedtuple('Loose', 'x')):\n"
+        "    pass\n"
+        "class Kept(namedtuple('Kept', 'x')):\n"
+        "    __slots__ = ()\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -261,6 +302,11 @@ def test_the_checks_catch_leftovers(tmp_path):
     assert repeated_refusals([leftover]) == [
         ("f'bad input {text}'", [("leftover.py", 21), ("leftover.py", 28)]),
     ]
+    assert typed_records(leftover) == [("Typed", 31)]
+    spec = importlib.util.spec_from_file_location("leftover", leftover)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert tuples_with_a_dict(module) == ["Loose"]
     package = tmp_path / "__init__.py"
     package.write_text(
         "from .a import kept, dropped\n"
