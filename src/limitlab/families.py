@@ -20,7 +20,10 @@ open families (clopen subsets of Cantor space with a measure bound).
 
 Presentations and events are ``collections.namedtuple`` records, so they
 compare as tuples: a ``SetEvent`` equals an ``IntervalEvent`` with the same fields.
-Code that must tell the kinds apart does so with ``isinstance``.
+Code that must tell the kinds apart does so with ``isinstance``; ``EVENT_CLASS``
+pairs each presentation class with its event class.  Validation checks the
+type of every field before it reads it, so a mistyped input is a problem it
+names, never an exception.
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ class IndexSpec(namedtuple("IndexSpec", "kind index")):
         if self.kind == "single":
             return n == self.index
         return n >= self.index
-
-    def well_formed(self) -> bool:
-        return self.kind in ("single", "tail") and isinstance(self.index, int) and self.index >= 0
 
 
 def single(n: int) -> IndexSpec:
@@ -101,6 +101,12 @@ class OpenFamilyPresentation(namedtuple("OpenFamilyPresentation", "epsilon event
 Presentation = Union[
     SetFamilyPresentation, SemimeasureFamilyPresentation, OpenFamilyPresentation
 ]
+# the class of every event of each kind of presentation
+EVENT_CLASS = {
+    SetFamilyPresentation: SetEvent,
+    SemimeasureFamilyPresentation: ValueEvent,
+    OpenFamilyPresentation: IntervalEvent,
+}
 
 
 class ValidationReport(namedtuple("ValidationReport", "problems", defaults=((),))):
@@ -134,7 +140,7 @@ def breakpoints(p: Presentation) -> list[int]:
     """
     points = {0}
     for ev in p.events:
-        if not ev.spec.well_formed():
+        if not _well_formed(ev.spec):
             continue
         if ev.spec.kind == "single":
             points.add(ev.spec.index)
@@ -250,7 +256,8 @@ def liminf_family(p: Presentation):
     """Exact liminf of ``p``, validated as by ``members``: the finite log leaves
     the family constant from the last breakpoint on, so it is the last segment's
     member, finished alone; the per-index oracles live in ``tests/oracles.py``."""
-    return _rule(p)[2](_valid_segments(p)[-1][2])
+    last = _valid_segments(p)[-1][2]
+    return _rule(p)[2](last)
 
 
 def _raise(table: dict, u: str, r: int | Fraction) -> tuple[dict, int | Fraction]:
@@ -299,55 +306,109 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     return closed
 
 
+def _natural(value) -> bool:
+    """A natural number is an ``int`` at least 0, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _rational(value) -> bool:
+    """An exact rational is a ``Fraction`` or an ``int`` that is not a ``bool``."""
+    return isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool)
+
+
+def _well_formed(spec) -> bool:
+    return isinstance(spec, IndexSpec) and spec.kind in ("single", "tail") and _natural(spec.index)
+
+
 def _structural_problems(p: Presentation) -> list[str]:
+    """Every problem read off the records alone; no field of a value is read
+    before its type is checked, so a mistyped field is a problem, not an error."""
     problems = []
     cap = max_interval_depth()
-    universe = set(p.universe) if isinstance(p, SetFamilyPresentation) else None
+    event_cls = next((ev for cls, ev in EVENT_CLASS.items() if isinstance(p, cls)), None)
+    if event_cls is None:
+        raise TypeError(f"not a presentation: {type(p).__name__}")
+    universe = set()
     if isinstance(p, SetFamilyPresentation):
-        if p.k < 0:
-            problems.append(f"capacity exponent k must be a natural number, got {p.k}")
-        seen = set()
-        for u in p.universe:
+        if not _natural(p.k):
+            problems.append(f"capacity exponent k must be a natural number, got {_echo(p.k)}")
+        items = p.universe
+        if not isinstance(items, (tuple, list)):
+            problems.append(f"universe must be a tuple of bit strings, got {_echo(items)}")
+            items = ()
+        for u in items:
             try:
                 check_bit_string(u, cap)
             except ValueError as exc:
                 problems.append(f"universe: {exc}")
-            if u in seen:
+                continue
+            if u in universe:
                 problems.append(f"universe lists element {_echo(u)} twice")
-            seen.add(u)
+            universe.add(u)
+    if isinstance(p, SemimeasureFamilyPresentation) and not isinstance(p.tree, bool):
+        problems.append(f"tree must be a boolean, got {_echo(p.tree)}")
     if isinstance(p, OpenFamilyPresentation):
-        if p.epsilon < 0:
+        if not _rational(p.epsilon):
+            problems.append(f"epsilon must be an exact rational, got {_echo(p.epsilon)}")
+        elif p.epsilon < 0:
             problems.append(f"epsilon must be nonnegative, got {format_fraction(p.epsilon)}")
-        if p.granularity is not None:
-            seen = set()
-            for n, c in p.granularity:
-                if n < 0 or c < 0:
-                    problems.append(f"granularity pair ({n}, {c}) must be natural numbers")
-                if n in seen:
-                    problems.append(f"granularity lists index n={n} twice")
-                seen.add(n)
+        problems += _granularity_problems(p.granularity)
+    if not isinstance(p.events, (tuple, list)):
+        return problems + [f"events must be a tuple of events, got {_echo(p.events)}"]
     last_stage = None
     for pos, ev in enumerate(p.events):
         where = f"event #{pos}"
-        if ev.stage < 0:
-            problems.append(f"{where}: stage must be a natural number, got {ev.stage}")
-        if last_stage is not None and ev.stage < last_stage:
+        if not isinstance(ev, event_cls):
+            problems.append(
+                f"{where}: {type(ev).__name__} is not {event_cls.__name__}, "
+                f"the event class of {type(p).__name__}"
+            )
+            continue
+        natural = _natural(ev.stage)
+        if not natural:
+            problems.append(f"{where}: stage must be a natural number, got {_echo(ev.stage)}")
+        if isinstance(ev.stage, int) and last_stage is not None and ev.stage < last_stage:
             problems.append(
                 f"{where}: stage {ev.stage} decreases below previous stage {last_stage}"
             )
-        last_stage = ev.stage if ev.stage >= 0 else last_stage
-        if not ev.spec.well_formed():
+        last_stage = ev.stage if natural else last_stage
+        if not _well_formed(ev.spec):
             problems.append(f"{where}: malformed index spec {_echo(ev.spec)}")
         if isinstance(ev, SetEvent):
-            if universe is not None and ev.element not in universe:
+            if not (isinstance(ev.element, str) and ev.element in universe):
                 problems.append(f"{where}: element {_echo(ev.element)} not in the universe")
         else:
             try:
                 check_bit_string(ev.interval if isinstance(ev, IntervalEvent) else ev.element, cap)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
-        if isinstance(ev, ValueEvent) and not Fraction(0) <= ev.value <= Fraction(1):
-            problems.append(f"{where}: value {format_fraction(ev.value)} outside [0, 1]")
+        if isinstance(ev, ValueEvent):
+            if not _rational(ev.value):
+                problems.append(f"{where}: value must be an exact rational, got {_echo(ev.value)}")
+            elif not 0 <= ev.value <= 1:
+                problems.append(f"{where}: value {format_fraction(ev.value)} outside [0, 1]")
+    return problems
+
+
+def _granularity_problems(granularity) -> list[str]:
+    """Problems of an open family's granularity: ``None``, or ``(n, c)`` pairs
+    of naturals with no index twice."""
+    if granularity is None:
+        return []
+    if not isinstance(granularity, (tuple, list)):
+        return [f"granularity must be a tuple of (n, c) pairs, got {_echo(granularity)}"]
+    problems, seen = [], set()
+    for pair in granularity:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            problems.append(f"granularity entry {_echo(pair)} must be a pair (n, c)")
+            continue
+        n, c = pair
+        if not (_natural(n) and _natural(c)):
+            problems.append(f"granularity pair ({_echo(n)}, {_echo(c)}) must be natural numbers")
+        if isinstance(n, int):
+            if n in seen:
+                problems.append(f"granularity lists index n={n} twice")
+            seen.add(n)
     return problems
 
 

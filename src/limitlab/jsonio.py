@@ -12,8 +12,8 @@ trailing newline, so identical inputs produce byte-identical outputs.  Their
 text is exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
 (every key is a ``str``; any other key raises ``TypeError``), but ``indent``
 would make CPython fall back to its pure-Python encoder.  So one walker,
-:func:`_pieces`, goes through dicts and other lists item by item and hands every
-list of scalars to one call of the C encoder with the item separator
+:func:`_pieces`, goes through dicts and other arrays item by item and hands
+lists and tuples of scalars to one call each of the C encoder with the item separator
 ``"\n"``, then re-indents that text with ``str.replace``.  This is exact
 because the C encoder escapes every newline inside a string (``ensure_ascii``
 text holds no raw control character), so each ``"\n"`` in its output is an
@@ -48,22 +48,20 @@ from .cantor import parse_int
 from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
+    EVENT_CLASS,
     IndexSpec,
-    IntervalEvent,
     OpenFamilyPresentation,
     Presentation,
     SemimeasureFamilyPresentation,
-    SetEvent,
     SetFamilyPresentation,
     ValidationReport,
-    ValueEvent,
     _same,
 )
 from .freq import PartialTrace
 from .lowbasis import ForcingInstance, ForcingOutcome
 
 
-# items separated by a bare newline; given scalars and lists of scalars only,
+# items separated by a bare newline; given scalars and lists and tuples of scalars only,
 # picked by exact type (subclasses, such as records, take the walk)
 _encode = json.JSONEncoder(separators=("\n", ":")).encode
 _SCALARS = {str, int, bool, type(None)}
@@ -106,7 +104,8 @@ def artifact_pieces(payload: Any) -> Iterator[str]:
 
 def _pieces(value: Any, pad: str) -> Iterator[str]:
     """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at
-    indentation ``pad``, in pieces: the one walker of an artifact."""
+    indentation ``pad``, in pieces: the one walker of an artifact.  Lists and
+    tuples of scalars are one C call each, so records go in as they are."""
     if type(value) is Runs:
         yield from _json_runs(value.runs, pad)
     elif not value or not isinstance(value, (dict, list, tuple)):
@@ -231,11 +230,16 @@ def _require_str(obj: dict, key: str, where: str) -> str:
     return value
 
 
-def _require_known(obj: dict, known: frozenset, where: str) -> None:
-    """Refuse a key outside ``known``: a misspelt field would change what the input means."""
-    if not known.issuperset(obj):
-        key = next(key for key in obj if key not in known)
+def _object(value: Any, where: str, known: frozenset, refusal: str) -> dict:
+    """``value`` as a closed input object: ``refusal`` unless it is a dict, and
+    a key outside ``known`` refused by name, since a misspelt field would
+    change what the input means."""
+    if not isinstance(value, dict):
+        raise ValueError(refusal)
+    if not known.issuperset(value):
+        key = next(key for key in value if key not in known)
         raise ValueError(f"{where}: unknown field {_echo(key)}")
+    return value
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -245,24 +249,17 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-# The event-log format per header type: presentation class, header keys,
-# event class and event payload keys.  Every line also carries "stage",
-# "kind" and "index"; every payload field is a string.
+# The event-log format per header type: presentation class, header keys and
+# event payload keys (its event class is families.EVENT_CLASS's).  Every line
+# also carries "stage", "kind" and "index"; every payload field is a string.
 _EVENT_LOGS = {
-    "set-family": (SetFamilyPresentation, ("k", "universe"), SetEvent, ("element",)),
-    "semimeasure-family": (
-        SemimeasureFamilyPresentation, ("tree",), ValueEvent, ("element", "value")),
-    "open-family": (
-        OpenFamilyPresentation, ("epsilon", "granularity"), IntervalEvent, ("interval",)),
+    "set-family": (SetFamilyPresentation, ("k", "universe"), ("element",)),
+    "semimeasure-family": (SemimeasureFamilyPresentation, ("tree",), ("element", "value")),
+    "open-family": (OpenFamilyPresentation, ("epsilon", "granularity"), ("interval",)),
 }
 _KIND_OF = {cls: kind for kind, (cls, *_) in _EVENT_LOGS.items()}
 # fields whose log form differs from their record value, both ways
-_DUMP = {
-    "universe": list,
-    "epsilon": format_fraction,
-    "value": format_fraction,
-    "granularity": lambda g: None if g is None else [list(pair) for pair in g],
-}
+_DUMP = {"epsilon": format_fraction, "value": format_fraction}
 _LOAD = {"value": parse_fraction}
 
 
@@ -287,21 +284,21 @@ def parse_presentation(text: str) -> Presentation:
         raise ValueError("empty event log: a header line is required")
     no, head_text = lines[0]
     header = _loads(head_text, f"line {no}")
+    refusal = f"line {no}: header must be an object with a 'type' field"
     if not isinstance(header, dict) or "type" not in header:
-        raise ValueError(f"line {no}: header must be an object with a 'type' field")
+        raise ValueError(refusal)
     kind = header["type"]
     if not isinstance(kind, str) or kind not in _EVENT_LOGS:
         raise ValueError(f"unknown presentation type {_echo(kind)}")
-    cls, header_keys, event_cls, payload_keys = _EVENT_LOGS[kind]
-    _require_known(header, frozenset(("type", *header_keys)), f"line {no}")
+    cls, header_keys, payload_keys = _EVENT_LOGS[kind]
+    event_cls = EVENT_CLASS[cls]
+    _object(header, f"line {no}", frozenset(("type", *header_keys)), refusal)
     event_keys = frozenset(("stage", "kind", "index", *payload_keys))
     events = []
     for no, line in lines[1:]:
-        obj = _loads(line, f"line {no}")
-        if not isinstance(obj, dict):
-            raise ValueError(f"line {no}: event must be a JSON object")
         where = f"line {no}"
-        _require_known(obj, event_keys, where)
+        refusal = f"{where}: event must be a JSON object"
+        obj = _object(_loads(line, where), where, event_keys, refusal)
         stage, spec = _require_int(obj, "stage", where), _parse_spec(obj, where)
         payload = [_LOAD.get(key, _same)(_require_str(obj, key, where)) for key in payload_keys]
         events.append(event_cls(stage, spec, *payload))
@@ -340,7 +337,7 @@ def dump_presentation(p: Presentation) -> str:
     kind = _KIND_OF.get(type(p))
     if kind is None:
         raise TypeError(f"not a presentation: {type(p).__name__}")
-    _, header_keys, _, payload_keys = _EVENT_LOGS[kind]
+    _, header_keys, payload_keys = _EVENT_LOGS[kind]
     lines = [_one_line({"type": kind, **_fields(p, header_keys)})]
     lines.extend(
         _one_line(
@@ -353,15 +350,15 @@ def dump_presentation(p: Presentation) -> str:
 
 
 def _region(s: ClopenSet) -> dict:
-    return {"intervals": list(s.intervals), "measure": format_fraction(s.measure())}
+    return {"intervals": s.intervals, "measure": format_fraction(s.measure())}
 
 
 def _values(values: dict[str, Fraction]) -> dict[str, str]:
-    return {u: format_fraction(v) for u, v in sorted(values.items())}
+    return {u: format_fraction(v) for u, v in values.items()}
 
 
 def report_to_json(report: ValidationReport) -> dict:
-    return {"valid": report.ok, "problems": list(report.problems)}
+    return {"valid": report.ok, "problems": report.problems}
 
 
 def liminf_to_json(p: Presentation, member) -> dict:
@@ -410,21 +407,17 @@ def decomposition_to_json(parts: list[ClopenSet]) -> dict:
 
 
 def parse_forcing_instance(text: str) -> ForcingInstance:
-    obj = _loads(text, "forcing instance")
-    if not isinstance(obj, dict):
-        raise ValueError("forcing instance must be a JSON object")
-    _require_known(obj, frozenset(("initialU", "queries")), "forcing instance")
+    obj = _object(_loads(text, "forcing instance"), "forcing instance",
+                  frozenset(("initialU", "queries")), "forcing instance must be a JSON object")
     initial = obj.get("initialU")
     if not isinstance(initial, list):
         raise ValueError("forcing instance needs 'initialU': a list of intervals")
     queries_json = obj.get("queries", [])
     if not isinstance(queries_json, list):
         raise ValueError("'queries' must be a list")
-    queries = []
+    queries, query_keys = [], frozenset(("label", "intervals"))
     for i, q in enumerate(queries_json):
-        if not isinstance(q, dict):
-            raise ValueError(f"query #{i} must be an object")
-        _require_known(q, frozenset(("label", "intervals")), f"query #{i}")
+        q = _object(q, f"query #{i}", query_keys, f"query #{i} must be an object")
         label = q.get("label", f"query-{i}")
         if not isinstance(label, str):
             raise ValueError(f"query #{i}: label must be a string")
@@ -437,17 +430,15 @@ def parse_forcing_instance(text: str) -> ForcingInstance:
 
 def forcing_outcome_to_json(outcome: ForcingOutcome) -> dict:
     return {
-        "answers": [[label, verdict] for label, verdict in outcome.answers],
-        "finalU": list(outcome.final_u.intervals),
+        "answers": outcome.answers,
+        "finalU": outcome.final_u.intervals,
         "witness": outcome.witness_prefix,
     }
 
 
 def parse_trace(text: str) -> PartialTrace:
-    obj = _loads(text, "trace")
-    if not isinstance(obj, dict):
-        raise ValueError("trace must be a JSON object with 'prefix' and 'period'")
-    _require_known(obj, frozenset(("prefix", "period")), "trace")
+    obj = _object(_loads(text, "trace"), "trace", frozenset(("prefix", "period")),
+                  "trace must be a JSON object with 'prefix' and 'period'")
     prefix = obj.get("prefix", [])
     period = obj.get("period")
     if not isinstance(prefix, list) or not isinstance(period, list):
@@ -467,10 +458,8 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     """
     body = text.lstrip()
     if body.startswith(("{", "[")):
-        obj = _loads(body, "table")
-        if not isinstance(obj, dict):
-            raise ValueError("table JSON must be an object with an 'entries' list")
-        _require_known(obj, frozenset(("conditionMode", "entries")), "table")
+        obj = _object(_loads(body, "table"), "table", frozenset(("conditionMode", "entries")),
+                      "table JSON must be an object with an 'entries' list")
         mode = obj.get("conditionMode", "conditional")
         raw = obj.get("entries")
         if mode not in ("conditional", "plain") or not isinstance(raw, list):
@@ -553,17 +542,12 @@ def deficiency_report_to_json(report: DeficiencyReport) -> dict:
     return {
         "horizon": report.horizon,
         "c": report.c,
-        "perPrefix": [[x, d, dbar] for x, d, dbar in report.per_prefix],
+        "perPrefix": report.per_prefix,
     }
 
 
 def randomness_report_to_json(report: RandomnessReport) -> dict:
-    return {
-        "c": report.c,
-        "qualifying": list(report.qualifying),
-        "count": report.count,
-        "largest": report.largest,
-    }
+    return report._asdict()
 
 
 def frequencies_to_json(table: dict[int, Fraction]) -> dict:
@@ -571,7 +555,7 @@ def frequencies_to_json(table: dict[int, Fraction]) -> dict:
 
 
 def bounds_to_json(bounds: dict[str, int]) -> dict:
-    return {"bounds": {u: v for u, v in sorted(bounds.items(), key=lambda kv: (len(kv[0]), kv[0]))}}
+    return {"bounds": bounds}
 
 
 # The CSV writers render the rows of the matching JSON payload, in its order,

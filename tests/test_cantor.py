@@ -51,6 +51,7 @@ def test_normalize_sibling_merge_to_full():
 def test_normalize_prefix_absorption():
     s = ll.normalize(["0", "00"])
     assert s.intervals == ("0",)
+    assert repr(ll.normalize(["11", "0", "110"])) == "ClopenSet(['0', '11'])"
     for w in all_strings(2):
         assert member(w, s.intervals) == member(w, ["0", "00"])
 
@@ -178,6 +179,8 @@ def test_leftmost_avoiding_examples():
     assert ll.EMPTY.leftmost_avoiding(2) == "00"
     assert ll.FULL.leftmost_avoiding(2) is None
     assert ll.normalize(["0", "10"]).leftmost_avoiding(2) == "11"
+    with pytest.raises(ValueError, match="^length must be a natural number$"):
+        ll.EMPTY.leftmost_avoiding(-1)
 
 
 def test_leftmost_avoiding_matches_scan():
@@ -302,4 +305,7 @@ def test_fraction_round_trip():
 def test_fraction_rejects_floats_and_junk():
     for bad in ["0.5", "1e-3", "", "1/0", "a/b", "1_0/16", "1/1_6", "+1/2", "1 /2", "\u0663/4", "-"]:
         with pytest.raises(ValueError):
+            ll.parse_fraction(bad)
+    for bad, kind in [(1, "int"), (0.5, "float"), (None, "NoneType")]:
+        with pytest.raises(ValueError, match=f"^rational text expected, got {kind}$"):
             ll.parse_fraction(bad)

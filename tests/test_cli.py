@@ -256,6 +256,11 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
             "0 1 3\n- 0 2\n0 1 5\n",
             "line 3: repeats bits '0' under condition 1",
         ),
+        (
+            ["randomness-report", "--omega", "0", "--c", "0"],
+            "# plain table\nmode flat\n- 0 2\n",
+            "line 2: mode must be conditional or plain",
+        ),
         pytest.param(
             ["randomness-report", "--omega", "0", "--c", "0"], f"- 0 {LONG_INT}\n",
             f"line 1: {TOO_MANY_DIGITS}", marks=NEEDS_DIGIT_LIMIT,
@@ -335,7 +340,7 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
         "forcing-not-object", "queries-not-list", "query-not-object", "label-not-string",
         "query-without-intervals", "initial-not-bits", "trace-not-object", "trace-without-period",
         "empty-log", "tree-not-bool", "universe-not-list", "event-not-object",
-        "table-entry-repeats", "table-line-repeats", "table-line-too-many-digits",
+        "table-entry-repeats", "table-line-repeats", "table-line-mode", "table-line-too-many-digits",
         "value-too-many-digits", "epsilon-too-many-digits", "value-junk",
         "header-unknown-key", "tree-header-unknown-key", "event-unknown-key", "trace-unknown-key",
         "table-unknown-key", "forcing-unknown-key", "query-unknown-key",
@@ -935,6 +940,8 @@ def test_presentation_round_trip_all_kinds():
         text = (FIXTURES / name).read_text()
         parsed = jsonio.parse_presentation(text)
         assert jsonio.parse_presentation(jsonio.dump_presentation(parsed)) == parsed
+    with pytest.raises(TypeError, match="^not a presentation: tuple$"):
+        jsonio.dump_presentation(tuple(parsed))
 
 
 def declared_flags(name):

@@ -244,6 +244,8 @@ def test_dbar_antitone_in_the_prefix():
     report = ll.deficiency_report(t, "01", horizon=4, c=0)
     assert report.dbar("") <= report.dbar("0")
     assert report.dbar("0") <= report.dbar("01")
+    with pytest.raises(KeyError):  # "1" is no prefix of the omega "01"
+        report.dbar("1")
 
 
 def test_deficiency_of_example_string():

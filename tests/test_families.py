@@ -116,6 +116,8 @@ def test_family_at_set_examples():
     )
     assert ll.family_at(p, 1) == frozenset()
     assert ll.family_at(p, 5) == {"0"}
+    with pytest.raises(TypeError, match="^not a presentation: tuple$"):
+        ll.family_at(tuple(p), 5)
 
 
 def test_family_at_takes_max_of_applicable_values():
@@ -144,6 +146,9 @@ def test_breakpoints_single_and_tail():
     members = [ll.family_at(p, n) for n in range(8)]
     changes = [n for n in range(1, 8) if members[n] != members[n - 1]]
     assert changes == [2, 3, 5]
+    # a malformed spec, which validate reports, moves no breakpoint
+    malformed = p._replace(events=p.events + (ll.SetEvent(0, ll.single(-1), "0"),))
+    assert ll.breakpoints(malformed) == [0, 2, 3, 5]
 
 
 def test_breakpoints_tail_zero():
@@ -443,3 +448,112 @@ def test_require_valid_raises_with_report():
     with pytest.raises(ll.ValidationError) as err:
         ll.cover_sets(bad)
     assert err.value.report.problems
+
+
+# one presentation per mismatch of event and family kind, with the problem
+# that names its event
+WRONG_KINDS = {
+    "set-event-in-open-family": (
+        ll.OpenFamilyPresentation(epsilon=Fraction(1), events=(ll.SetEvent(0, ll.tail(0), "0"),)),
+        "event #0: SetEvent is not IntervalEvent, the event class of OpenFamilyPresentation",
+    ),
+    "interval-event-in-set-family": (
+        ll.SetFamilyPresentation(
+            k=1, universe=("0",), events=(ll.IntervalEvent(0, ll.tail(0), "0"),)),
+        "event #0: IntervalEvent is not SetEvent, the event class of SetFamilyPresentation",
+    ),
+    "set-event-in-semimeasure-family": (
+        ll.SemimeasureFamilyPresentation(events=(ll.SetEvent(0, ll.tail(0), "0"),)),
+        "event #0: SetEvent is not ValueEvent, the event class of SemimeasureFamilyPresentation",
+    ),
+    "tuple-as-event": (
+        ll.SetFamilyPresentation(k=1, universe=("0",), events=((0, ll.tail(0), "0"),)),
+        "event #0: tuple is not SetEvent, the event class of SetFamilyPresentation",
+    ),
+    "tuple-as-spec": (
+        ll.SetFamilyPresentation(
+            k=1, universe=("0",), events=(ll.SetEvent(0, ("tail", 0), "0"),)),
+        "event #0: malformed index spec ('tail', 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_KINDS))
+def test_validate_names_an_event_of_the_wrong_kind(name):
+    p, problem = WRONG_KINDS[name]
+    assert ll.validate(p).problems == (problem,)
+    for read in (ll.members, ll.liminf_family):
+        with pytest.raises(ll.ValidationError) as caught:
+            read(p)
+        assert caught.value.report.problems == (problem,)
+
+
+def test_a_tuple_spec_moves_no_breakpoint_and_is_refused_by_the_strong_cover():
+    p = ll.OpenFamilyPresentation(
+        epsilon=Fraction(1, 2), events=(ll.IntervalEvent(0, ("tail", 3), "0"),)
+    )
+    assert ll.breakpoints(p) == [0]
+    with pytest.raises(ll.ValidationError) as caught:
+        ll.cover_open_strong(p, Fraction(1))
+    assert caught.value.report.problems == ("event #0: malformed index spec ('tail', 3)",)
+
+
+# a valid presentation of each kind, with one event (and one granularity pair)
+TYPED = {
+    "set": ll.SetFamilyPresentation(
+        k=1, universe=("0",), events=(ll.SetEvent(0, ll.tail(0), "0"),)),
+    "semimeasure": ll.SemimeasureFamilyPresentation(
+        events=(ll.ValueEvent(0, ll.tail(0), "0", Fraction(1, 2)),)),
+    "open": ll.OpenFamilyPresentation(
+        epsilon=Fraction(1, 2), events=(ll.IntervalEvent(0, ll.tail(0), "0"),),
+        granularity=((0, 1),)),
+}
+# every field of each: the presentation's, its event's ("event."), its
+# spec's ("spec.") and n and c of the open family's granularity pair
+FIELDS = [
+    (kind, place)
+    for kind, p in TYPED.items()
+    for place in (
+        *p._fields, *(f"event.{f}" for f in p.events[0]._fields), "spec.kind", "spec.index",
+        *(("granularity.n", "granularity.c") if kind == "open" else ()),
+    )
+]
+MISTYPED = [None, True, "1", 0.5, []]
+# the probes that are values of the field's type; each leaves its presentation valid
+FITTING = [
+    ("semimeasure", "tree", True), ("open", "granularity", None), ("open", "granularity", []),
+    ("set", "events", []), ("semimeasure", "events", []), ("open", "events", []),
+    ("semimeasure", "event.element", "1"), ("open", "event.interval", "1"),
+]
+
+
+def with_field(p, place, value):
+    """``p`` with the field at ``place`` (as in ``FIELDS``) set to ``value``."""
+    ev = p.events[0]
+    record, _, field = place.rpartition(".")
+    if record == "event":
+        return p._replace(events=(ev._replace(**{field: value}),))
+    if record == "spec":
+        return p._replace(events=(ev._replace(spec=ev.spec._replace(**{field: value})),))
+    if record == "granularity":
+        pair = dict(zip("nc", p.granularity[0]), **{field: value})
+        return p._replace(granularity=((pair["n"], pair["c"]),))
+    return p._replace(**{field: value})
+
+
+@pytest.mark.parametrize("kind,place", FIELDS, ids=[f"{k}-{f}" for k, f in FIELDS])
+def test_a_mistyped_field_is_a_named_problem(kind, place):
+    # naturals are ints that are not bools, rationals such ints or Fractions:
+    # no value is coerced, and none makes validate raise
+    assert ll.validate(TYPED[kind]).ok
+    for value in MISTYPED:
+        p = with_field(TYPED[kind], place, value)
+        report = ll.validate(p)
+        if (kind, place, value) in FITTING:
+            assert report.ok, (place, value)
+            continue
+        assert report.problems, (place, value)
+        for read in (ll.members, ll.liminf_family):
+            with pytest.raises(ll.ValidationError) as caught:
+                read(p)
+            assert caught.value.report == report

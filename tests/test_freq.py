@@ -78,6 +78,8 @@ def test_running_frequency_counts_undefined_slots_in_the_denominator():
     trace = ll.PartialTrace(prefix=(1, None), period=(2,))
     assert ll.running_frequency(trace, 2) == {1: Fraction(1, 2)}
     assert ll.running_frequency(trace, 4) == {1: Fraction(1, 4), 2: Fraction(1, 2)}
+    with pytest.raises(ValueError, match="^the running frequency needs at least one term$"):
+        ll.running_frequency(trace, 0)
 
 
 def test_frequencies_are_the_sums_of_their_slots_in_order():
