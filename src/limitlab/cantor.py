@@ -53,9 +53,29 @@ def max_interval_depth() -> int:
 
 
 def _echo(value: object) -> str:
-    """``repr(value)`` in a message; past 64 characters, the repr of the first 64 and the length."""
-    text = value if isinstance(value, str) else repr(value)
+    """``repr(value)`` in a message; past 64 characters, the repr of the first 64 and the length.
+    An int of more digits than the interpreter writes (see :func:`parse_int`) has no
+    repr: its first four digits, its last and its digit count stand for it."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return _long_int(value)
     return repr(value) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+
+
+def _long_int(value: int) -> str:
+    """``-1000...0 (5001 digits)`` for -10^5000: an int of at least five digits
+    named without converting it to text."""
+    magnitude = abs(value)
+    # 3010299956 / 10^10 < log10(2), so 10^digits <= 2^(bit length - 1) <= magnitude
+    digits = (magnitude.bit_length() - 1) * 3010299956 // 10**10
+    power = 10**digits
+    while power * 10 <= magnitude:
+        power, digits = power * 10, digits + 1
+    sign = "-" if value < 0 else ""
+    return f"{sign}{magnitude // (power // 1000)}...{magnitude % 10} ({digits + 1} digits)"
 
 
 def check_bit_string(x: str, cap: Optional[int] = None) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional
@@ -74,20 +75,49 @@ def exact_complexity(x: str, condition: int) -> int:
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
-def _periods(n: int) -> list[int]:
+def _periods(n: int, by_length: Optional[list] = None) -> list[int]:
     """per(x) of each bit string x of length n >= 1, in lex order.  "01"+q prints
     the fill of q out to n bits, so per(x) is the length of the shortest q whose
     fill is x: the fills are written from |q| = n down, so the last write wins,
-    and |q| = n writes each x once, in lex order."""
+    and |q| = n writes each x once, in lex order.  ``by_length[p]`` holds the
+    strings of length p for every p <= n (built here when not given)."""
+    if by_length is None:
+        by_length = [_strings_of_length(p) for p in range(n + 1)]
     per: dict[str, int] = {}
     for p in range(n, 0, -1):
         reps = -(-n // p)
-        per.update(zip([(q * reps)[:n] for q in _strings_of_length(p)], repeat(p)))
+        per.update(zip([(q * reps)[:n] for q in by_length[p]], repeat(p)))
     return list(per.values())
 
 
-class ComplexityTable(namedtuple("ComplexityTable", "entries mode", defaults=("conditional",))):
-    """Finite exact map ``entries``: (string, condition) -> description length.
+class _Entries(Mapping):
+    """The read-only flat view (string, condition) -> length of a table's
+    per-condition dicts, condition by condition."""
+
+    __slots__ = ("_by_condition",)
+
+    def __init__(self, by_condition: dict[int, dict[str, int]]):
+        self._by_condition = by_condition
+
+    def __getitem__(self, key: tuple[str, int]) -> int:
+        u, cond = key
+        try:
+            return self._by_condition[cond][u]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return ((u, cond) for cond, strings in self._by_condition.items() for u in strings)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._by_condition.values()))
+
+
+class ComplexityTable(
+    namedtuple("ComplexityTable", "by_condition mode", defaults=("conditional",))
+):
+    """Finite exact table of description lengths, one dict per condition:
+    ``by_condition`` maps a condition to its ``{string: length}``.
 
     ``mode`` fixes how a string is looked up: "conditional" uses the string's
     length as the condition, "plain" uses the fixed condition 0.
@@ -95,14 +125,25 @@ class ComplexityTable(namedtuple("ComplexityTable", "entries mode", defaults=("c
 
     __slots__ = ()
 
-    def condition_for(self, u: str) -> int:
-        return len(u) if self.mode == "conditional" else 0
+    @property
+    def entries(self) -> Mapping[tuple[str, int], int]:
+        """The same table as one read-only map (string, condition) -> length."""
+        return _Entries(self.by_condition)
+
+    def condition_at(self, length: int) -> int:
+        """The condition a string of this length is looked up under."""
+        return length if self.mode == "conditional" else 0
+
+    def strings_at(self, length: int) -> dict[str, int]:
+        """The dict of the condition that strings of this length are looked
+        up under (it may hold other strings too); empty when there is none."""
+        return self.by_condition.get(self.condition_at(length), {})
 
     def value(self, u: str) -> int:
-        return self.entries[(u, self.condition_for(u))]
+        return self.strings_at(len(u))[u]
 
     def has(self, u: str) -> bool:
-        return (u, self.condition_for(u)) in self.entries
+        return u in self.strings_at(len(u))
 
 
 def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
@@ -126,7 +167,7 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
     literal = [(strings, n + 2) for n, strings in enumerate(by_length)]
     groups = [(conditions[:1], literal)]
     for n in conditions[1:max_len + 1]:
-        periodic = (by_length[n], [2 + p for p in _periods(n)])
+        periodic = (by_length[n], [2 + p for p in _periods(n, by_length)])
         groups.append((conditions[n:n + 1], [*literal[:n], periodic, *literal[n + 1:]]))
     groups.append((conditions[max_len + 1:], literal))
     return [group for group in groups if group[0]]
@@ -134,26 +175,17 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
 
 def complexity_table(max_len: int, nmax: int) -> ComplexityTable:
     """Exact M0 table for all strings up to ``max_len`` under every condition
-    up to ``nmax`` (see complexity_blocks)."""
-    entries = {
-        (u, cond): v
-        for conditions, blocks in complexity_blocks(max_len, nmax)
-        for cond in conditions
-        for strings, values in blocks
-        for u, v in zip(strings, repeat(values) if type(values) is int else values)
-    }
-    return ComplexityTable(entries=entries, mode="conditional")
-
-
-def _sorted_values(t: ComplexityTable) -> dict[int, list[int]]:
-    """The table's values grouped by condition, each group sorted once, so
-    the number of entries below m under a condition is a ``bisect_left``."""
-    groups: dict[int, list[int]] = {}
-    for (_, cond), v in t.entries.items():
-        groups.setdefault(cond, []).append(v)
-    for values in groups.values():
-        values.sort()
-    return groups
+    up to ``nmax`` (see complexity_blocks): each group's strings and values
+    make one dict, copied for each of its conditions."""
+    by_condition = {}
+    for conditions, blocks in complexity_blocks(max_len, nmax):
+        lengths = {
+            u: v
+            for strings, values in blocks
+            for u, v in zip(strings, repeat(values) if type(values) is int else values)
+        }
+        by_condition.update((cond, lengths.copy()) for cond in conditions)
+    return ComplexityTable(by_condition=by_condition, mode="conditional")
 
 
 def counting_violations(t: ComplexityTable) -> list[str]:
@@ -161,13 +193,15 @@ def counting_violations(t: ComplexityTable) -> list[str]:
 
     Checked for every condition in the table and every m up to the largest
     value plus one, but below the bit length of the table's size: no count
-    exceeds the size, so a larger m cannot fail.
+    exceeds the size, so a larger m cannot fail.  Each condition's values
+    are sorted once, so the count below m is a ``bisect_left``.
     """
     problems = []
-    if not t.entries:
+    groups = {cond: sorted(strings.values()) for cond, strings in t.by_condition.items()}
+    tops = [values[-1] for values in groups.values() if values]
+    if not tops:
         return problems
-    stop = min(max(t.entries.values()) + 2, len(t.entries).bit_length())
-    groups = _sorted_values(t)
+    stop = min(max(tops) + 2, sum(map(len, groups.values())).bit_length())
     for condition in sorted(groups):
         for m in range(stop):
             count = bisect_left(groups[condition], m)
@@ -210,23 +244,23 @@ def _require_bit_prefix(omega_prefix: str) -> None:
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
     """Refuse unless the table defines all 2^l bit strings of every length l.
 
-    A length whose 2^l strings do not outnumber the table's entries (told by
-    bit length, without building 2^l) is checked by looking them up.  Only a
-    refusal counts the table's bit strings of that length, in one pass over
-    the table, so it costs time in proportion to the table, not to 2^l; the
-    scan of ``lengths`` stops at the first length the table does not fill,
-    and one too long to write is refused by its value.
+    A length l reads only the dict of its strings' condition.  When its 2^l
+    strings do not outnumber that dict (told by bit length, without
+    building 2^l), they are looked up.  Only a refusal counts the dict's bit
+    strings of that length, in one pass over the dict, so it costs time in
+    proportion to the table, not to 2^l; the scan of ``lengths`` stops at
+    the first length the table does not fill, and one too long to write is
+    refused by its value.
     """
     for length in lengths:
-        if length < len(t.entries).bit_length() and all(map(t.has, _strings_of_length(length))):
+        strings = t.strings_at(length)
+        if length < len(strings).bit_length() and all(
+            map(strings.__contains__, _strings_of_length(length))
+        ):
             continue
         what = f"length {length} (--nmin or --horizon) is too large: the count 2^{length}"
         _require_writable_power(length, what)
-        count = sum(
-            1
-            for u, cond in t.entries
-            if len(u) == length and not u.strip("01") and cond == t.condition_for(u)
-        )
+        count = sum(1 for u in strings if len(u) == length and not u.strip("01"))
         raise ValueError(
             f"table is missing {2**length - count} of the {2**length} "
             f"strings of length {length}"
@@ -243,8 +277,9 @@ def deficiency_report(
     _require_all_strings(t, range(horizon + 1))
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
+        strings = t.strings_at(length)
         for y in _strings_of_length(length):
-            best = length - t.value(y)
+            best = length - strings[y]
             if length < horizon:
                 best = min(best, dbar[y + "0"], dbar[y + "1"])
             dbar[y] = best
@@ -273,20 +308,18 @@ def deficiency_family(
         raise ValueError(f"bad length range ({n_min}, {n_max})")
     _require_writable_power(c, f"c = {c} is too large: epsilon = 2^-{c}")
     _require_all_strings(t, range(n_min, n_max + 1))
-    groups = _sorted_values(t)
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
-        m = n - c
+        m, strings = n - c, t.strings_at(n)
         if m > 0:
-            condition = n if t.mode == "conditional" else 0
-            count = bisect_left(groups.get(condition, ()), m)
+            count = bisect_left(sorted(strings.values()), m)
             if count >= 2**m:
                 raise ValueError(
-                    f"counting bound violated at condition {condition}: "
+                    f"counting bound violated at condition {t.condition_at(n)}: "
                     f"{count} strings below complexity {m}; the family would "
                     f"exceed measure 2^-{c}"
                 )
-        level = [u for u in _strings_of_length(n) if t.value(u) < n - c]
+        level = [u for u in _strings_of_length(n) if strings[u] < m]
         spec = tail(n) if n == n_max else single(n)
         events.extend(IntervalEvent(stage=n, spec=spec, interval=u) for u in level)
     return OpenFamilyPresentation(

@@ -71,7 +71,6 @@ from .families import (
     _floor,
     _guarantee,
     _raise,
-    breakpoints,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,
     members,
@@ -316,7 +315,11 @@ def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
     inside a segment U_{i-1} = U_i contains the intersection of U_i.., so
     only a segment's first index can receive a nonempty part.
     """
-    segments = list(members(p))
+    return _parts(p, list(members(p)))
+
+
+def _parts(p: OpenFamilyPresentation, segments: list[tuple]) -> list[ClopenSet]:
+    """:func:`decompose_liminf` of ``p`` from its ``members``."""
     if p.granularity is None:
         raise ValueError("decomposition requires a granularity bound")
     suffix = [m for _, _, m in segments]  # suffix[j] = intersection of the members of j..
@@ -338,6 +341,7 @@ def cover_open_strong(
     (epsilon' - epsilon) / 2^(i+1); at desk scale every part is clopen, so it
     is covered exactly and the whole slack budget is reported unconsumed.
     """
+    segments = list(members(p))  # validates p before its epsilon is read
     epsilon_prime = Fraction(epsilon_prime)
     if epsilon_prime <= p.epsilon:
         raise ValueError(
@@ -346,7 +350,7 @@ def cover_open_strong(
         )
     # the last slack has the longest denominator: diff's, times the powers of
     # two in 2^(last+1) that diff's numerator does not cancel
-    diff, last = epsilon_prime - p.epsilon, breakpoints(p)[-1]
+    diff, last = epsilon_prime - p.epsilon, segments[-1][0]
     twos = (diff.numerator & -diff.numerator).bit_length() - 1  # diff.numerator's factors 2
     _require_writable_power(
         max(last + 1 - twos, 0),
@@ -354,7 +358,7 @@ def cover_open_strong(
         "(--epsilon-prime)",
         diff.denominator,
     )
-    parts = decompose_liminf(p)
+    parts = _parts(p, segments)
     runs = tuple((i, i + 1, part.intervals) for i, part in enumerate(parts) if part.intervals)
     region = normalize(x for _, _, ops in runs for x in ops)
     slack = tuple((i, diff / 2 ** (i + 1)) for i in range(len(parts)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cantor import _echo, _unit_grid
 from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
@@ -49,22 +49,30 @@ class PartialTrace(namedtuple("PartialTrace", "prefix period")):
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
 
-def _shares(slots: Iterable[Slot], n: int) -> dict[int, Fraction]:
-    """Each value's count among ``slots`` over ``n``, in order of first occurrence."""
-    counts = Counter(slot for slot in slots if slot is not None)
-    return {x: Fraction(c, n) for x, c in counts.items()}
+def _shares(counts: Counter, n: int) -> dict[int, Fraction]:
+    """Each value's count over ``n``, in the order of ``counts``; None, an
+    undefined slot, is no value."""
+    return {x: Fraction(c, n) for x, c in counts.items() if x is not None}
 
 
 def limit_frequency(trace: PartialTrace) -> dict[int, Fraction]:
     """Limit share of each value: its count in the period over the period length."""
-    return _shares(trace.period, len(trace.period))
+    return _shares(Counter(trace.period), len(trace.period))
 
 
 def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
-    """Share of each value among the first n terms (undefined slots count in n)."""
+    """Share of each value among the first n terms (undefined slots count in n),
+    in order of first occurrence.  Counted in closed form, in time independent
+    of n: the prefix's terms up to n, then the whole periods, then the part of
+    one period that is left."""
     if n <= 0:
         raise ValueError("the running frequency needs at least one term")
-    return _shares(map(trace.term, range(n)), n)
+    counts = Counter(trace.prefix[:n])
+    whole, part = divmod(max(n - len(trace.prefix), 0), len(trace.period))
+    if whole:
+        counts.update({x: c * whole for x, c in Counter(trace.period).items()})
+    counts.update(trace.period[:part])
+    return _shares(counts, n)
 
 
 def _grid_floor(value: Fraction, grid: Sequence[Fraction]) -> Fraction:

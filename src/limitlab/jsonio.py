@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
@@ -464,30 +465,31 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         raw = obj.get("entries")
         if mode not in ("conditional", "plain") or not isinstance(raw, list):
             raise ValueError("table JSON needs 'conditionMode' and an 'entries' list")
-        entries = {}
+        by_condition = defaultdict(dict)
         for row in raw:
+            # a row that is not a list of three unpacks wrongly or into a str
+            # (a string's characters, an object's keys) where an int belongs;
             # exact types: json.loads makes no subclasses, and bool is excluded
-            if not (
-                type(row) is list
-                and len(row) == 3
-                and type(row[0]) is str
-                and type(row[1]) is int
-                and type(row[2]) is int
-            ):
-                raise ValueError(f"bad table entry {_echo(row)}")
-            entries[(row[0], row[1])] = row[2]
+            try:
+                bits, cond, value = row
+                if type(bits) is not str or type(cond) is not int or type(value) is not int:
+                    raise TypeError
+            except (TypeError, ValueError):
+                raise ValueError(f"bad table entry {_echo(row)}") from None
+            by_condition[cond][bits] = value
         # one C-level pass over every string: deleting the bits leaves nothing
-        if "".join([bits for bits, _ in entries]).encode().translate(None, b"01"):
+        if "".join(chain.from_iterable(by_condition.values())).encode().translate(None, b"01"):
             i = next(i for i, row in enumerate(raw) if row[0].strip("01"))
             raise ValueError(f"table entry #{i}: {_NOT_BITS}{_echo(raw[i][0])}")
-        if len(entries) < len(raw):  # a pair given twice: name its second entry
+        # a pair given twice: name its second entry
+        if sum(map(len, by_condition.values())) < len(raw):
             first: dict = {}
             i = next(i for i, row in enumerate(raw) if first.setdefault(tuple(row[:2]), i) != i)
             bits, cond, _ = raw[i]
             raise ValueError(f"table entry #{i} repeats bits {_echo(bits)} under condition {cond}")
-        return ComplexityTable(entries=entries, mode=mode)
+        return ComplexityTable(by_condition=dict(by_condition), mode=mode)
     mode = "conditional"
-    entries = {}
+    by_condition = {}
     for no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -510,10 +512,11 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             raise ValueError(f"line {no}: {exc}") from None
         except ValueError:
             raise ValueError(f"line {no}: condition and value must be integers") from None
-        if (bits, cond) in entries:
+        strings = by_condition.setdefault(cond, {})
+        if bits in strings:
             raise ValueError(f"line {no}: repeats bits {_echo(bits)} under condition {cond}")
-        entries[(bits, cond)] = value
-    return ComplexityTable(entries=entries, mode=mode)
+        strings[bits] = value
+    return ComplexityTable(by_condition=by_condition, mode=mode)
 
 
 def complexity_blocks_to_json(groups: list[tuple]) -> dict:

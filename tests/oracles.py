@@ -14,6 +14,7 @@ from itertools import product
 from math import lcm
 from operator import or_
 
+from limitlab.complexity import ComplexityTable
 from limitlab.jsonio import Runs, _Slot
 
 
@@ -229,6 +230,15 @@ def counting_violations_by_scan(entries, m_max=None):
     return found
 
 
+def table_of(entries, mode="conditional"):
+    """A ``ComplexityTable`` holding a flat (string, condition) -> length map,
+    its per-condition dicts filled in the map's order."""
+    by_condition = {}
+    for (bits, cond), value in entries.items():
+        by_condition.setdefault(cond, {})[bits] = value
+    return ComplexityTable(by_condition=by_condition, mode=mode)
+
+
 def table_payload_by_sort(t):
     """A table's ``complexity`` artifact payload, rows ``[string, condition,
     value]`` sorted from its map: by condition, then length, then string."""
@@ -264,6 +274,13 @@ def dbar_by_scan(t, x, horizon):
             if best is None or d < best:
                 best = d
     return best
+
+
+def running_frequency_by_terms(trace, n):
+    """Each value's share among the first n terms, read term by term (undefined
+    slots count in n), in order of first occurrence."""
+    counts = Counter(slot for slot in map(trace.term, range(n)) if slot is not None)
+    return {x: Fraction(c, n) for x, c in counts.items()}
 
 
 def frequencies_by_average(prefix, period, repetitions):

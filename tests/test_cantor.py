@@ -294,6 +294,21 @@ def test_echoed_input_is_cut_after_64_characters():
         ll.cantor.parse_int("7" * 64 + "x")
 
 
+def test_an_int_too_long_to_write_is_echoed_by_its_digits():
+    # repr raises past the interpreter's digit limit; the echo names the int without it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert ll.cantor._echo(-10**5000) == "-1000...0 (5001 digits)"
+        assert ll.cantor._echo(10**5000 + 7) == "1000...7 (5001 digits)"
+        assert ll.cantor._echo(2**20000 - 1) == "3980...5 (6021 digits)"
+        assert ll.cantor._echo(10**4300) == "1000...0 (4301 digits)"
+        # up to the limit an int is text, cut as any long text
+        assert ll.cantor._echo(10**4299) == f"{'1' + '0' * 63!r}... (4300 characters)"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_fraction_round_trip():
     for text, value in [("1/2", Fraction(1, 2)), ("3", Fraction(3)), ("-2/4", Fraction(-1, 2))]:
         assert ll.parse_fraction(text) == value

@@ -536,6 +536,13 @@ def test_a_non_bit_table_string_is_refused_naming_its_entry(name, tmp_path, caps
         want = f"error: {place}: bit string may contain only 0 and 1, got {bits!r}\n"
         assert capsys.readouterr().err == want, text
     assert len(mutants) > 20
+    if name.endswith(".json"):
+        # a row of three characters, or an object of three keys, is no entry at all
+        value = json.loads((FIXTURES / name).read_text())
+        for row in ["012", {"0": 1, "1": 2, "": 3}]:
+            source.write_text(json.dumps({**value, "entries": value["entries"] + [row]}))
+            assert run(OBJECT_INPUTS[name] + ["--input", str(source)], tmp_path) == (2, b"")
+            assert capsys.readouterr().err == f"error: bad table entry {row!r}\n"
 
 
 @pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])
@@ -862,8 +869,10 @@ def test_unknown_presentation_type_exits_two(kind, tmp_path, capsys):
         ('{"entries": [["", 1, false]]}', "bad table entry"),
         ("[1, 2]", "table JSON must be an object"),
         ('{"conditionMode": "plain"}', "table JSON needs 'conditionMode' and an 'entries' list"),
+        ('{"entries": ["012"]}', "bad table entry '012'"),
+        ('{"entries": [{"0": 1, "1": 2, "": 3}]}', "bad table entry {'0': 1, '1': 2, '': 3}"),
     ],
-    ids=["condition-bool", "value-bool", "json-array", "no-entries"],
+    ids=["condition-bool", "value-bool", "json-array", "no-entries", "string-row", "object-row"],
 )
 def test_table_json_is_checked_strictly(text, message, tmp_path, capsys):
     source = tmp_path / "table.json"
@@ -1595,7 +1604,7 @@ BROKEN = {
     "cover-tree-liminf": ("covers", "_semimeasure_runs", _no_value,
         ["cover-tree", "--input", "semimeasure_tree.jsonl", "--grid", EIGHTHS]),
     "cover-open-strong-budget": (
-        "covers", "decompose_liminf", lambda p: [ll.FULL],
+        "covers", "_parts", lambda p, segments: [ll.FULL],
         ["cover-open-strong", "--input", "open_family_gran.jsonl", "--epsilon-prime", "3/4"]),
     "lowbasis-witness": (
         "lowbasis", "_clopen", lambda ranges, depth: ll.FULL,

@@ -19,6 +19,7 @@ from oracles import (
     least_period_by_definition,
     require_all_strings_by_count,
     strings_up_to,
+    table_of,
     table_payload_by_sort,
 )
 
@@ -119,7 +120,7 @@ def test_complexity_rows_are_the_artifact_rows_in_order(max_len):
 def test_complexity_blocks_compute_periods_only_where_length_is_the_condition(monkeypatch):
     calls = []
     real = complexity._periods
-    monkeypatch.setattr(complexity, "_periods", lambda n: calls.append(n) or real(n))
+    monkeypatch.setattr(complexity, "_periods", lambda n, *rest: calls.append(n) or real(n, *rest))
     groups = ll.complexity_blocks(5, 8)
     assert sorted(calls) == [1, 2, 3, 4, 5]
     # condition 0, each of 1..5 alone, then 6..8 together
@@ -202,7 +203,7 @@ COUNTING_TABLES = {
 def test_counting_violations_match_full_scan(name, m_max):
     # the violations up to m_max (all when None) are the scan's up to there
     entries = COUNTING_TABLES[name]
-    got = ll.counting_violations(ll.ComplexityTable(entries=entries))
+    got = ll.counting_violations(table_of(entries))
     expected = expected_violations(entries, m_max)
     if m_max is None:
         assert bool(expected) == (name in ("flat", "negative", "mixed"))
@@ -218,18 +219,18 @@ def test_counting_violations_match_full_scan_randomized():
             (format(rng.randrange(64), "b"), rng.randrange(-1, 4)): rng.randrange(-3, 8)
             for _ in range(rng.randrange(30))
         }
-        t = ll.ComplexityTable(entries=entries)
+        t = table_of(entries)
         assert ll.counting_violations(t) == expected_violations(entries)
 
 
 def test_counting_violation_detected():
-    flat = ll.ComplexityTable(entries={("0", 0): 0, ("1", 0): 0}, mode="plain")
+    flat = table_of({("0", 0): 0, ("1", 0): 0}, mode="plain")
     assert ll.counting_violations(flat)
 
 
 def constant_length_table(horizon):
     entries = {(u, len(u)): len(u) for u in strings_up_to(horizon)}
-    return ll.ComplexityTable(entries=entries, mode="conditional")
+    return table_of(entries, mode="conditional")
 
 
 def test_deficiency_zero_when_complexity_equals_length():
@@ -271,7 +272,7 @@ def test_deficiency_report_rejects_short_horizon():
 
 
 def test_deficiency_report_names_missing_entries():
-    t = ll.ComplexityTable(entries={("", 0): 2}, mode="conditional")
+    t = table_of({("", 0): 2}, mode="conditional")
     with pytest.raises(ValueError) as err:
         ll.deficiency_report(t, "0", horizon=1, c=0)
     assert "missing" in str(err.value)
@@ -287,7 +288,7 @@ def test_deficiency_family_empty_for_incompressible_table():
 
 def test_deficiency_family_single_compressible_string():
     entries = {(u, 3): (1 if u == "000" else 3) for u in all_strings(3)}
-    t = ll.ComplexityTable(entries=entries, mode="conditional")
+    t = table_of(entries, mode="conditional")
     family = ll.deficiency_family(t, c=1, n_range=(3, 3))
     member = ll.family_at(family, 3)
     assert member.intervals == ("000",)
@@ -310,7 +311,7 @@ def test_deficiency_family_validates_by_construction():
 
 def test_deficiency_family_counting_gate():
     entries = {(u, 4): 0 for u in all_strings(4)}
-    t = ll.ComplexityTable(entries=entries, mode="conditional")
+    t = table_of(entries, mode="conditional")
     with pytest.raises(ValueError) as err:
         ll.deficiency_family(t, c=1, n_range=(4, 4))
     assert "counting" in str(err.value)
@@ -324,9 +325,7 @@ def test_randomness_report_everything_qualifies_at_full_complexity():
 
 
 def test_randomness_report_counting_gate():
-    flat = ll.ComplexityTable(
-        entries={(u, len(u)): 0 for u in strings_up_to(2)}, mode="conditional"
-    )
+    flat = table_of({(u, len(u)): 0 for u in strings_up_to(2)}, mode="conditional")
     with pytest.raises(ValueError):
         ll.randomness_report(flat, "00", c=0)
 
@@ -343,8 +342,8 @@ def test_randomness_report_checks_the_omega_first(omega):
     # the empty table lacks the prefixes and the flat one breaks the counting bound,
     # but the omega is named first, as deficiency_report names it
     want = f"omega prefix must be a bit string, got {omega!r}"
-    flat = ll.ComplexityTable(entries={(u, len(u)): 0 for u in strings_up_to(2)})
-    for table in (ll.ComplexityTable(entries={}), flat):
+    flat = table_of({(u, len(u)): 0 for u in strings_up_to(2)})
+    for table in (table_of({}), flat):
         with pytest.raises(ValueError, match=re.escape(want)):
             ll.randomness_report(table, omega, c=0)
     with pytest.raises(ValueError, match=re.escape(want)):
@@ -418,7 +417,7 @@ def synthetic_compressible_table(stem, c, horizon):
             entries[(u, len(u))] = max(len(u) - c - 1, 0)
         else:
             entries[(u, len(u))] = len(u)
-    return ll.ComplexityTable(entries=entries, mode="conditional")
+    return table_of(entries, mode="conditional")
 
 
 @pytest.mark.parametrize("c", [0, 1])
@@ -438,7 +437,7 @@ def test_plain_mode_uses_condition_zero():
     # one shared condition: literal-style costs keep the counting bound
     entries = {(u, 0): len(u) + 2 for u in strings_up_to(3)}
     entries[("000", 0)] = 1
-    t = ll.ComplexityTable(entries=entries, mode="plain")
+    t = table_of(entries, mode="plain")
     assert t.value("000") == 1
     assert t.value("01") == 4
     assert ll.counting_violations(t) == []
@@ -446,6 +445,39 @@ def test_plain_mode_uses_condition_zero():
     assert ll.family_at(family, 3).intervals == ("000",)
     report = ll.randomness_report(t, "000", c=0)
     assert report.qualifying == (0, 1, 2)  # length 3 compresses below 3
+
+
+@pytest.mark.parametrize("mode", ["conditional", "plain"])
+def test_lookups_read_the_condition_of_the_mode(mode):
+    # a string is looked up under its length (conditional) or under 0 (plain), and
+    # under no other condition, whatever the table holds there
+    rng = random.Random(f"lookups-{mode}")
+    for _ in range(100):
+        entries = {
+            (rng.choice(strings_up_to(3) + ["2", "a0"]), rng.randrange(-1, 5)): rng.randrange(9)
+            for _ in range(rng.randrange(40))
+        }
+        t = table_of(entries, mode)
+        for u in strings_up_to(4) + ["2", "a0"]:
+            key = (u, len(u) if mode == "conditional" else 0)
+            assert t.has(u) == (key in entries)
+            if key in entries:
+                assert t.value(u) == entries[key]
+            else:
+                with pytest.raises(KeyError):
+                    t.value(u)
+
+
+def test_plain_refusal_counts_only_condition_zero():
+    # the strings of length 3 under condition 3 do not fill a plain table's length 3
+    entries = {(u, 0): len(u) + 2 for u in strings_up_to(3) if u not in ("010", "111")}
+    entries.update({(u, 3): 5 for u in all_strings(3)})
+    want = "table is missing 2 of the 8 strings of length 3"
+    for check in (_require_all_strings, require_all_strings_by_count):
+        assert refusal(check, table_of(entries, "plain"), range(5)) == want
+    assert refusal(_require_all_strings, table_of(entries, "conditional"), range(4)) == (
+        "table is missing 2 of the 2 strings of length 1"
+    )
 
 
 def test_forward_pipeline_low_dbar_strings_not_forced():
@@ -469,7 +501,7 @@ def small_tables(draw):
     extras = st.tuples(st.text("01a2", max_size=5), st.integers(-1, 6))
     for key in draw(st.lists(extras, max_size=8)):
         entries[key] = draw(st.integers(0, 8))
-    return ll.ComplexityTable(entries=entries, mode=mode)
+    return table_of(entries, mode=mode)
 
 
 def refusal(check, t, lengths):

@@ -498,6 +498,14 @@ def test_a_tuple_spec_moves_no_breakpoint_and_is_refused_by_the_strong_cover():
     assert caught.value.report.problems == ("event #0: malformed index spec ('tail', 3)",)
 
 
+def test_validate_names_an_int_too_long_to_write():
+    # the echo of -10^5000 counts its digits where repr would raise
+    p = ll.SetFamilyPresentation(k=-10**5000, universe=("0",), events=())
+    assert ll.validate(p).problems == (
+        "capacity exponent k must be a natural number, got -1000...0 (5001 digits)",
+    )
+
+
 # a valid presentation of each kind, with one event (and one granularity pair)
 TYPED = {
     "set": ll.SetFamilyPresentation(
@@ -553,7 +561,9 @@ def test_a_mistyped_field_is_a_named_problem(kind, place):
             assert report.ok, (place, value)
             continue
         assert report.problems, (place, value)
-        for read in (ll.members, ll.liminf_family):
+        # the strong cover validates before it reads epsilon or the breakpoints
+        strong = [lambda p: ll.cover_open_strong(p, Fraction(1))] if kind == "open" else []
+        for read in (ll.members, ll.liminf_family, *strong):
             with pytest.raises(ll.ValidationError) as caught:
                 read(p)
             assert caught.value.report == report

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import limitlab as ll
 from generators import gen_trace
-from oracles import frequencies_by_average, trace_to_family_by_index
+from oracles import frequencies_by_average, running_frequency_by_terms, trace_to_family_by_index
 
 QUARTERS = [Fraction(n, 4) for n in range(5)]
 
@@ -80,6 +81,30 @@ def test_running_frequency_counts_undefined_slots_in_the_denominator():
     assert ll.running_frequency(trace, 4) == {1: Fraction(1, 4), 2: Fraction(1, 2)}
     with pytest.raises(ValueError, match="^the running frequency needs at least one term$"):
         ll.running_frequency(trace, 0)
+
+
+def test_running_frequency_in_closed_form_matches_the_terms():
+    # the prefix, the whole periods and the partial one, against a term-by-term count,
+    # values in order of first occurrence, for every n up to three periods past the prefix
+    rng = random.Random("running-frequency")
+    for _ in range(200):
+        trace = gen_trace(rng)
+        for n in range(1, len(trace.prefix) + 3 * len(trace.period) + 1):
+            got = ll.running_frequency(trace, n)
+            assert list(got.items()) == list(running_frequency_by_terms(trace, n).items())
+
+
+def test_running_frequency_takes_no_time_in_n():
+    # a term-by-term count of 10^5000 terms would never end
+    trace = ll.PartialTrace(prefix=(1, None, 3), period=(2, None, 2, 5))
+    n = 10**5000
+    start = time.perf_counter()
+    got = ll.running_frequency(trace, n)
+    assert time.perf_counter() - start < 1.0
+    whole = (n - 3) // 4  # periods after the prefix, then one term more: a 2
+    assert got == {
+        1: Fraction(1, n), 3: Fraction(1, n), 2: Fraction(2 * whole + 1, n), 5: Fraction(whole, n)
+    }
 
 
 def test_frequencies_are_the_sums_of_their_slots_in_order():

@@ -15,7 +15,7 @@ from limitlab import complexity, jsonio
 from limitlab.cli import main
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
 from oracles import accepted_ops, csv_by_join, dumps_artifact_by_json, rows_of_runs
-from oracles import table_payload_by_sort
+from oracles import table_of, table_payload_by_sort
 from test_cli import GOLDEN, GOLDEN_RUNS, run, with_input_paths
 
 
@@ -383,3 +383,43 @@ def test_set_cover_of_a_large_index_is_written_in_small_pieces():
     assert (size, digest.hexdigest()) == (
         73777930, "1af600cb33d25700fd2356afc40832ff26d48d35a7be78de797215b6793598ed"
     )
+
+
+def table_texts(entries, mode):
+    """The JSON form and the line form of one flat table."""
+    rows = [[bits, cond, value] for (bits, cond), value in entries.items()]
+    lines = "".join(f"{bits or '-'} {cond} {value}\n" for bits, cond, value in rows)
+    return (json.dumps({"conditionMode": mode, "entries": rows}), f"mode {mode}\n{lines}")
+
+
+@pytest.mark.parametrize("mode", ["conditional", "plain"])
+def test_both_table_forms_parse_to_one_table(mode):
+    # the M0 table, less a few rows, plus rows under conditions no lookup reads
+    rng = random.Random(f"table-forms-{mode}")
+    entries = dict(ll.complexity_table(4, 5).entries)
+    for key in rng.sample(sorted(entries), 6):
+        del entries[key]
+    entries.update({("0110", 9): 1, ("", 7): 0, ("1", 0): 8})
+    tables = [jsonio.parse_complexity_table(text) for text in table_texts(entries, mode)]
+    assert tables[0] == tables[1] == table_of(entries, mode)
+    assert tables[0].entries == entries
+    assert [len(d) for d in tables[0].by_condition.values()] == [
+        sum(1 for _, cond in entries if cond == c) for c in tables[0].by_condition
+    ]
+
+
+def test_reading_a_table_builds_no_pair_per_row():
+    # `complexity --lmax 10 --nmax 10`, 1.1 MB of 22,517 rows: one dict per condition
+    # peaks at 4.25 MiB, where a map keyed by (string, condition) pairs took 6.30 MiB
+    text = jsonio.dumps_artifact(complexity_payload(10, 10))
+    rows = json.loads(text)["entries"]
+    lines = "".join(f"{bits or '-'} {cond} {value}\n" for bits, cond, value in rows)
+    for form, bound in ((text, 5 * 2**20), (lines, 4 * 2**20)):
+        tracemalloc.start()
+        try:
+            table = jsonio.parse_complexity_table(form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+        assert len(table.entries) == 22_517

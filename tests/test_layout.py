@@ -6,7 +6,8 @@ No module holds an ``assert`` statement, which ``python -O`` would drop,
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
 and no two ``raise ValueError`` refusals word the same message.  Records stay
 cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
-``__slots__ = ()``, so its instances carry no ``__dict__``."""
+``__slots__ = ()``, so its instances carry no ``__dict__``.  Only ``complexity``
+reads a table's flat ``entries`` view; the rest reads its per-condition dicts."""
 
 import ast
 import importlib.util
@@ -168,6 +169,14 @@ def repeated_refusals(paths):
     return [(template, places) for template, places in where.items() if len(places) > 1]
 
 
+def entries_reads(path):
+    """The line of each read of an attribute named ``entries`` in a module."""
+    return [
+        node.lineno for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+    ]
+
+
 def typed_records(path):
     """``(class, line)`` of each class in a module with ``NamedTuple`` as a base."""
     return [
@@ -225,6 +234,12 @@ def test_records_are_plain_namedtuples():
     assert [(module.__name__, tuples_with_a_dict(module)) for module in modules] == [
         (module.__name__, []) for module in modules
     ]
+
+
+def test_only_complexity_reads_the_flat_table_view():
+    # ComplexityTable.entries builds (string, condition) pairs; a lookup reads one condition's dict
+    found = [(path.name, line) for path in MODULES for line in entries_reads(path)]
+    assert [(name, line) for name, line in found if name != "complexity.py"] == []
 
 
 def test_every_private_name_is_referenced():
@@ -287,6 +302,8 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    pass\n"
         "class Kept(namedtuple('Kept', 'x')):\n"
         "    __slots__ = ()\n"
+        "def flat(table):\n"
+        "    return table.entries\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -303,6 +320,7 @@ def test_the_checks_catch_leftovers(tmp_path):
         ("f'bad input {text}'", [("leftover.py", 21), ("leftover.py", 28)]),
     ]
     assert typed_records(leftover) == [("Typed", 31)]
+    assert entries_reads(leftover) == [38]
     spec = importlib.util.spec_from_file_location("leftover", leftover)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
