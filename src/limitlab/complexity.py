@@ -30,6 +30,7 @@ from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
     _guarantee,
+    _natural,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
     single,
@@ -75,14 +76,19 @@ def exact_complexity(x: str, condition: int) -> int:
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
-def _periods(n: int, by_length: Optional[list] = None) -> list[int]:
+def _require_naturals(**arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not a natural number, by name."""
+    for name, value in arguments.items():
+        if not _natural(value):
+            raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
+
+
+def _periods(n: int, by_length: list) -> list[int]:
     """per(x) of each bit string x of length n >= 1, in lex order.  "01"+q prints
     the fill of q out to n bits, so per(x) is the length of the shortest q whose
     fill is x: the fills are written from |q| = n down, so the last write wins,
     and |q| = n writes each x once, in lex order.  ``by_length[p]`` holds the
-    strings of length p for every p <= n (built here when not given)."""
-    if by_length is None:
-        by_length = [_strings_of_length(p) for p in range(n + 1)]
+    strings of length p for every p <= n."""
     per: dict[str, int] = {}
     for p in range(n, 0, -1):
         reps = -(-n // p)
@@ -157,7 +163,9 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
     2 + per(x) (see exact_complexity).  So condition 0 and those above
     ``max_len`` are two groups of one list of literal blocks, each of
     1..max_len is a group, and they cost O(2^max_len * max_len) whatever ``nmax``.
+    Both arguments must be natural numbers.
     """
+    _require_naturals(max_len=max_len, nmax=nmax)
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
@@ -295,16 +303,18 @@ def deficiency_family(
 ) -> OpenFamilyPresentation:
     """Staged open family generated by the compressible strings per length.
 
-    For each n in the range, D_n holds the length-n strings of complexity
-    below n - c; index n receives the union of their intervals.  The family
-    is truncated by replicating the last level as a tail, and its measure
-    bound epsilon = 2^-c follows from the counting bound, which is checked
-    up front.  A ``c`` whose 2^c has more decimal digits than the
-    interpreter converts to text is refused, since the family's epsilon
-    could not be written.
+    For each n in the range ``n_range = (n_min, n_max)`` of naturals, D_n
+    holds the length-n strings of complexity below n - c (``c`` a natural);
+    index n receives the union of their intervals.  The family is truncated
+    by replicating the last level as a tail, and its measure bound
+    epsilon = 2^-c follows from the counting bound, which is checked up
+    front.  A ``c`` whose 2^c has more decimal digits than the interpreter
+    converts to text is refused, since the family's epsilon could not be
+    written.
     """
     n_min, n_max = n_range
-    if n_min < 0 or n_max < n_min:
+    _require_naturals(c=c, n_min=n_min, n_max=n_max)
+    if n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
     _require_writable_power(c, f"c = {c} is too large: epsilon = 2^-{c}")
     _require_all_strings(t, range(n_min, n_max + 1))
@@ -369,7 +379,9 @@ def cover_to_complexity_bounds(
     At each breakpoint n, the length-n strings whose whole interval lies in
     U_n are counted in lex order; naming one by its ordinal number in that list
     takes ceil(log2(count)) bits, which bounds its complexity at that level.
+    ``c``, the exponent of the measure bound 2^-c, must be a natural number.
     """
+    _require_naturals(c=c)
     segments = list(members(p))
     if p.granularity is None:
         raise ValueError("ordinal coding requires a granularity bound")

@@ -26,9 +26,9 @@ The long row logs, the ``complexity`` table's ``entries`` and the covers'
 :func:`artifact_pieces` writes one repeat of a run's rows once, its literals
 as the C encoder writes them, and fills the slots with
 ``encode_basestring_ascii`` text for strings and ``format`` text for ints.
-A run of one slot is then one ``str.join`` of the slot texts, with the text
-from that slot round to the next as separator; any other run maps its
-``str.format`` template over the rows of slot texts.  A piece holds at most
+Each piece is one C join that interleaves the texts of that repeat, each
+repeated, with the slot texts of a chunk of the columns, whatever the number
+of slots; no text is read as a template.  A piece holds at most
 ``_CHUNK`` rows of one run (or one repeat), so a log of 10^6 thresholds never
 exists as one list or one string, and the command line writes the pieces as
 they come.  The CSV writer of the table fills the same runs.
@@ -40,7 +40,7 @@ import json
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
@@ -186,30 +186,25 @@ def _run_pieces(runs: Iterable, template, sep: str, quote) -> Iterator[str]:
     """The rows of ``runs``, ``sep`` between rows, each run in pieces of at most
     ``_CHUNK`` rows (or one repeat, when it holds more); none when there is no row.
 
-    A run's ``template(rows)`` of one slot, ``head {i} tail``, is filled by
-    one C join per piece, with ``tail + sep + head`` between the slot texts.
-    Any other is a ``str.format`` string, its literal braces doubled, mapped
-    over the rows of column texts.
+    ``template(rows)`` gives the texts of one repeat with the column number of
+    each slot between them.  A piece is one C join over a ``zip`` of those
+    texts, each ``repeat``ed, and of the current chunk of each slot's column
+    texts (a list, since several slots may name one column).  Its first
+    stream, the repeat's first text, bounds the zip at the chunk's length and
+    carries ``sep`` before every repeat but the very first.
     """
     lead = ""  # sep once a row is written
     for rows, columns in runs:
         if not (rows and len(columns[0])):
             continue
-        parts = template(rows)
-        if len(parts) == 3:
-            head, slot, tail = parts
-            values, fill = _texts(columns[slot], quote), (tail + sep + head).join
-        else:
-            form = "".join(
-                f"{{{part}}}" if i % 2 else part.replace("{", "{{").replace("}", "}}")
-                for i, part in enumerate(parts)
-            )
-            head = tail = ""
-            values = zip(*(_texts(column, quote) for column in columns))
-            fill = lambda chunk: sep.join(starmap(form.format, chunk))  # noqa: E731
+        first, *parts = template(rows)
+        texts = [_texts(column, quote) for column in columns]
         step = max(1, _CHUNK // len(rows))
         for _ in range(0, len(columns[0]), step):
-            yield f"{lead}{head}{fill(islice(values, step))}{tail}"
+            chunk = [list(islice(values, step)) for values in texts]
+            heads = chain((lead + first,), repeat(sep + first, len(chunk[0]) - 1))
+            fills = (repeat(part) if i % 2 else chunk[part] for i, part in enumerate(parts))
+            yield "".join(chain.from_iterable(zip(heads, *fills)))
             lead = sep
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import limitlab as ll
 from limitlab import complexity, jsonio
+from limitlab.cantor import _echo
 from limitlab.complexity import _require_all_strings
 from oracles import (
     all_strings,
@@ -152,11 +153,13 @@ def test_least_period_matches_its_definition_beyond_the_enumerated_lengths():
 
 def test_block_periods_match_the_definition():
     # _periods reads per(x) off M0's periodic programs, shortest payload last
+    by_length = [all_strings(n) for n in range(complexity.EXACT_COMPLEXITY_BOUND + 1)]
     for n in range(1, 14):
-        assert complexity._periods(n) == [least_period_by_definition(x) for x in all_strings(n)]
+        periods = complexity._periods(n, by_length)
+        assert periods == [least_period_by_definition(x) for x in all_strings(n)]
     rng = random.Random("block-periods")
     for n in range(14, complexity.EXACT_COMPLEXITY_BOUND + 1):
-        periods = complexity._periods(n)
+        periods = complexity._periods(n, by_length)
         for _ in range(1000):
             block = "".join(rng.choice("01") for _ in range(rng.randint(1, n)))
             x = (block * n)[:n]
@@ -406,6 +409,33 @@ def test_ordinal_bounds_checks_granularity_levels():
     )
     with pytest.raises(ValueError):
         ll.cover_to_complexity_bounds(p, c=2)  # c(0) = 2 > 0
+
+
+# (the argument's name, its construction given the value under test in its place)
+GATED_CALLS = {
+    "complexity_blocks-max_len": ("max_len", lambda v: ll.complexity_blocks(v, 2)),
+    "complexity_table-nmax": ("nmax", lambda v: ll.complexity_table(2, v)),
+    "deficiency_family-c": (
+        "c", lambda v: ll.deficiency_family(ll.complexity_table(3, 3), c=v, n_range=(0, 2))),
+    "deficiency_family-n_min": (
+        "n_min", lambda v: ll.deficiency_family(ll.complexity_table(3, 3), c=0, n_range=(v, 2))),
+    "deficiency_family-n_max": (
+        "n_max", lambda v: ll.deficiency_family(ll.complexity_table(3, 3), c=0, n_range=(0, v))),
+    "cover_to_complexity_bounds-c": ("c", lambda v: ll.cover_to_complexity_bounds(
+        ll.OpenFamilyPresentation(epsilon=Fraction(1, 2), granularity=((0, 0),)), c=v)),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [None, True, -1, "3", 0.5, -10**5000],
+    ids=["None", "True", "-1", "str", "float", "-10**5000"])
+@pytest.mark.parametrize("call", sorted(GATED_CALLS))
+def test_constructions_refuse_a_non_natural_argument_by_name(call, value):
+    # refused before any work: not an empty table, a shift error or a TypeError
+    name, construct = GATED_CALLS[call]
+    with pytest.raises(ValueError) as err:
+        construct(value)
+    assert str(err.value) == f"{name} must be a natural number, got {_echo(value)}"
 
 
 def synthetic_compressible_table(stem, c, horizon):

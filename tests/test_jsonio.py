@@ -163,7 +163,7 @@ CSV_SHAPES = {
         # "-" for the empty bits, and for any empty field of a random run
         lambda p: ([format(v) or "-" for v in row] for row in rows_of_runs(p["entries"])),
         lambda rng, n: {"entries": rand_runs(rng)} if rng.random() < 0.5 else complexity_payload(
-            rng.randint(0, 4), rng.randint(-1, 9)),
+            rng.randint(0, 4), rng.randint(0, 9)),
         complexity_payload(2, 2),  # as `complexity --lmax 2 --nmax 2` builds it
     ),
     "deficiency": (
@@ -226,15 +226,17 @@ def written(payload, monkeypatch, chunk):
 
 def test_complexity_artifacts_match_the_expanded_rows(monkeypatch):
     # the oracles sort the map of complexity_table, the expanded view, never the runs
-    cases = [(lmax, nmax) for lmax in range(8) for nmax in range(8)]
-    for max_len, nmax in cases + [(3, 40), (0, -1)]:
-        expanded = table_payload_by_sort(ll.complexity_table(max_len, nmax))
+    # (a table without conditions, which complexity_blocks refuses to build, has no groups)
+    cases = [(lmax, nmax) for lmax in range(8) for nmax in range(8)] + [(3, 40)]
+    tables = [(case, ll.complexity_table(*case), complexity_payload(*case)) for case in cases]
+    tables.append(("empty", table_of({}), jsonio.complexity_blocks_to_json([])))
+    for case, table, payload in tables:
+        expanded = table_payload_by_sort(table)
         want = dumps_artifact_by_json(expanded)
         rows = ([bits or "-", cond, value] for bits, cond, value in expanded["entries"])
         want_csv = csv_by_join(("bits", "condition", "value"), rows)
-        payload = complexity_payload(max_len, nmax)
         for chunk in CHUNKS:
-            assert written(payload, monkeypatch, chunk) == want, (max_len, nmax, chunk)
+            assert written(payload, monkeypatch, chunk) == want, (case, chunk)
             assert "".join(jsonio.complexity_table_to_csv(payload)) == want_csv
 
 
@@ -278,6 +280,19 @@ def test_csv_pieces_hold_at_most_a_chunk_of_rows(monkeypatch):
             assert widest_piece({"entries": runs}) <= max(chunk, widest_run), runs.runs
 
 
+def test_csv_text_of_random_runs_matches_their_rows(monkeypatch):
+    # braces, quotes, several slots and empty runs, cut at every piece size; "-" for an empty field
+    header = ("bits", "condition", "value")
+    rng = random.Random("csv-runs")
+    for chunk in CHUNKS:
+        monkeypatch.setattr(jsonio, "_CHUNK", chunk)
+        for _ in range(300):
+            runs = single_lines(rand_runs(rng))
+            rows = ([format(v) or "-" for v in row] for row in rows_of_runs(runs))
+            want = csv_by_join(header, rows)
+            assert "".join(jsonio.complexity_table_to_csv({"entries": runs})) == want, runs.runs
+
+
 def _fraction_text(r):
     return f"{r.numerator}/{r.denominator}"
 
@@ -314,7 +329,7 @@ def test_cover_logs_match_the_expanded_rows(monkeypatch):
     assert empty_logs and idle_runs
 
 
-# literal text that a str.format template must not read as a field
+# literal text with braces, which a fill must copy as it is and never read as a format field
 BRACES = ["{", "}", "{0}", "{}", "}}{{", "{1]"]
 
 

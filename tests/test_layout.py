@@ -7,7 +7,9 @@ only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
 and no two ``raise ValueError`` refusals word the same message.  Records stay
 cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
 ``__slots__ = ()``, so its instances carry no ``__dict__``.  Only ``complexity``
-reads a table's flat ``entries`` view; the rest reads its per-condition dicts."""
+reads a table's flat ``entries`` view; the rest reads its per-condition dicts.
+No module reads a ``.format`` attribute but ``jsonio._csv``, whose template is
+built from constants, so no template is ever built from artifact text."""
 
 import ast
 import importlib.util
@@ -130,21 +132,27 @@ def asserts(path):
     return [node.lineno for node in ast.walk(parsed(path)) if isinstance(node, ast.Assert)]
 
 
-def repr_conversions(path):
-    """``(function, line)`` of each ``!r`` conversion in a module, the
+def found_in_functions(path, matches):
+    """``(function, line)`` of each node of a module that ``matches``, the
     function being the innermost one around it (None at module level)."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+        if matches(node):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(parsed(path), None)
     return found
+
+
+def repr_conversions(path):
+    """``(function, line)`` of each ``!r`` conversion in a module."""
+    return found_in_functions(
+        path, lambda node: isinstance(node, ast.FormattedValue) and node.conversion == ord("r"))
 
 
 def refusals(path):
@@ -167,6 +175,12 @@ def repeated_refusals(paths):
         for template, line in sorted(refusals(path), key=lambda found: found[1]):
             where.setdefault(template, []).append((path.name, line))
     return [(template, places) for template, places in where.items() if len(places) > 1]
+
+
+def format_reads(path):
+    """``(function, line)`` of each read of an attribute named ``format`` in a module."""
+    return found_in_functions(
+        path, lambda node: isinstance(node, ast.Attribute) and node.attr == "format")
 
 
 def entries_reads(path):
@@ -242,6 +256,12 @@ def test_only_complexity_reads_the_flat_table_view():
     assert [(name, line) for name, line in found if name != "complexity.py"] == []
 
 
+def test_only_the_csv_header_template_is_formatted():
+    # a template built from artifact text would read its braces as fields
+    found = {(path.name, function) for path in MODULES for function, _ in format_reads(path)}
+    assert found == {("jsonio.py", "_csv")}
+
+
 def test_every_private_name_is_referenced():
     assert unread_private_names(MODULES) == []
 
@@ -304,6 +324,8 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    __slots__ = ()\n"
         "def flat(table):\n"
         "    return table.entries\n"
+        "def fill(template, row):\n"
+        "    return template.format(*row), format(row)\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -321,6 +343,7 @@ def test_the_checks_catch_leftovers(tmp_path):
     ]
     assert typed_records(leftover) == [("Typed", 31)]
     assert entries_reads(leftover) == [38]
+    assert format_reads(leftover) == [("fill", 40)]
     spec = importlib.util.spec_from_file_location("leftover", leftover)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
