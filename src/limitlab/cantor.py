@@ -61,13 +61,17 @@ def _echo(value: object) -> str:
     except ValueError:
         if not isinstance(value, int):
             raise
-        return _long_int(value)
+        return _int_text(value)
     return repr(value) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
 
 
-def _long_int(value: int) -> str:
-    """``-1000...0 (5001 digits)`` for -10^5000: an int of at least five digits
-    named without converting it to text."""
+def _int_text(value: int) -> str:
+    """``str(value)``, or for an int of more digits than the interpreter writes,
+    ``-1000...0 (5001 digits)`` for -10^5000, named without converting it to text."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
     magnitude = abs(value)
     # 3010299956 / 10^10 < log10(2), so 10^digits <= 2^(bit length - 1) <= magnitude
     digits = (magnitude.bit_length() - 1) * 3010299956 // 10**10

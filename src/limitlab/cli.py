@@ -24,16 +24,15 @@ the caller's setting when it returns.  Everything a command builds (tuples,
 lists, dicts, ``Fraction``s) is acyclic, so reference counting frees it; the
 collector's passes over 10^5 table rows and keys would find nothing.  The few
 cycles argparse makes, when a command line goes to it, are left for the
-collector once it is restored.  When
-``main`` is the process entry point (called without ``argv``) it freezes the
-heap on the way out instead, so the interpreter's shutdown collections skip
-every object of the run: the process frees that memory by exiting, stdout and
-stderr are still flushed, ``atexit`` handlers still run, each written file is
-closed by its ``with`` block and no limitlab object has a finaliser.
+collector once it is restored.  When ``main`` is the process entry point
+(called without ``argv``) it ends the process itself once the artifact is
+written (see :func:`_end_process`), so the interpreter's teardown does not free,
+object by object, memory the process gives back by exiting.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import os
 import sys
@@ -337,19 +336,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     A well-formed command line runs without argparse (see :func:`_plain_args`);
     argparse parses any other, and writes its help or its usage error.
 
-    Without ``argv`` this is the process entry point, and it freezes the heap on
-    return: the process is about to exit, so the shutdown collections would
-    traverse every object of the run for nothing.
+    Without ``argv`` this is the process entry point, and it does not return
+    unless :func:`_end_process` leaves the ending to the interpreter.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
+        code = _main(argv)
     finally:
         if enabled:
             gc.enable()
-        if argv is None:
-            gc.freeze()
+    if argv is None:
+        _end_process(code)
+    return code
+
+
+def _end_process(code: int) -> None:
+    """End the process with status ``code`` as the interpreter would, less its teardown.
+
+    Standard output and error are flushed and the ``atexit`` handlers run; then
+    ``os._exit`` skips the collections, module clean-up and deallocation of
+    every object of the run.  Each file a command writes is closed by its
+    ``with`` block and no limitlab object has a finaliser, so nothing of the
+    run is lost.  Returns, leaving the interpreter to end the process, when a
+    flush fails (its exit status and its words on a broken pipe are the
+    interpreter's) or when something still needs the interpreter: a tracer or
+    profiler (``python -m cProfile`` prints its table after the program
+    ends), ``python -i``, or a thread besides this one.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        sys.gettrace() or sys.getprofile() or sys.flags.inspect
+        or threading is not None and threading.active_count() > 1
+    ):
+        return
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the file descriptor was closed at start-up
+                stream.flush()
+    except (OSError, ValueError):
+        return
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:

@@ -25,12 +25,13 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .cantor import _echo, _require_writable_power, _strings_of_length, format_fraction
+from .cantor import _echo, _int_text, _require_writable_power, _strings_of_length
+from .cantor import format_fraction
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
     _guarantee,
-    _natural,
+    _require_naturals,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
     single,
@@ -74,13 +75,6 @@ def exact_complexity(x: str, condition: int) -> int:
     if x.strip("01"):
         raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
-
-
-def _require_naturals(**arguments: object) -> None:
-    """Refuse the first of ``arguments`` that is not a natural number, by name."""
-    for name, value in arguments.items():
-        if not _natural(value):
-            raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
 
 
 def _periods(n: int, by_length: list) -> list[int]:
@@ -168,7 +162,8 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
     _require_naturals(max_len=max_len, nmax=nmax)
     if max_len > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
-            f"max_len {max_len} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}"
+            f"max_len {_int_text(max_len)} exceeds the enumeration bound "
+            f"{EXACT_COMPLEXITY_BOUND}"
         )
     conditions = range(nmax + 1)
     by_length = [_strings_of_length(n) for n in range(max_len + 1)]
@@ -266,7 +261,8 @@ def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
             map(strings.__contains__, _strings_of_length(length))
         ):
             continue
-        what = f"length {length} (--nmin or --horizon) is too large: the count 2^{length}"
+        shown = _int_text(length)
+        what = f"length {shown} (--nmin or --horizon) is too large: the count 2^{shown}"
         _require_writable_power(length, what)
         count = sum(1 for u in strings if len(u) == length and not u.strip("01"))
         raise ValueError(
@@ -316,7 +312,8 @@ def deficiency_family(
     _require_naturals(c=c, n_min=n_min, n_max=n_max)
     if n_max < n_min:
         raise ValueError(f"bad length range ({n_min}, {n_max})")
-    _require_writable_power(c, f"c = {c} is too large: epsilon = 2^-{c}")
+    shown = _int_text(c)
+    _require_writable_power(c, f"c = {shown} is too large: epsilon = 2^-{shown}")
     _require_all_strings(t, range(n_min, n_max + 1))
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
@@ -386,7 +383,8 @@ def cover_to_complexity_bounds(
     if p.granularity is None:
         raise ValueError("ordinal coding requires a granularity bound")
     if _exceeds_power(p.epsilon.numerator, p.epsilon.denominator, c):
-        _require_writable_power(c, f"c = {c} (--c) is too large: the bound 2^-{c}")
+        shown = _int_text(c)
+        _require_writable_power(c, f"c = {shown} (--c) is too large: the bound 2^-{shown}")
         raise ValueError(
             f"measure bound violated: epsilon = {format_fraction(p.epsilon)} "
             f"exceeds 2^-{c} = {format_fraction(Fraction(1, 2**c))}"

@@ -62,7 +62,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .cantor import EMPTY, ClopenSet, _ranges, _require_writable_power, _strings_of_length
+from .cantor import EMPTY, ClopenSet, _int_text, _ranges, _require_writable_power
+from .cantor import _strings_of_length
 from .cantor import _unit_grid, format_fraction, max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
@@ -71,6 +72,7 @@ from .families import (
     _floor,
     _guarantee,
     _raise,
+    _require_naturals,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,
     members,
@@ -278,7 +280,9 @@ def cover_open(
     every measure stays at most epsilon.  Intervals of the liminf survive as
     no-ops, so the union of accepted intervals contains the liminf; it is a
     subset of the final tail member, so its measure obeys the budget.
+    ``lmax`` must be a natural number, and so must ``nmax`` when given.
     """
+    _require_naturals(lmax=lmax)
     segments = list(members(p, nmax))
     deepest = max_event_interval_length(p)
     if lmax < deepest:
@@ -287,7 +291,7 @@ def cover_open(
         )
     cap = max_interval_depth()
     if lmax > cap:
-        raise ValueError(f"Lmax = {lmax} exceeds the interval depth cap {cap}")
+        raise ValueError(f"Lmax = {_int_text(lmax)} exceeds the interval depth cap {cap}")
     # canonical intervals are disjoint, so summing their point masks unites them
     bases = [
         sum((1 << b) - (1 << a) for a, b in _ranges(member.intervals, lmax))

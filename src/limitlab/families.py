@@ -32,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cantor import _clopen, _echo, _ranges, _union, check_bit_string, format_fraction
-from .cantor import max_interval_depth
+from .cantor import _clopen, _echo, _int_text, _ranges, _union, check_bit_string
+from .cantor import format_fraction, max_interval_depth
 
 
 class IndexSpec(namedtuple("IndexSpec", "kind index")):
@@ -237,14 +237,17 @@ def members(p: Presentation, nmax: Optional[int] = None) -> list[tuple]:
 
     ``p`` is validated by the sweep that grows the members: an invalid one
     raises :class:`ValidationError` with ``validate(p)``'s report.  The last
-    segment ends at ``nmax + 1`` (``nmax`` defaults to the last breakpoint).
+    segment ends at ``nmax + 1`` (``nmax``, a natural number, defaults to the
+    last breakpoint).
     Segments may share a member, so treat members as read-only.
     """
+    if nmax is not None:
+        _require_naturals(nmax=nmax)
     segments = _valid_segments(p)
     last = segments[-1][0]
     if nmax is not None and nmax < last:
         raise ValueError(
-            f"Nmax = {nmax} is below the last breakpoint {last}; "
+            f"Nmax = {_int_text(nmax)} is below the last breakpoint {_int_text(last)}; "
             "the containment guarantee needs every tail threshold attempted"
         )
     segments[-1] = (last, (last if nmax is None else nmax) + 1, segments[-1][2])
@@ -309,6 +312,13 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
 def _natural(value) -> bool:
     """A natural number is an ``int`` at least 0, never a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _require_naturals(**arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not a natural number, by name."""
+    for name, value in arguments.items():
+        if not _natural(value):
+            raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
 
 
 def _rational(value) -> bool:

@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import gc
 import io
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -1515,30 +1517,45 @@ def test_commands_run_with_the_collector_paused(monkeypatch, tmp_path):
     ],
     ids=["artifact", "invalid-log", "help", "usage"],
 )
-def test_process_entry_freezes_the_heap_once(argv, code, monkeypatch, tmp_path, capsys):
-    calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append(gc.isenabled()))
+def test_process_entry_exits_once_after_the_flushes_and_handlers(
+    argv, code, monkeypatch, tmp_path
+):
+    events = []
+
+    class Stream(io.StringIO):
+        def flush(self):
+            events.append(("flush", self))
+
+    stdout, stderr = Stream(), Stream()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    # pytest's own handlers stay registered: this stands for running every handler
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append(("atexit",)))
+    monkeypatch.setattr(os, "_exit", lambda status: events.append(("exit", status)))
+    # a coverage tracer or a plugin's thread would leave the ending to the interpreter
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
     monkeypatch.setattr(sys, "argv", ["limitlab", *argv, "--output", str(tmp_path / "out")])
-    enabled = gc.isenabled()
-    assert main() == code
-    assert calls == [enabled]
+    main()
+    assert events == [("flush", stdout), ("flush", stderr), ("atexit",), ("exit", code)]
 
 
-def test_library_calls_do_not_freeze(monkeypatch, tmp_path):
+def test_library_calls_never_end_the_process(monkeypatch, tmp_path):
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append(True))
-    frozen = gc.get_freeze_count()
+    monkeypatch.setattr(os, "_exit", calls.append)
     for golden_name, argv, want_code in GOLDEN_RUNS[:4]:
         assert run(with_input_paths(argv), tmp_path, name=golden_name)[0] == want_code
-    assert calls == [] and gc.get_freeze_count() == frozen
+    assert calls == []
 
 
-def limitlab(*argv, interpreter_flags=(), **kwargs):
-    """Run ``python -m limitlab.cli`` in a child process, the way the installed script runs."""
+def limitlab(*argv, interpreter_flags=(), entry=("-m", "limitlab.cli"), **kwargs):
+    """Run ``python -m limitlab.cli`` in a child process, the way the installed script runs,
+    or another ``entry`` program given ``argv``."""
     env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout fails at the flush, not at the write
     return subprocess.run(
-        [sys.executable, *interpreter_flags, "-m", "limitlab.cli", *argv], env=env,
+        [sys.executable, *interpreter_flags, *entry, *argv], env=env,
         stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
     )
 
@@ -1561,6 +1578,59 @@ def test_process_entry_writes_the_goldens(flags, tmp_path):
                     interpreter_flags=flags, stdout=subprocess.PIPE)
     assert (done.returncode, done.stdout) == (2, "")
     assert "unrecognized arguments: --k 3" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_profiled_process_entry_prints_its_table(tmp_path):
+    # cProfile prints its table once the program returns, so the run may not end early
+    argv = ["complexity", "--lmax", "1", "--nmax", "1"]
+    done = limitlab(*argv, "--output", str(tmp_path / "profiled"),
+                    interpreter_flags=["-m", "cProfile"], stdout=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "function calls" in done.stdout and "ncalls" in done.stdout
+    assert (tmp_path / "profiled").read_bytes() == run(argv, tmp_path)[1]
+
+
+# what a program that calls main() leaves for the exit: an atexit handler runs
+# before the process ends early, and a live thread keeps the interpreter's ending
+LEFT_FOR_THE_EXIT = {
+    "atexit-handler": "atexit.register(print, 'after main', flush=True)\n",
+    "live-thread":
+        "threading.Thread(target=lambda: (time.sleep(0.2), print('after main'))).start()\n",
+}
+
+
+@pytest.mark.parametrize("left", sorted(LEFT_FOR_THE_EXIT))
+def test_what_a_caller_leaves_for_the_exit_still_runs(left, tmp_path):
+    code = (
+        "import atexit, sys, threading, time\n"
+        f"{LEFT_FOR_THE_EXIT[left]}"
+        "from limitlab.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    argv = ["complexity", "--lmax", "1", "--nmax", "1"]
+    done = limitlab(*argv, "--output", str(tmp_path / "entry"), entry=["-c", code],
+                    stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "after main\n", "")
+    assert (tmp_path / "entry").read_bytes() == run(argv, tmp_path)[1]
+
+
+def test_help_into_a_broken_pipe_ends_as_the_interpreter_ends():
+    # the help stays buffered and its flush fails: the process then ends, with
+    # the status and words the interpreter gives any program that wrote that text
+    text = limitlab("complexity", "--help", stdout=subprocess.PIPE).stdout
+    endings = []
+    for argv, entry in [
+        (["complexity", "--help"], ["-m", "limitlab.cli"]),
+        ([text], ["-c", "import sys; sys.stdout.write(sys.argv[1])"]),
+    ]:
+        kwargs = _broken_pipe()
+        try:
+            done = limitlab(*argv, entry=entry, **kwargs)
+        finally:
+            os.close(kwargs["stdout"])
+        endings.append((done.returncode, done.stderr))
+    assert endings[0] == endings[1]
+    assert endings[0][0] == 120 and "BrokenPipeError" in endings[0][1]
 
 
 SET_FAMILY_K1 = (

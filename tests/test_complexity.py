@@ -438,6 +438,42 @@ def test_constructions_refuse_a_non_natural_argument_by_name(call, value):
     assert str(err.value) == f"{name} must be a natural number, got {_echo(value)}"
 
 
+HUGE = "1000...0 (5001 digits)"  # how a message names 10**5000, which str() refuses
+BEYOND_TEXT = (
+    "needs more than 4300 digits, the interpreter's limit for integer text "
+    "(sys.get_int_max_str_digits)"
+)
+
+
+@pytest.mark.parametrize(
+    "construct,message",
+    [
+        (lambda: ll.complexity_blocks(10**5000, 2),
+         f"max_len {HUGE} exceeds the enumeration bound 16"),
+        (lambda: ll.deficiency_family(ll.complexity_table(3, 3), 0, (10**5000, 10**5000)),
+         f"length {HUGE} (--nmin or --horizon) is too large: the count 2^{HUGE} {BEYOND_TEXT}"),
+        (lambda: ll.deficiency_family(ll.complexity_table(3, 3), 10**5000, (0, 2)),
+         f"c = {HUGE} is too large: epsilon = 2^-{HUGE} {BEYOND_TEXT}"),
+        (lambda: ll.cover_to_complexity_bounds(
+            ll.OpenFamilyPresentation(epsilon=Fraction(1, 2), granularity=((0, 0),)), 10**5000),
+         f"c = {HUGE} (--c) is too large: the bound 2^-{HUGE} {BEYOND_TEXT}"),
+        (lambda: ll.cover_open(ll.OpenFamilyPresentation(epsilon=Fraction(1, 2)), 10**5000),
+         f"Lmax = {HUGE} exceeds the interval depth cap 64"),
+        (lambda: ll.cover_sets(ll.SetFamilyPresentation(
+            k=1, universe=("0",), events=(ll.SetEvent(0, ll.single(10**5000), "0"),)), nmax=3),
+         "Nmax = 3 is below the last breakpoint 1000...1 (5001 digits); "  # single(n) ends at n + 1
+         "the containment guarantee needs every tail threshold attempted"),
+    ],
+    ids=["complexity_blocks-max_len", "deficiency_family-n_range", "deficiency_family-c",
+         "cover_to_complexity_bounds-c", "cover_open-lmax", "cover_sets-breakpoint"],
+)
+def test_an_argument_too_long_to_write_is_named(construct, message):
+    # a natural past the interpreter's digit limit reaches the refusal's words by its digits
+    with pytest.raises(ValueError) as err:
+        construct()
+    assert str(err.value) == message
+
+
 def synthetic_compressible_table(stem, c, horizon):
     """Every extension of ``stem`` compresses by c + 1; everything else is
     incompressible.  Satisfies the counting bound as long as c + 1 <= len(stem) + 1."""

@@ -7,6 +7,7 @@ import pytest
 
 import limitlab as ll
 from limitlab import complexity, covers, families, jsonio
+from limitlab.cantor import _echo
 from limitlab.covers import _ceil_log2_reciprocal
 import oracles
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
@@ -15,6 +16,37 @@ from test_cli import FIXTURES
 
 def set_presentation(k, universe, *events):
     return ll.SetFamilyPresentation(k=k, universe=tuple(universe), events=tuple(events))
+
+
+def fixture_log(name):
+    return jsonio.parse_presentation((FIXTURES / name).read_text())
+
+
+# (the argument's name, its cover given the value under test in its place)
+GATED_COVERS = {
+    "cover_open-lmax": ("lmax", lambda v: ll.cover_open(fixture_log("open_family.jsonl"), v)),
+    "cover_open-nmax": (
+        "nmax", lambda v: ll.cover_open(fixture_log("open_family.jsonl"), 3, nmax=v)),
+    "cover_sets-nmax": (
+        "nmax", lambda v: ll.cover_sets(fixture_log("set_family.jsonl"), nmax=v)),
+    "cover_semimeasure-nmax": ("nmax", lambda v: ll.cover_semimeasure(
+        fixture_log("semimeasure_flat.jsonl"), EIGHTHS, nmax=v)),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [None, True, -1, "3", 0.5, [], -10**5000],
+    ids=["None", "True", "-1", "str", "float", "list", "-10**5000"])
+@pytest.mark.parametrize("call", sorted(GATED_COVERS))
+def test_covers_refuse_a_non_natural_argument_by_name(call, value):
+    # refused before any work: not a TypeError, nor a float or a bool taken as an int
+    name, cover = GATED_COVERS[call]
+    if name == "nmax" and value is None:  # the default: up to the last breakpoint
+        cover(value)
+        return
+    with pytest.raises(ValueError) as err:
+        cover(value)
+    assert str(err.value) == f"{name} must be a natural number, got {_echo(value)}"
 
 
 def test_cover_sets_contains_liminf():

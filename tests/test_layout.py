@@ -9,7 +9,9 @@ cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
 ``__slots__ = ()``, so its instances carry no ``__dict__``.  Only ``complexity``
 reads a table's flat ``entries`` view; the rest reads its per-condition dicts.
 No module reads a ``.format`` attribute but ``jsonio._csv``, whose template is
-built from constants, so no template is ever built from artifact text."""
+built from constants, so no template is ever built from artifact text.  Only
+``cli._end_process`` names ``os._exit`` or ``atexit``, and nothing freezes the
+heap with ``gc.freeze``: a library call never ends the process."""
 
 import ast
 import importlib.util
@@ -183,6 +185,21 @@ def format_reads(path):
         path, lambda node: isinstance(node, ast.Attribute) and node.attr == "format")
 
 
+ENDINGS = {"_exit", "atexit", "freeze"}  # os._exit, the atexit module, gc.freeze
+
+
+def process_endings(path):
+    """``(function, line)`` of each node of a module that names one of ``ENDINGS``:
+    an attribute, a bare name or an import."""
+
+    def names(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return {getattr(node, "module", None), *(alias.name for alias in node.names)}
+        return {getattr(node, "attr", None), getattr(node, "id", None)}
+
+    return found_in_functions(path, lambda node: not ENDINGS.isdisjoint(names(node)))
+
+
 def entries_reads(path):
     """The line of each read of an attribute named ``entries`` in a module."""
     return [
@@ -262,6 +279,12 @@ def test_only_the_csv_header_template_is_formatted():
     assert found == {("jsonio.py", "_csv")}
 
 
+def test_only_the_process_entry_ends_the_process():
+    # os._exit skips the interpreter's teardown, so only main() without argv may reach it
+    found = {(path.name, function) for path in MODULES for function, _ in process_endings(path)}
+    assert found == {("cli.py", None), ("cli.py", "_end_process")}
+
+
 def test_every_private_name_is_referenced():
     assert unread_private_names(MODULES) == []
 
@@ -326,6 +349,10 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    return table.entries\n"
         "def fill(template, row):\n"
         "    return template.format(*row), format(row)\n"
+        "def leave(code):\n"
+        "    from gc import freeze\n"
+        "    atexit.register(freeze)\n"
+        "    os._exit(code)\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -344,6 +371,7 @@ def test_the_checks_catch_leftovers(tmp_path):
     assert typed_records(leftover) == [("Typed", 31)]
     assert entries_reads(leftover) == [38]
     assert format_reads(leftover) == [("fill", 40)]
+    assert process_endings(leftover) == [("leave", 42), ("leave", 43), ("leave", 43), ("leave", 44)]
     spec = importlib.util.spec_from_file_location("leftover", leftover)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
