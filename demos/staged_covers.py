@@ -10,6 +10,15 @@ from fractions import Fraction
 
 import limitlab as ll
 
+
+def ceil_log2_reciprocal(value: Fraction) -> int:
+    """ceil(-log2 value) for 0 < value <= 1: the least m with value * 2^m >= 1."""
+    m = 0
+    while value * 2**m < 1:
+        m += 1
+    return m
+
+
 print("== a staged set family ==")
 p = ll.SetFamilyPresentation(
     k=2,
@@ -65,6 +74,6 @@ print("cover values:", dict(sorted(tcover.values.items())))
 print("   (raising '00' forces '0' and the root up to the children's sum)")
 
 print("\n== description lengths from a semimeasure ==")
-lengths = ll.semimeasure_to_complexity(smcover)
+lengths = {u: ceil_log2_reciprocal(v) for u, v in smcover.values.items() if v > 0}
 print("flat cover values:", dict(sorted(smcover.values.items())))
 print("ceil(-log2 value):", dict(sorted(lengths.items())))

@@ -45,7 +45,6 @@ from .covers import (
     cover_semimeasure,
     cover_sets,
     decompose_liminf,
-    semimeasure_to_complexity,
 )
 from .families import (
     IndexSpec,
@@ -119,7 +118,6 @@ __all__ = [
     "randomness_report",
     "run_m0",
     "running_frequency",
-    "semimeasure_to_complexity",
     "single",
     "tail",
     "trace_to_family",

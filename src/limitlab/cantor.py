@@ -55,14 +55,20 @@ def max_interval_depth() -> int:
 def _echo(value: object) -> str:
     """``repr(value)`` in a message; past 64 characters, the repr of the first 64 and the length.
     An int of more digits than the interpreter writes (see :func:`parse_int`) has no
-    repr: its first four digits, its last and its digit count stand for it."""
+    repr: its first four digits, its last and its digit count stand for it.  A tuple
+    or list that holds one is written as its type and its items, each echoed, and
+    any other value whose repr raises ``ValueError`` by its type alone."""
     try:
         text = value if isinstance(value, str) else repr(value)
     except ValueError:
-        if not isinstance(value, int):
-            raise
-        return _int_text(value)
-    return repr(value) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+        if isinstance(value, int):
+            return _int_text(value)
+        if not isinstance(value, (tuple, list)):
+            return f"<{type(value).__name__} that repr refuses>"
+        text = f"{type(value).__name__}({', '.join(map(_echo, value))})"
+    if len(text) > 64:
+        return f"{text[:64]!r}... ({len(text)} characters)"
+    return repr(value) if isinstance(value, str) else text
 
 
 def _int_text(value: int) -> str:
@@ -80,6 +86,11 @@ def _int_text(value: int) -> str:
         power, digits = power * 10, digits + 1
     sign = "-" if value < 0 else ""
     return f"{sign}{magnitude // (power // 1000)}...{magnitude % 10} ({digits + 1} digits)"
+
+
+def _fraction_text(value: Fraction) -> str:
+    """:func:`format_fraction` for a message: each term written by :func:`_int_text`."""
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 def check_bit_string(x: str, cap: Optional[int] = None) -> str:
@@ -291,15 +302,6 @@ def format_fraction(value: Fraction) -> str:
     """Serialize a rational as "num/den" (denominator always present)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _unit_grid(grid: Iterable) -> list[Fraction]:
-    """A grid of rationals, sorted without repeats; refused unless it lies in [0, 1]."""
-    values = sorted(set(map(Fraction, grid)))
-    outside = [v for v in values if not 0 <= v <= 1]
-    if outside:
-        raise ValueError(f"grid value {format_fraction(outside[0])} outside [0, 1]")
-    return values
 
 
 def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .cantor import _echo, _int_text, _require_writable_power, _strings_of_length
-from .cantor import format_fraction
+from .cantor import _echo, _fraction_text, _int_text, _require_writable_power
+from .cantor import _strings_of_length
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
@@ -66,14 +65,16 @@ def exact_complexity(x: str, condition: int) -> int:
     The literal program "00"+x costs |x| + 2.  The periodic mode prints
     exactly ``condition`` bits, so it can only win when |x| = condition >= 1,
     and then its shortest payload is x[:per(x)], with per(x) <= |x|.
+    ``condition`` must be a natural number.
     """
+    _require_naturals(condition=condition)
+    if not isinstance(x, str) or x.strip("01"):
+        raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
     if len(x) > EXACT_COMPLEXITY_BOUND:
         raise ValueError(
             f"string of length {len(x)} exceeds the enumeration bound "
             f"{EXACT_COMPLEXITY_BOUND}"
         )
-    if x.strip("01"):
-        raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
 
@@ -90,29 +91,6 @@ def _periods(n: int, by_length: list) -> list[int]:
     return list(per.values())
 
 
-class _Entries(Mapping):
-    """The read-only flat view (string, condition) -> length of a table's
-    per-condition dicts, condition by condition."""
-
-    __slots__ = ("_by_condition",)
-
-    def __init__(self, by_condition: dict[int, dict[str, int]]):
-        self._by_condition = by_condition
-
-    def __getitem__(self, key: tuple[str, int]) -> int:
-        u, cond = key
-        try:
-            return self._by_condition[cond][u]
-        except KeyError:
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        return ((u, cond) for cond, strings in self._by_condition.items() for u in strings)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._by_condition.values()))
-
-
 class ComplexityTable(
     namedtuple("ComplexityTable", "by_condition mode", defaults=("conditional",))
 ):
@@ -126,9 +104,11 @@ class ComplexityTable(
     __slots__ = ()
 
     @property
-    def entries(self) -> Mapping[tuple[str, int], int]:
-        """The same table as one read-only map (string, condition) -> length."""
-        return _Entries(self.by_condition)
+    def entries(self) -> dict[tuple[str, int], int]:
+        """The same table as one dict (string, condition) -> length, built when read."""
+        return {
+            (u, cond): v for cond, strings in self.by_condition.items() for u, v in strings.items()
+        }
 
     def condition_at(self, length: int) -> int:
         """The condition a string of this length is looked up under."""
@@ -240,7 +220,7 @@ def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
 
 
 def _require_bit_prefix(omega_prefix: str) -> None:
-    if omega_prefix.strip("01"):
+    if not isinstance(omega_prefix, str) or omega_prefix.strip("01"):
         raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
 
 
@@ -274,10 +254,12 @@ def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
 def deficiency_report(
     t: ComplexityTable, omega_prefix: str, horizon: int, c: int
 ) -> DeficiencyReport:
-    """Deficiency d and horizon-truncated extension deficiency dbar per prefix."""
+    """Deficiency d and horizon-truncated extension deficiency dbar per prefix;
+    ``horizon`` and ``c`` must be natural numbers."""
+    _require_naturals(horizon=horizon, c=c)
+    _require_bit_prefix(omega_prefix)
     if horizon < len(omega_prefix):
         raise ValueError(f"horizon {horizon} shorter than the prefix ({len(omega_prefix)})")
-    _require_bit_prefix(omega_prefix)
     _require_all_strings(t, range(horizon + 1))
     dbar: dict[str, int] = {}
     for length in range(horizon, -1, -1):
@@ -311,7 +293,7 @@ def deficiency_family(
     n_min, n_max = n_range
     _require_naturals(c=c, n_min=n_min, n_max=n_max)
     if n_max < n_min:
-        raise ValueError(f"bad length range ({n_min}, {n_max})")
+        raise ValueError(f"bad length range ({_int_text(n_min)}, {n_max})")
     shown = _int_text(c)
     _require_writable_power(c, f"c = {shown} is too large: epsilon = 2^-{shown}")
     _require_all_strings(t, range(n_min, n_max + 1))
@@ -344,7 +326,9 @@ class RandomnessReport(namedtuple("RandomnessReport", "qualifying count largest 
 
 def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> RandomnessReport:
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
-    "infinitely many", so the largest qualifying n is reported alongside."""
+    "infinitely many", so the largest qualifying n is reported alongside;
+    ``c`` must be a natural number."""
+    _require_naturals(c=c)
     _require_bit_prefix(omega_prefix)
     problems = counting_violations(t)
     if problems:
@@ -386,8 +370,8 @@ def cover_to_complexity_bounds(
         shown = _int_text(c)
         _require_writable_power(c, f"c = {shown} (--c) is too large: the bound 2^-{shown}")
         raise ValueError(
-            f"measure bound violated: epsilon = {format_fraction(p.epsilon)} "
-            f"exceeds 2^-{c} = {format_fraction(Fraction(1, 2**c))}"
+            f"measure bound violated: epsilon = {_fraction_text(p.epsilon)} "
+            f"exceeds 2^-{c} = {_fraction_text(Fraction(1, 2**c))}"
         )
     for n, cn in p.granularity:
         if cn > n:

@@ -64,7 +64,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _int_text, _ranges, _require_writable_power
 from .cantor import _strings_of_length
-from .cantor import _unit_grid, format_fraction, max_interval_depth, normalize
+from .cantor import _fraction_text, max_interval_depth, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -73,6 +73,8 @@ from .families import (
     _guarantee,
     _raise,
     _require_naturals,
+    _require_rationals,
+    _unit_grid,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,
     members,
@@ -149,15 +151,6 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     return CoverSet(elements=elements, runs=runs)
 
 
-def _prepare_grid(p: SemimeasureFamilyPresentation, grid: Sequence[Fraction]) -> list[Fraction]:
-    values = _unit_grid(grid)
-    missing = sorted({ev.value for ev in p.events}.difference(values), reverse=True)
-    if missing:
-        shown = ", ".join(format_fraction(v) for v in missing[:4])
-        raise ValueError(f"grid is missing event values: {shown}")
-    return values
-
-
 def cover_semimeasure(
     p: SemimeasureFamilyPresentation,
     grid: Sequence[Fraction],
@@ -190,14 +183,18 @@ def cover_semimeasure(
     empty table, which keeps them below the final working tables, hence
     within the same mass budget.
     """
+    rgrid = _unit_grid(grid)
     segments = list(members(p, nmax))
-    rgrid = _prepare_grid(p, grid)
+    missing = sorted({ev.value for ev in p.events}.difference(rgrid), reverse=True)
+    if missing:
+        shown = ", ".join(map(_fraction_text, missing[:4]))
+        raise ValueError(f"grid is missing event values: {shown}")
     scale = lcm(*(r.denominator for r in rgrid))
     elements = sorted({ev.element for ev in p.events}, key=lambda u: (len(u), u))
     runs, built = _semimeasure_runs(segments, elements, rgrid, scale, p.tree)
     values = {u: Fraction(v, scale) for u, v in built.items()}
     mass = values.get("", Fraction(0)) if p.tree else sum(values.values(), Fraction(0))
-    _guarantee(mass <= 1, f"the semimeasure cover has mass {format_fraction(mass)} > 1")
+    _guarantee(mass <= 1, f"the semimeasure cover has mass {_fraction_text(mass)} > 1")
     below = [u for u, v in segments[-1][2].items() if values.get(u, 0) < v]
     _guarantee(not below, "the semimeasure cover falls below the liminf")
     return CoverSemimeasure(values=values, runs=tuple(runs), tree=p.tree)
@@ -251,22 +248,6 @@ def _semimeasure_runs(
                     apply(j, u, top)
         runs.append((start, end, tuple(here)))
     return runs, built
-
-
-def _ceil_log2_reciprocal(value: Fraction) -> int:
-    # smallest natural m with value * 2^m >= 1, for 0 < value <= 1: 2^m >= ceil(q / p)
-    p, q = value.numerator, value.denominator
-    return (-(-q // p) - 1).bit_length()
-
-
-def semimeasure_to_complexity(cover: CoverSemimeasure) -> dict[str, int]:
-    """Description lengths read off a semimeasure: ceil(-log2 value).
-
-    Entries with value zero carry no information and are omitted.
-    """
-    return {
-        u: _ceil_log2_reciprocal(v) for u, v in cover.values.items() if v > 0
-    }
 
 
 def cover_open(
@@ -345,12 +326,13 @@ def cover_open_strong(
     (epsilon' - epsilon) / 2^(i+1); at desk scale every part is clopen, so it
     is covered exactly and the whole slack budget is reported unconsumed.
     """
+    _require_rationals(epsilon_prime=epsilon_prime)
     segments = list(members(p))  # validates p before its epsilon is read
     epsilon_prime = Fraction(epsilon_prime)
     if epsilon_prime <= p.epsilon:
         raise ValueError(
             "epsilon' must exceed epsilon "
-            f"({format_fraction(epsilon_prime)} <= {format_fraction(p.epsilon)})"
+            f"({_fraction_text(epsilon_prime)} <= {_fraction_text(p.epsilon)})"
         )
     # the last slack has the longest denominator: diff's, times the powers of
     # two in 2^(last+1) that diff's numerator does not cancel

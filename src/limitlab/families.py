@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cantor import _clopen, _echo, _int_text, _ranges, _union, check_bit_string
-from .cantor import format_fraction, max_interval_depth
+from .cantor import _fraction_text, max_interval_depth
 
 
 class IndexSpec(namedtuple("IndexSpec", "kind index")):
@@ -163,7 +163,8 @@ def _rule(p: Presentation):
 
         def excess(n, member):
             if len(member) >> p.k:  # |U_n| >= 2^k, so k is small
-                return f"capacity violated at n={n}: |U_n| = {len(member)} >= 2^{p.k} = {2**p.k}"
+                return (f"capacity violated at n={_int_text(n)}: "
+                        f"|U_n| = {len(member)} >= 2^{p.k} = {2**p.k}")
 
         return (frozenset(), lambda events, member: member.union(ev.element for ev in events),
                 _same, excess)
@@ -173,7 +174,8 @@ def _rule(p: Presentation):
         def excess(n, table):
             mass = tree_closure(table).get("", 0) if p.tree else sum(table.values())
             if mass > 1:
-                return f"{kind} violated at n={n}: {what} mass {format_fraction(mass)} > 1"
+                mass = _fraction_text(mass)
+                return f"{kind} violated at n={_int_text(n)}: {what} mass {mass} > 1"
 
         return {}, _max_merge, _same, excess
     if isinstance(p, OpenFamilyPresentation):
@@ -186,7 +188,8 @@ def _rule(p: Presentation):
             # mu(U_n) = points / 2^depth > num / den, decided on integers
             points = sum(b - a for a, b in ranges)
             if points * p.epsilon.denominator > p.epsilon.numerator << depth:
-                mu, eps = format_fraction(Fraction(points, 1 << depth)), format_fraction(p.epsilon)
+                mu, eps = _fraction_text(Fraction(points, 1 << depth)), _fraction_text(p.epsilon)
+                n = _int_text(n)
                 return f"measure bound violated at n={n}: mu(U_n) = {mu} > epsilon = {eps}"
 
         return [], grow, lambda ranges: _clopen(ranges, depth), excess
@@ -326,6 +329,25 @@ def _rational(value) -> bool:
     return isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_rationals(**arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not an exact rational, by name."""
+    for name, value in arguments.items():
+        if not _rational(value):
+            raise ValueError(f"{name} must be an exact rational, got {_echo(value)}")
+
+
+def _unit_grid(grid: object) -> list[Fraction]:
+    """A grid, a list or tuple of exact rationals in [0, 1], sorted without repeats;
+    anything else is refused."""
+    if not (isinstance(grid, (list, tuple)) and all(map(_rational, grid))):
+        raise ValueError(f"grid must be a list or tuple of exact rationals, got {_echo(grid)}")
+    values = sorted(set(map(Fraction, grid)))
+    outside = [v for v in values if not 0 <= v <= 1]
+    if outside:
+        raise ValueError(f"grid value {_fraction_text(outside[0])} outside [0, 1]")
+    return values
+
+
 def _well_formed(spec) -> bool:
     return isinstance(spec, IndexSpec) and spec.kind in ("single", "tail") and _natural(spec.index)
 
@@ -361,7 +383,7 @@ def _structural_problems(p: Presentation) -> list[str]:
         if not _rational(p.epsilon):
             problems.append(f"epsilon must be an exact rational, got {_echo(p.epsilon)}")
         elif p.epsilon < 0:
-            problems.append(f"epsilon must be nonnegative, got {format_fraction(p.epsilon)}")
+            problems.append(f"epsilon must be nonnegative, got {_fraction_text(p.epsilon)}")
         problems += _granularity_problems(p.granularity)
     if not isinstance(p.events, (tuple, list)):
         return problems + [f"events must be a tuple of events, got {_echo(p.events)}"]
@@ -379,7 +401,8 @@ def _structural_problems(p: Presentation) -> list[str]:
             problems.append(f"{where}: stage must be a natural number, got {_echo(ev.stage)}")
         if isinstance(ev.stage, int) and last_stage is not None and ev.stage < last_stage:
             problems.append(
-                f"{where}: stage {ev.stage} decreases below previous stage {last_stage}"
+                f"{where}: stage {_int_text(ev.stage)} decreases below "
+                f"previous stage {_int_text(last_stage)}"
             )
         last_stage = ev.stage if natural else last_stage
         if not _well_formed(ev.spec):
@@ -396,7 +419,7 @@ def _structural_problems(p: Presentation) -> list[str]:
             if not _rational(ev.value):
                 problems.append(f"{where}: value must be an exact rational, got {_echo(ev.value)}")
             elif not 0 <= ev.value <= 1:
-                problems.append(f"{where}: value {format_fraction(ev.value)} outside [0, 1]")
+                problems.append(f"{where}: value {_fraction_text(ev.value)} outside [0, 1]")
     return problems
 
 
@@ -417,7 +440,7 @@ def _granularity_problems(granularity) -> list[str]:
             problems.append(f"granularity pair ({_echo(n)}, {_echo(c)}) must be natural numbers")
         if isinstance(n, int):
             if n in seen:
-                problems.append(f"granularity lists index n={n} twice")
+                problems.append(f"granularity lists index n={_int_text(n)} twice")
             seen.add(n)
     return problems
 
@@ -435,7 +458,7 @@ def _checked_sweep(p: Presentation) -> tuple[ValidationReport, list[tuple]]:
         for pos, ev in enumerate(p.events):
             if ev.spec.covers(n) and len(ev.interval) > c:
                 problems.append(
-                    f"granularity violated at n={n}: event #{pos} interval "
+                    f"granularity violated at n={_int_text(n)}: event #{pos} interval "
                     f"{_echo(ev.interval)} longer than c(n)={c}"
                 )
     return ValidationReport(tuple(problems)), segments

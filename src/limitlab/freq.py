@@ -15,8 +15,9 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cantor import _echo, _unit_grid
-from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
+from .cantor import _echo
+from .families import SemimeasureFamilyPresentation, ValueEvent, _require_naturals, _unit_grid
+from .families import single, tail
 
 Slot = Optional[int]
 
@@ -64,7 +65,8 @@ def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
     """Share of each value among the first n terms (undefined slots count in n),
     in order of first occurrence.  Counted in closed form, in time independent
     of n: the prefix's terms up to n, then the whole periods, then the part of
-    one period that is left."""
+    one period that is left.  ``n`` must be a natural number."""
+    _require_naturals(n=n)
     if n <= 0:
         raise ValueError("the running frequency needs at least one term")
     counts = Counter(trace.prefix[:n])
@@ -94,14 +96,17 @@ def trace_to_family(
     frequencies, so the liminf is exactly the floored limit table.  Elements
     are the binary numerals of the traced values.  Every index carries total
     mass at most 1 because flooring only shrinks exact frequencies.
+    ``nmax`` must be a natural number and ``grid`` a list or tuple of exact
+    rationals.
     """
+    _require_naturals(nmax=nmax)
+    grid = _unit_grid(grid)
     plen = len(trace.period)
     if nmax % plen != 0 or nmax < len(trace.prefix) + plen:
         raise ValueError(
             f"nmax must be a multiple of the period length {plen} and at least "
             f"{len(trace.prefix) + plen}"
         )
-    grid = _unit_grid(grid)
     events: list[ValueEvent] = []
     counts: dict[int, int] = {}  # running count of each value over the first n terms
     for n in range(1, nmax + 1):

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cantor import _clopen, _lift, _union, max_interval_depth
-from .families import _guarantee
+from .cantor import _clopen, _int_text, _lift, _union, max_interval_depth
+from .families import _guarantee, _require_naturals
 
 
 class ForcingInstance(namedtuple("ForcingInstance", "initial_u queries")):
@@ -39,8 +39,9 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     Requires a witness length at least the deepest interval in play, so that
     the leftmost string avoiding the final U is guaranteed to exist, and at
     most the interval depth cap, so that the witness is no longer than any
-    interval may be.
+    interval may be.  ``witness_length`` must be a natural number.
     """
+    _require_naturals(witness_length=witness_length)
     deepest, (u, *queries) = _lift(instance.initial_u, *(q for _, q in instance.queries))
     full = [(0, 1 << deepest)]
     u = _union(u)
@@ -53,7 +54,7 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     cap = max_interval_depth()
     if witness_length > cap:
         raise ValueError(
-            f"witness length {witness_length} exceeds the interval depth cap {cap}"
+            f"witness length {_int_text(witness_length)} exceeds the interval depth cap {cap}"
         )
     answers = []
     for (label, _), query in zip(instance.queries, queries):

@@ -120,17 +120,6 @@ def cover_semimeasure_by_index(p, grid, nmax):
     return {u: v for u, v in built.items() if v > 0}, tuple(accepted)
 
 
-def ceil_log2_reciprocal_by_doubling(value):
-    """Smallest natural m with value * 2^m >= 1 (0 < value <= 1), by doubling 2^m."""
-    p, q = value.numerator, value.denominator
-    m = 0
-    power = 1
-    while p * power < q:
-        power <<= 1
-        m += 1
-    return m
-
-
 def points_at_depth(intervals, depth):
     """Bit i set iff the length-``depth`` string numbered i extends an interval."""
 

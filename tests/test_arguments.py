@@ -1,0 +1,96 @@
+"""Every public construction ends one of three ways whatever a scalar argument
+holds: a result, a ``ValidationError``, or a ``ValueError`` whose words name the
+argument.  Never a ``TypeError`` or an ``AttributeError``, and never the
+interpreter's refusal to write an int of too many digits."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+import limitlab as ll
+from limitlab import jsonio
+from test_cli import FIXTURES
+
+ODD = {
+    "None": None, "True": True, "-1": -1, "str": "3", "float": 0.5, "list": [],
+    "10**5000": 10**5000, "-10**5000": -10**5000,
+}
+EIGHTHS = [Fraction(n, 8) for n in range(9)]
+
+
+def fixture(name, parse=jsonio.parse_presentation):
+    return parse((FIXTURES / name).read_text())
+
+
+def table():
+    return ll.complexity_table(3, 3)
+
+
+def trace():
+    return fixture("trace.json", jsonio.parse_trace)
+
+
+# (the words by which a refusal names the argument, or the bound it crossed, and the
+# call given the value in its place)
+CALLS = {
+    "cover_sets-nmax": (("nmax",), lambda v: ll.cover_sets(fixture("set_family.jsonl"), v)),
+    "cover_semimeasure-grid": (
+        ("grid",), lambda v: ll.cover_semimeasure(fixture("semimeasure_flat.jsonl"), v)),
+    "cover_semimeasure-nmax": (("nmax",), lambda v: ll.cover_semimeasure(
+        fixture("semimeasure_flat.jsonl"), EIGHTHS, v)),
+    "cover_open-lmax": (("lmax",), lambda v: ll.cover_open(fixture("open_family.jsonl"), v)),
+    "cover_open-nmax": (("nmax",), lambda v: ll.cover_open(fixture("open_family.jsonl"), 3, v)),
+    "cover_open_strong-epsilon_prime": (("epsilon_prime", "epsilon'"), lambda v: (
+        ll.cover_open_strong(fixture("open_family_gran.jsonl"), v))),
+    "members-nmax": (("nmax",), lambda v: ll.members(fixture("set_family.jsonl"), v)),
+    "complexity_blocks-max_len": (("max_len",), lambda v: ll.complexity_blocks(v, 2)),
+    "complexity_blocks-nmax": (("nmax",), lambda v: ll.complexity_blocks(2, v)),
+    "complexity_table-max_len": (("max_len",), lambda v: ll.complexity_table(v, 2)),
+    "complexity_table-nmax": (("nmax",), lambda v: ll.complexity_table(2, v)),
+    "exact_complexity-x": (("bit strings",), lambda v: ll.exact_complexity(v, 2)),
+    "exact_complexity-condition": (("condition",), lambda v: ll.exact_complexity("01", v)),
+    "deficiency_report-omega_prefix": (
+        ("omega prefix",), lambda v: ll.deficiency_report(table(), v, 3, 0)),
+    "deficiency_report-horizon": (
+        ("horizon", "strings of length"), lambda v: ll.deficiency_report(table(), "01", v, 0)),
+    "deficiency_report-c": (("c",), lambda v: ll.deficiency_report(table(), "01", 3, v)),
+    "deficiency_family-c": (("c",), lambda v: ll.deficiency_family(table(), v, (1, 3))),
+    "deficiency_family-n_min": (
+        ("n_min", "length range"), lambda v: ll.deficiency_family(table(), 0, (v, 3))),
+    "deficiency_family-n_max": (
+        ("n_max", "strings of length"), lambda v: ll.deficiency_family(table(), 0, (1, v))),
+    "randomness_report-omega_prefix": (
+        ("omega prefix",), lambda v: ll.randomness_report(table(), v, 0)),
+    "randomness_report-c": (("c",), lambda v: ll.randomness_report(table(), "01", v)),
+    "cover_to_complexity_bounds-c": (("c",), lambda v: ll.cover_to_complexity_bounds(
+        fixture("open_family_levels.jsonl"), v)),
+    "force-witness_length": (("witness length", "witness_length"), lambda v: ll.force(
+        fixture("forcing.json", jsonio.parse_forcing_instance), v)),
+    "running_frequency-n": (("n",), lambda v: ll.running_frequency(trace(), v)),
+    "trace_to_family-nmax": (("nmax",), lambda v: ll.trace_to_family(trace(), v, EIGHTHS)),
+    "trace_to_family-grid": (("grid",), lambda v: ll.trace_to_family(trace(), 4, v)),
+}
+# these build one record per unit of the value, which item 2 of ROADMAP.md is to bound
+UNBOUNDED = {("complexity_table-nmax", "10**5000"), ("trace_to_family-nmax", "10**5000")}
+# None is their default: up to the last breakpoint
+DEFAULT_NONE = {"cover_sets-nmax", "cover_semimeasure-nmax", "cover_open-nmax", "members-nmax"}
+
+
+@pytest.mark.parametrize("call,value", [
+    (call, value) for call in sorted(CALLS) for value in ODD if (call, value) not in UNBOUNDED
+])
+def test_an_odd_argument_ends_one_of_three_ways(call, value):
+    names, construct = CALLS[call]
+    try:
+        construct(ODD[value])
+    except ll.ValidationError:
+        pass
+    except ValueError as err:
+        text = str(err)
+        assert "Exceeds the limit" not in text
+        assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text, re.IGNORECASE)
+                   for name in names), text
+    else:
+        # no value is coerced: only a natural too long to write, or a default, runs
+        assert value == "10**5000" or value == "None" and call in DEFAULT_NONE

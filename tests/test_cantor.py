@@ -305,6 +305,13 @@ def test_an_int_too_long_to_write_is_echoed_by_its_digits():
         assert ll.cantor._echo(10**4300) == "1000...0 (4301 digits)"
         # up to the limit an int is text, cut as any long text
         assert ll.cantor._echo(10**4299) == f"{'1' + '0' * 63!r}... (4300 characters)"
+        # a record or sequence that holds one is written item by item, cut as any text
+        assert ll.cantor._echo(ll.single(-10**5000)) == (
+            "IndexSpec('single', -1000...0 (5001 digits))")
+        long_list = f"list({', '.join(['1000...0 (5001 digits)'] * 3)})"
+        assert ll.cantor._echo([10**5000] * 3) == (
+            f"{long_list[:64]!r}... ({len(long_list)} characters)")
+        assert ll.cantor._echo({0: 10**5000}) == "<dict that repr refuses>"
     finally:
         sys.set_int_max_str_digits(limit)
 

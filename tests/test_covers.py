@@ -8,7 +8,6 @@ import pytest
 import limitlab as ll
 from limitlab import complexity, covers, families, jsonio
 from limitlab.cantor import _echo
-from limitlab.covers import _ceil_log2_reciprocal
 import oracles
 from generators import EIGHTHS, gen_open_family, gen_semimeasure_family, gen_set_family
 from test_cli import FIXTURES
@@ -218,25 +217,6 @@ def test_cover_semimeasure_enlarged_grid_keeps_guarantees():
             assert cover.total_mass() <= 1
             for u, v in ll.liminf_family(p).items():
                 assert cover.value(u) >= v
-
-
-def test_semimeasure_to_complexity():
-    cover = ll.CoverSemimeasure(
-        values={"a0": Fraction(1, 2), "a1": Fraction(1), "a2": Fraction(3, 8)},
-        runs=(),
-        tree=False,
-    )
-    assert ll.semimeasure_to_complexity(cover) == {"a0": 1, "a1": 0, "a2": 2}
-    # the closed form against the doubling loop, on every value p/q in (0, 1] with q < 300
-    for q in range(1, 300):
-        for p in range(1, q + 1):
-            value = Fraction(p, q)
-            assert _ceil_log2_reciprocal(value) == oracles.ceil_log2_reciprocal_by_doubling(value)
-
-
-def test_semimeasure_to_complexity_drops_zeroes():
-    cover = ll.CoverSemimeasure(values={}, runs=(), tree=False)
-    assert ll.semimeasure_to_complexity(cover) == {}
 
 
 def open_presentation(epsilon, *events, granularity=None):

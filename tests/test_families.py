@@ -434,6 +434,16 @@ def test_a_long_interval_is_cut_short_in_the_granularity_problem(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "entry,shown",
+    [((0, 1, 2), "(0, 1, 2)"), (3, "3"), ([-10**5000], "list(-1000...0 (5001 digits))")],
+    ids=["triple", "int", "list-too-long-to-write"],
+)
+def test_a_granularity_entry_that_is_not_a_pair_is_named(entry, shown):
+    p = ll.OpenFamilyPresentation(epsilon=Fraction(1, 2), granularity=((0, 1), entry))
+    assert ll.validate(p).problems == (f"granularity entry {shown} must be a pair (n, c)",)
+
+
 def test_granularity_duplicate_index_reported():
     p = ll.OpenFamilyPresentation(
         epsilon=Fraction(1, 2), granularity=((1, 2), (1, 3))
@@ -526,7 +536,8 @@ FIELDS = [
         *(("granularity.n", "granularity.c") if kind == "open" else ()),
     )
 ]
-MISTYPED = [None, True, "1", 0.5, []]
+# mistyped values, and an int too long to write, which validate names by its digit count
+MISTYPED = [None, True, "1", 0.5, [], -10**5000]
 # the probes that are values of the field's type; each leaves its presentation valid
 FITTING = [
     ("semimeasure", "tree", True), ("open", "granularity", None), ("open", "granularity", []),

@@ -7,19 +7,24 @@ only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
 and no two ``raise ValueError`` refusals word the same message.  Records stay
 cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
 ``__slots__ = ()``, so its instances carry no ``__dict__``.  Only ``complexity``
-reads a table's flat ``entries`` view; the rest reads its per-condition dicts.
+reads a table's flat ``entries`` dict; the rest reads its per-condition dicts.
 No module reads a ``.format`` attribute but ``jsonio._csv``, whose template is
 built from constants, so no template is ever built from artifact text.  Only
 ``cli._end_process`` names ``os._exit`` or ``atexit``, and nothing freezes the
-heap with ``gc.freeze``: a library call never ends the process."""
+heap with ``gc.freeze``: a library call never ends the process.  One check is
+not read off the source: the golden command lines, run in-process under
+``sys.setprofile``, call every exported function but a listed few."""
 
 import ast
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import limitlab
+from test_cli import GOLDEN_RUNS, run, with_input_paths
 
 MODULES = sorted(Path(limitlab.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
@@ -306,6 +311,49 @@ def test_every_export_has_a_reader_outside_the_tests():
     assert orphan_exports(Path(limitlab.__file__), readers) == []
 
 
+def uncalled_exports(runs):
+    """The functions of ``limitlab.__all__`` that none of ``runs`` calls, each run a
+    callable traced in-process under ``sys.setprofile``."""
+    functions = {
+        getattr(limitlab, name).__code__: name for name in limitlab.__all__
+        if inspect.isfunction(getattr(limitlab, name))
+    }
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in functions:
+            called.add(functions[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for call in runs:
+            call()
+    finally:
+        sys.setprofile(previous)
+    return set(functions.values()) - called
+
+
+# the exports no command calls, each kept for a reader outside the library
+LIBRARY_ONLY = {
+    "complexity_table",  # acceptance criteria 6 and 7 read the expanded table
+    "exact_complexity",  # acceptance criterion 6 and demos/randomness_lab.py
+    "family_at",  # three demos, and perfbench's tracer looks it up by name
+    "interval",  # demos/clopen_algebra.py and acceptance criterion 9
+    "run_m0",  # the reference machine README describes; demos/randomness_lab.py runs it
+    "running_frequency",  # demos/forcing_and_frequencies.py
+}
+
+
+def test_every_other_export_is_reached_by_a_command(tmp_path):
+    # a new library-only name fails here until it is listed above with its reason
+    runs = [
+        lambda argv=argv, name=name: run(with_input_paths(argv), tmp_path, name)
+        for name, argv, _ in GOLDEN_RUNS
+    ]
+    assert uncalled_exports(runs) == LIBRARY_ONLY
+
+
 def test_the_checks_catch_leftovers(tmp_path):
     leftover = tmp_path / "leftover.py"
     leftover.write_text(
@@ -395,3 +443,6 @@ def test_the_checks_catch_leftovers(tmp_path):
         "__all__ = ['Record', 'kept', 'orphan', 'stale']\n"
     )
     assert orphan_exports(package, [reader]) == ["orphan"]
+    uncalled = uncalled_exports([lambda: limitlab.tail(1)])  # classes are not counted
+    assert "tail" not in uncalled and {"single", "cover_sets"} <= uncalled
+    assert "ClopenSet" not in uncalled
