@@ -30,6 +30,7 @@ from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
     _guarantee,
+    _require_kind,
     _require_naturals,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
@@ -41,7 +42,10 @@ EXACT_COMPLEXITY_BOUND = 16
 
 
 def run_m0(program: str, condition: int) -> Optional[str]:
-    """Run the reference machine; None when the program is reserved."""
+    """Run the reference machine; None when the program is reserved.  The program
+    must be a bit string and the condition a natural number."""
+    _require_bits("program", program)
+    _require_naturals(condition=condition)
     if len(program) < 2:
         return None
     mode, payload = program[:2], program[2:]
@@ -219,9 +223,10 @@ def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
         raise ValueError(f"table is missing {len(missing)} prefixes of the omega prefix: {shown}")
 
 
-def _require_bit_prefix(omega_prefix: str) -> None:
-    if not isinstance(omega_prefix, str) or omega_prefix.strip("01"):
-        raise ValueError(f"omega prefix must be a bit string, got {_echo(omega_prefix)}")
+def _require_bits(name: str, value: object) -> None:
+    """Refuse ``value`` unless it is a bit string, by the argument's name."""
+    if not isinstance(value, str) or value.strip("01"):
+        raise ValueError(f"{name} must be a bit string, got {_echo(value)}")
 
 
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:
@@ -256,8 +261,9 @@ def deficiency_report(
 ) -> DeficiencyReport:
     """Deficiency d and horizon-truncated extension deficiency dbar per prefix;
     ``horizon`` and ``c`` must be natural numbers."""
+    _require_kind(ComplexityTable, t=t)
     _require_naturals(horizon=horizon, c=c)
-    _require_bit_prefix(omega_prefix)
+    _require_bits("omega prefix", omega_prefix)
     if horizon < len(omega_prefix):
         raise ValueError(f"horizon {horizon} shorter than the prefix ({len(omega_prefix)})")
     _require_all_strings(t, range(horizon + 1))
@@ -290,10 +296,13 @@ def deficiency_family(
     converts to text is refused, since the family's epsilon could not be
     written.
     """
+    _require_kind(ComplexityTable, t=t)
+    if not (isinstance(n_range, (tuple, list)) and len(n_range) == 2):
+        raise ValueError(f"n_range must be a pair (n_min, n_max), got {_echo(n_range)}")
     n_min, n_max = n_range
     _require_naturals(c=c, n_min=n_min, n_max=n_max)
     if n_max < n_min:
-        raise ValueError(f"bad length range ({_int_text(n_min)}, {n_max})")
+        raise ValueError(f"bad length range ({_int_text(n_min)}, {_int_text(n_max)})")
     shown = _int_text(c)
     _require_writable_power(c, f"c = {shown} is too large: epsilon = 2^-{shown}")
     _require_all_strings(t, range(n_min, n_max + 1))
@@ -328,8 +337,9 @@ def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> Randomne
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
     "infinitely many", so the largest qualifying n is reported alongside;
     ``c`` must be a natural number."""
+    _require_kind(ComplexityTable, t=t)
     _require_naturals(c=c)
-    _require_bit_prefix(omega_prefix)
+    _require_bits("omega prefix", omega_prefix)
     problems = counting_violations(t)
     if problems:
         raise ValueError(problems[0])
@@ -375,7 +385,8 @@ def cover_to_complexity_bounds(
         )
     for n, cn in p.granularity:
         if cn > n:
-            raise ValueError(f"granularity c({n}) = {cn} exceeds the level {n}")
+            shown = _int_text(n)
+            raise ValueError(f"granularity c({shown}) = {_int_text(cn)} exceeds the level {shown}")
     # a bounded level holds no interval deeper than c(n) <= n, by validation
     for n, _, member in segments:
         for i in member.intervals:

@@ -213,8 +213,10 @@ def family_at(p: Presentation, n: int):
 
     Returns a frozenset for set families, a dict of positive values for
     semimeasure families and a ClopenSet for open families.  Assumes ``p``
-    is valid.  Its per-index oracles live in ``tests/oracles.py``.
+    is valid, and ``n`` must be a natural number.  Its per-index oracles
+    live in ``tests/oracles.py``.
     """
+    _require_naturals(n=n)
     empty, grow, finish, _ = _rule(p)
     return finish(grow([ev for ev in p.events if ev.spec.covers(n)], empty))
 
@@ -322,6 +324,13 @@ def _require_naturals(**arguments: object) -> None:
     for name, value in arguments.items():
         if not _natural(value):
             raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
+
+
+def _require_kind(kind: type, **arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not a ``kind``, by name."""
+    for name, value in arguments.items():
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _rational(value) -> bool:

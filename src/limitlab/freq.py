@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cantor import _echo
-from .families import SemimeasureFamilyPresentation, ValueEvent, _require_naturals, _unit_grid
-from .families import single, tail
+from .families import SemimeasureFamilyPresentation, ValueEvent, _require_kind, _require_naturals
+from .families import _unit_grid, single, tail
 
 Slot = Optional[int]
 
@@ -58,6 +58,7 @@ def _shares(counts: Counter, n: int) -> dict[int, Fraction]:
 
 def limit_frequency(trace: PartialTrace) -> dict[int, Fraction]:
     """Limit share of each value: its count in the period over the period length."""
+    _require_kind(PartialTrace, trace=trace)
     return _shares(Counter(trace.period), len(trace.period))
 
 
@@ -66,6 +67,7 @@ def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
     in order of first occurrence.  Counted in closed form, in time independent
     of n: the prefix's terms up to n, then the whole periods, then the part of
     one period that is left.  ``n`` must be a natural number."""
+    _require_kind(PartialTrace, trace=trace)
     _require_naturals(n=n)
     if n <= 0:
         raise ValueError("the running frequency needs at least one term")
@@ -99,6 +101,7 @@ def trace_to_family(
     ``nmax`` must be a natural number and ``grid`` a list or tuple of exact
     rationals.
     """
+    _require_kind(PartialTrace, trace=trace)
     _require_naturals(nmax=nmax)
     grid = _unit_grid(grid)
     plen = len(trace.period)

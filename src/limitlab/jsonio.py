@@ -42,11 +42,10 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .cantor import ClopenSet, _TooManyDigits, _echo, format_fraction, normalize, parse_fraction
 from .cantor import parse_int
-from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
     EVENT_CLASS,
@@ -58,8 +57,11 @@ from .families import (
     ValidationReport,
     _same,
 )
-from .freq import PartialTrace
-from .lowbasis import ForcingInstance, ForcingOutcome
+
+if TYPE_CHECKING:  # annotations only: each parser imports the record it builds as it runs
+    from .complexity import ComplexityTable, DeficiencyReport, RandomnessReport
+    from .freq import PartialTrace
+    from .lowbasis import ForcingInstance, ForcingOutcome
 
 
 # items separated by a bare newline; given scalars and lists and tuples of scalars only,
@@ -403,6 +405,7 @@ def decomposition_to_json(parts: list[ClopenSet]) -> dict:
 
 
 def parse_forcing_instance(text: str) -> ForcingInstance:
+    from .lowbasis import ForcingInstance
     obj = _object(_loads(text, "forcing instance"), "forcing instance",
                   frozenset(("initialU", "queries")), "forcing instance must be a JSON object")
     initial = obj.get("initialU")
@@ -433,6 +436,7 @@ def forcing_outcome_to_json(outcome: ForcingOutcome) -> dict:
 
 
 def parse_trace(text: str) -> PartialTrace:
+    from .freq import PartialTrace
     obj = _object(_loads(text, "trace"), "trace", frozenset(("prefix", "period")),
                   "trace must be a JSON object with 'prefix' and 'period'")
     prefix = obj.get("prefix", [])
@@ -452,6 +456,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     The line form may open with "mode plain" or "mode conditional"
     (conditional is the default).
     """
+    from .complexity import ComplexityTable
     body = text.lstrip()
     if body.startswith(("{", "[")):
         obj = _object(_loads(body, "table"), "table", frozenset(("conditionMode", "entries")),

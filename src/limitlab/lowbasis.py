@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cantor import _clopen, _int_text, _lift, _union, max_interval_depth
-from .families import _guarantee, _require_naturals
+from .families import _guarantee, _require_kind, _require_naturals
 
 
 class ForcingInstance(namedtuple("ForcingInstance", "initial_u queries")):
@@ -39,8 +39,10 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     Requires a witness length at least the deepest interval in play, so that
     the leftmost string avoiding the final U is guaranteed to exist, and at
     most the interval depth cap, so that the witness is no longer than any
-    interval may be.  ``witness_length`` must be a natural number.
+    interval may be.  ``instance`` must be a :class:`ForcingInstance` and
+    ``witness_length`` a natural number.
     """
+    _require_kind(ForcingInstance, instance=instance)
     _require_naturals(witness_length=witness_length)
     deepest, (u, *queries) = _lift(instance.initial_u, *(q for _, q in instance.queries))
     full = [(0, 1 << deepest)]

@@ -1,6 +1,6 @@
-"""Every public construction ends one of three ways whatever a scalar argument
-holds: a result, a ``ValidationError``, or a ``ValueError`` whose words name the
-argument.  Never a ``TypeError`` or an ``AttributeError``, and never the
+"""Every public construction ends one of three ways whatever a scalar or record
+argument holds: a result, a ``ValidationError``, or a ``ValueError`` whose words
+name the argument.  Never a ``TypeError`` or an ``AttributeError``, and never the
 interpreter's refusal to write an int of too many digits."""
 
 import re
@@ -50,29 +50,44 @@ CALLS = {
     "complexity_table-nmax": (("nmax",), lambda v: ll.complexity_table(2, v)),
     "exact_complexity-x": (("bit strings",), lambda v: ll.exact_complexity(v, 2)),
     "exact_complexity-condition": (("condition",), lambda v: ll.exact_complexity("01", v)),
+    "run_m0-program": (("program",), lambda v: ll.run_m0(v, 2)),
+    "run_m0-condition": (("condition",), lambda v: ll.run_m0("011", v)),
+    "family_at-n": (("n",), lambda v: ll.family_at(fixture("set_family.jsonl"), v)),
+    "deficiency_report-t": (("t",), lambda v: ll.deficiency_report(v, "01", 3, 0)),
     "deficiency_report-omega_prefix": (
         ("omega prefix",), lambda v: ll.deficiency_report(table(), v, 3, 0)),
     "deficiency_report-horizon": (
         ("horizon", "strings of length"), lambda v: ll.deficiency_report(table(), "01", v, 0)),
     "deficiency_report-c": (("c",), lambda v: ll.deficiency_report(table(), "01", 3, v)),
+    "deficiency_family-t": (("t",), lambda v: ll.deficiency_family(v, 0, (1, 3))),
+    "deficiency_family-n_range": (("n_range",), lambda v: ll.deficiency_family(table(), 0, v)),
     "deficiency_family-c": (("c",), lambda v: ll.deficiency_family(table(), v, (1, 3))),
     "deficiency_family-n_min": (
         ("n_min", "length range"), lambda v: ll.deficiency_family(table(), 0, (v, 3))),
     "deficiency_family-n_max": (
         ("n_max", "strings of length"), lambda v: ll.deficiency_family(table(), 0, (1, v))),
+    "randomness_report-t": (("t",), lambda v: ll.randomness_report(v, "01", 0)),
     "randomness_report-omega_prefix": (
         ("omega prefix",), lambda v: ll.randomness_report(table(), v, 0)),
     "randomness_report-c": (("c",), lambda v: ll.randomness_report(table(), "01", v)),
     "cover_to_complexity_bounds-c": (("c",), lambda v: ll.cover_to_complexity_bounds(
         fixture("open_family_levels.jsonl"), v)),
+    "force-instance": (("instance",), lambda v: ll.force(v, 2)),
     "force-witness_length": (("witness length", "witness_length"), lambda v: ll.force(
         fixture("forcing.json", jsonio.parse_forcing_instance), v)),
+    "limit_frequency-trace": (("trace",), lambda v: ll.limit_frequency(v)),
+    "running_frequency-trace": (("trace",), lambda v: ll.running_frequency(v, 3)),
     "running_frequency-n": (("n",), lambda v: ll.running_frequency(trace(), v)),
+    "trace_to_family-trace": (("trace",), lambda v: ll.trace_to_family(v, 4, EIGHTHS)),
     "trace_to_family-nmax": (("nmax",), lambda v: ll.trace_to_family(trace(), v, EIGHTHS)),
     "trace_to_family-grid": (("grid",), lambda v: ll.trace_to_family(trace(), 4, v)),
 }
-# these build one record per unit of the value, which item 2 of ROADMAP.md is to bound
-UNBOUNDED = {("complexity_table-nmax", "10**5000"), ("trace_to_family-nmax", "10**5000")}
+# these build one record per unit of the value, which item 2 of ROADMAP.md is to bound,
+# and run_m0's periodic mode prints as many bits as its condition
+UNBOUNDED = {
+    ("complexity_table-nmax", "10**5000"), ("trace_to_family-nmax", "10**5000"),
+    ("run_m0-condition", "10**5000"),
+}
 # None is their default: up to the last breakpoint
 DEFAULT_NONE = {"cover_sets-nmax", "cover_semimeasure-nmax", "cover_open-nmax", "members-nmax"}
 
@@ -94,3 +109,21 @@ def test_an_odd_argument_ends_one_of_three_ways(call, value):
     else:
         # no value is coerced: only a natural too long to write, or a default, runs
         assert value == "10**5000" or value == "None" and call in DEFAULT_NONE
+
+
+HUGE = 10**5000
+SHOWN, SHOWN_NEXT = ll.cantor._int_text(HUGE), ll.cantor._int_text(HUGE + 1)
+
+
+@pytest.mark.parametrize("construct,words", [
+    (lambda: ll.cover_to_complexity_bounds(
+        fixture("open_family_levels.jsonl")._replace(granularity=((HUGE, HUGE + 1),)), 1),
+     f"granularity c({SHOWN}) = {SHOWN_NEXT} exceeds the level {SHOWN}"),
+    (lambda: ll.deficiency_family(table(), 0, (HUGE + 1, HUGE)),
+     f"bad length range ({SHOWN_NEXT}, {SHOWN})"),
+], ids=["granularity", "length-range"])
+def test_a_refusal_names_ints_too_long_to_write_by_their_digits(construct, words):
+    # both ints are valid where they stand; only their order is refused
+    with pytest.raises(ValueError) as refused:
+        construct()
+    assert str(refused.value).startswith(words)

@@ -1633,6 +1633,32 @@ def test_help_into_a_broken_pipe_ends_as_the_interpreter_ends():
     assert endings[0][0] == 120 and "BrokenPipeError" in endings[0][1]
 
 
+# the limitlab modules a process has loaded, printed as it ends: complexity, freq and
+# lowbasis load only for the commands that run them, and a stray top-level import of
+# one would load it into every process
+LOADED = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(*sorted(\n"
+    "    m[9:] for m in sys.modules if m.startswith('limitlab.')), flush=True))\n"
+)
+ENTRY = "import runpy\nrunpy.run_module('limitlab.cli', run_name='__main__', alter_sys=True)\n"
+ALWAYS = {"cantor", "covers", "families", "jsonio"}
+
+
+@pytest.mark.parametrize("code,argv,want", [
+    ("import limitlab\n", [], set()),
+    ("import limitlab.cli\n", [], ALWAYS | {"cli"}),
+    (ENTRY, ["cover-open", "--input", str(FIXTURES / "open_family.jsonl"), "--lmax", "3"],
+     ALWAYS),
+    (ENTRY, ["complexity", "--lmax", "2", "--nmax", "2"], ALWAYS | {"complexity"}),
+], ids=["package", "cli", "cover-open", "complexity"])
+def test_a_process_loads_only_the_modules_its_command_runs(code, argv, want, tmp_path):
+    output = ["--output", str(tmp_path / "out")] if argv else []
+    done = limitlab(*argv, *output, entry=["-c", LOADED + code], stdout=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert set(done.stdout.split()) == want
+
+
 SET_FAMILY_K1 = (
     '{"type": "set-family", "k": 1, "universe": ["0", "1", "00"]}\n'
     '{"stage": 0, "kind": "tail", "index": 0, "element": "0"}\n'

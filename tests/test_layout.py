@@ -1,7 +1,9 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
 every import is used, every private module-level name is referenced, every
-parameter not named ``_x`` is read by its function or lambda, the package's ``__all__`` lists exactly the names its ``__init__`` imports, and
-each of those names is read by the library or a demo, not only by tests.
+parameter not named ``_x`` is read by its function or lambda, the package's
+``__all__`` lists exactly the names of its ``__init__``'s lazy ``_EXPORTS`` table,
+each defined by the module the table names, and each of those names is read by
+the library or a demo, not only by tests.
 No module holds an ``assert`` statement, which ``python -O`` would drop,
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
 and no two ``raise ValueError`` refusals word the same message.  Records stay
@@ -55,17 +57,20 @@ def imported(path, marked=False):
                     yield (alias.asname or alias.name).split(".")[0], alias.lineno
 
 
-def private_names(tree):
-    """The module-level functions, classes and constants named ``_x`` (not dunders)."""
+def defined_names(tree):
+    """The names a module defines at its top level: functions, classes and
+    assigned names, not imported ones."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def private_names(tree):
+    """The module-level functions, classes and constants named ``_x`` (not dunders)."""
+    return (n for n in defined_names(tree) if n.startswith("_") and not n.endswith("__"))
 
 
 def unused_imports(path):
@@ -81,22 +86,35 @@ def unread_private_names(paths):
     ]
 
 
-def exported(path):
-    """The ``__all__`` list of a package ``__init__``."""
+def literal(path, name):
+    """The literal value a module assigns to ``name`` at its top level."""
     return next(
         ast.literal_eval(node.value) for node in parsed(path).body
         if isinstance(node, ast.Assign)
-        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        and [getattr(t, "id", None) for t in node.targets] == [name]
     )
 
 
+def exported(path):
+    """The ``__all__`` list of a package ``__init__``."""
+    return literal(path, "__all__")
+
+
 def export_drift(path):
-    """``(imported but not listed, listed but not imported, listed twice)``
-    for a package ``__init__``'s imports and its ``__all__``."""
-    listed = exported(path)
-    bound = {name for name, _ in imported(path)}
-    twice = sorted({name for name in listed if listed.count(name) > 1})
-    return sorted(bound - set(listed)), sorted(set(listed) - bound), twice
+    """``(tabled but not listed, listed but not tabled, listed twice, tabled twice,
+    (module, name) of each tabled name its module does not define)`` for a package
+    ``__init__``'s ``_EXPORTS`` table (``{module: names}``) and its ``__all__``."""
+    listed, table = exported(path), literal(path, "_EXPORTS")
+    tabled = [name for names in table.values() for name in names]
+    undefined = [
+        (module, name) for module, names in table.items()
+        for name in sorted(set(names) - set(defined_names(parsed(path.parent / f"{module}.py"))))
+    ]
+    return (
+        sorted(set(tabled) - set(listed)), sorted(set(listed) - set(tabled)),
+        sorted({name for name in listed if listed.count(name) > 1}),
+        sorted({name for name in tabled if tabled.count(name) > 1}), undefined,
+    )
 
 
 def orphan_exports(package, readers):
@@ -233,9 +251,7 @@ def tuples_with_a_dict(module):
     )
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
 
@@ -302,7 +318,13 @@ def test_every_parameter_is_read(path):
 
 
 def test_all_lists_exactly_the_package_imports():
-    assert export_drift(Path(limitlab.__file__)) == ([], [], [])
+    # __getattr__ imports each name from the module its _EXPORTS entry names
+    assert export_drift(Path(limitlab.__file__)) == ([], [], [], [], [])
+    home = {name: module for module, names in limitlab._EXPORTS.items() for name in names}
+    assert [
+        name for name in limitlab.__all__
+        if getattr(limitlab, name) is not vars(importlib.import_module(f"limitlab.{home[name]}"))[name]
+    ] == []
 
 
 def test_every_export_has_a_reader_outside_the_tests():
@@ -425,12 +447,15 @@ def test_the_checks_catch_leftovers(tmp_path):
     spec.loader.exec_module(module)
     assert tuples_with_a_dict(module) == ["Loose"]
     package = tmp_path / "__init__.py"
+    (tmp_path / "a.py").write_text("def kept(): pass\ndropped = 1\nfrom .b import Record as lent\n")
+    (tmp_path / "b.py").write_text("class Record: pass\n")
     package.write_text(
-        "from .a import kept, dropped\n"
-        "from .b import Record\n"
-        "__all__ = ['Record', 'kept', 'stale', 'kept']\n"
+        "_EXPORTS = {'a': ('kept', 'dropped', 'lent'), 'b': ('Record', 'kept')}\n"
+        "__all__ = ['Record', 'kept', 'lent', 'stale', 'kept']\n"
     )
-    assert export_drift(package) == (["dropped"], ["stale"], ["kept"])
+    assert export_drift(package) == (
+        ["dropped"], ["stale"], ["kept"], ["kept"], [("a", "lent"), ("b", "kept")]
+    )
     reader = tmp_path / "reader.py"
     reader.write_text(
         "from .a import kept\n"
