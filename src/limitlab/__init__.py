@@ -13,20 +13,23 @@ Being tuples, they iterate over their fields and compare by value alone, equal
 to any tuple with the same fields.
 
 The package imports lazily (PEP 562): ``import limitlab`` loads none of its
-modules, and the first name of ``__all__`` read from a module imports that
-module, by the ``_EXPORTS`` table.  So a CLI process loads only the layers its
-command runs: ``cantor``, ``families``, ``covers``, ``jsonio`` and ``cli``
-always; ``complexity`` for the ``complexity``, ``deficiency``,
-``deficiency-family``, ``complexity-bounds`` and ``randomness-report``
-commands; ``freq`` for ``freq`` and ``trace-to-family``; ``lowbasis`` for
-``lowbasis``.  Those three cost 0.66, 0.29 and 0.29 ms of import self time
-(``python -X importtime``, median of 25 starts with warm bytecode, Python 3.11
-on a shared 2-core VM), and every other command skips all three.
+modules.  ``_EXPORTS`` is the one list of what the package exports, by the
+module that defines each name (``__all__`` is built from it), and the first of
+a module's names read imports that module.  The command table of ``cli`` reads
+each of the lazily loaded modules when a command runs it, so a CLI process
+loads only the layers its command runs: ``cantor``, ``families``, ``covers``,
+``jsonio`` and ``cli`` always; ``complexity`` for the ``complexity``,
+``deficiency``, ``deficiency-family``, ``complexity-bounds`` and
+``randomness-report`` commands; ``freq`` for ``freq`` and ``trace-to-family``;
+``lowbasis`` for ``lowbasis``.  Those three cost 0.66, 0.29 and 0.29 ms of
+import self time (``python -X importtime``, median of 25 starts with warm
+bytecode, Python 3.11 on a shared 2-core VM), and every other command skips
+all three.
 """
 
 import importlib
 
-# the module that defines each exported name; __getattr__ imports it on first use
+# every exported name, by the module that defines it; __getattr__ imports it on first use
 _EXPORTS = {
     "cantor": (
         "EMPTY", "FULL", "ClopenSet", "format_fraction", "interval", "max_interval_depth",
@@ -55,60 +58,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EMPTY",
-    "FULL",
-    "ClopenSet",
-    "ComplexityTable",
-    "CoverOpenSet",
-    "CoverSemimeasure",
-    "CoverSet",
-    "DeficiencyReport",
-    "ForcingInstance",
-    "ForcingOutcome",
-    "IndexSpec",
-    "IntervalEvent",
-    "OpenFamilyPresentation",
-    "PartialTrace",
-    "RandomnessReport",
-    "SemimeasureFamilyPresentation",
-    "SetEvent",
-    "SetFamilyPresentation",
-    "ValidationError",
-    "ValidationReport",
-    "ValueEvent",
-    "breakpoints",
-    "complexity_blocks",
-    "complexity_table",
-    "counting_violations",
-    "cover_open",
-    "cover_open_strong",
-    "cover_semimeasure",
-    "cover_sets",
-    "cover_to_complexity_bounds",
-    "decompose_liminf",
-    "deficiency_family",
-    "deficiency_report",
-    "exact_complexity",
-    "family_at",
-    "force",
-    "format_fraction",
-    "interval",
-    "liminf_family",
-    "limit_frequency",
-    "max_interval_depth",
-    "members",
-    "normalize",
-    "parse_fraction",
-    "randomness_report",
-    "run_m0",
-    "running_frequency",
-    "single",
-    "tail",
-    "trace_to_family",
-    "tree_closure",
-    "validate",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

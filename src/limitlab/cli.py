@@ -40,6 +40,10 @@ from collections import namedtuple
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+# the complexity, freq and lowbasis commands read their module off the lazy package when
+# they run, so a process loads none of those modules unless its command runs one
+import limitlab
+
 from . import jsonio
 from .cantor import _TooManyDigits, _echo, parse_fraction, parse_int
 from .covers import (
@@ -167,53 +171,6 @@ def _open(args):
     return _presentation(args, OpenFamilyPresentation)
 
 
-# The complexity, freq and lowbasis commands import their library functions when
-# they run, so a process whose command needs none of those modules loads none.
-def _lowbasis(args) -> dict:
-    from .lowbasis import force
-    instance = jsonio.parse_forcing_instance(_read(args.input))
-    return jsonio.forcing_outcome_to_json(force(instance, witness_length=args.witness_length))
-
-
-def _complexity(args) -> dict:
-    from .complexity import complexity_blocks
-    return jsonio.complexity_blocks_to_json(complexity_blocks(args.lmax, args.nmax))
-
-
-def _deficiency(args) -> dict:
-    from .complexity import deficiency_report
-    report = deficiency_report(_table(args), omega_prefix=args.omega, horizon=args.horizon,
-                               c=args.c)
-    return jsonio.deficiency_report_to_json(report)
-
-
-def _deficiency_family(args) -> str:
-    from .complexity import deficiency_family
-    return jsonio.dump_presentation(
-        deficiency_family(_table(args), c=args.c, n_range=(args.nmin, args.nmax)))
-
-
-def _complexity_bounds(args) -> dict:
-    from .complexity import cover_to_complexity_bounds
-    return jsonio.bounds_to_json(cover_to_complexity_bounds(_open(args), c=args.c))
-
-
-def _randomness_report(args) -> dict:
-    from .complexity import randomness_report
-    report = randomness_report(_table(args), omega_prefix=args.omega, c=args.c)
-    return jsonio.randomness_report_to_json(report)
-
-
-def _freq(args) -> dict:
-    from .freq import limit_frequency
-    return jsonio.frequencies_to_json(limit_frequency(_trace(args)))
-
-
-def _trace_to_family(args) -> str:
-    from .freq import trace_to_family
-    return jsonio.dump_presentation(trace_to_family(_trace(args), nmax=args.nmax, grid=args.grid))
-
-
 class Command(namedtuple("Command", "help required optional run csv", defaults=(None,))):
     """``run``: parsed flags (as attributes) -> JSON payload, or event-log text;
     ``csv``, if any: JSON payload -> CSV text, in pieces."""
@@ -255,28 +212,40 @@ COMMANDS: dict[str, Command] = {
         lambda a: jsonio.decomposition_to_json(decompose_liminf(_open(a)))),
     "lowbasis": Command(
         "force query answers while keeping the complement nonempty",
-        ("input", "witness-length"), (), _lowbasis),
+        ("input", "witness-length"), (),
+        lambda a: jsonio.forcing_outcome_to_json(limitlab.lowbasis.force(
+            jsonio.parse_forcing_instance(_read(a.input)), witness_length=a.witness_length))),
     "complexity": Command(
         "exact description-length table of the reference machine", ("lmax", "nmax"), (),
-        _complexity, lambda payload: jsonio.complexity_table_to_csv(payload)),
+        lambda a: jsonio.complexity_blocks_to_json(
+            limitlab.complexity.complexity_blocks(a.lmax, a.nmax)),
+        lambda payload: jsonio.complexity_table_to_csv(payload)),
     "deficiency": Command(
         "per-prefix deficiency report of a sequence prefix", ("input", "omega", "horizon", "c"),
-        (), _deficiency, lambda payload: jsonio.deficiency_report_to_csv(payload)),
+        (), lambda a: jsonio.deficiency_report_to_json(limitlab.complexity.deficiency_report(
+            _table(a), omega_prefix=a.omega, horizon=a.horizon, c=a.c)),
+        lambda payload: jsonio.deficiency_report_to_csv(payload)),
     "deficiency-family": Command(
         "staged open family of compressible strings", ("input", "c", "nmin", "nmax"), (),
-        _deficiency_family),
+        lambda a: jsonio.dump_presentation(limitlab.complexity.deficiency_family(
+            _table(a), c=a.c, n_range=(a.nmin, a.nmax)))),
     "complexity-bounds": Command(
         "ordinal-coding bounds read off a small cover", ("input", "c"), ("epsilon",),
-        _complexity_bounds),
+        lambda a: jsonio.bounds_to_json(
+            limitlab.complexity.cover_to_complexity_bounds(_open(a), c=a.c))),
     "randomness-report": Command(
         "prefix lengths where the sequence stays incompressible", ("input", "omega", "c"), (),
-        _randomness_report, lambda payload: jsonio.randomness_report_to_csv(payload)),
+        lambda a: jsonio.randomness_report_to_json(limitlab.complexity.randomness_report(
+            _table(a), omega_prefix=a.omega, c=a.c)),
+        lambda payload: jsonio.randomness_report_to_csv(payload)),
     "freq": Command(
         "exact limit frequencies of an eventually periodic trace", ("input",), (),
-        _freq, lambda payload: jsonio.frequencies_to_csv(payload)),
+        lambda a: jsonio.frequencies_to_json(limitlab.freq.limit_frequency(_trace(a))),
+        lambda payload: jsonio.frequencies_to_csv(payload)),
     "trace-to-family": Command(
         "replay a trace into a staged semimeasure family", ("input", "nmax", "grid"), (),
-        _trace_to_family),
+        lambda a: jsonio.dump_presentation(
+            limitlab.freq.trace_to_family(_trace(a), nmax=a.nmax, grid=a.grid))),
 }
 
 

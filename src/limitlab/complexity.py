@@ -95,6 +95,10 @@ def _periods(n: int, by_length: list) -> list[int]:
     return list(per.values())
 
 
+# the table modes
+MODES = ("conditional", "plain")
+
+
 class ComplexityTable(
     namedtuple("ComplexityTable", "by_condition mode", defaults=("conditional",))
 ):
@@ -183,6 +187,7 @@ def counting_violations(t: ComplexityTable) -> list[str]:
     exceeds the size, so a larger m cannot fail.  Each condition's values
     are sorted once, so the count below m is a ``bisect_left``.
     """
+    _require_table(t)
     problems = []
     groups = {cond: sorted(strings.values()) for cond, strings in t.by_condition.items()}
     tops = [values[-1] for values in groups.values() if values]
@@ -223,6 +228,19 @@ def _require_defined(t: ComplexityTable, prefixes: Iterable[str]) -> None:
         raise ValueError(f"table is missing {len(missing)} prefixes of the omega prefix: {shown}")
 
 
+def _require_table(t: object) -> None:
+    """Refuse ``t`` unless it is a :class:`ComplexityTable` whose ``by_condition`` is a dict of
+    dicts and whose ``mode`` is "conditional" or "plain", naming the field; O(conditions)."""
+    _require_kind(ComplexityTable, t=t)
+    _require_kind(dict, by_condition=t.by_condition)
+    for condition, strings in t.by_condition.items():
+        if not isinstance(strings, dict):
+            shown = f"by_condition[{_echo(condition)}]"
+            raise ValueError(f"{shown} must be a dict, got {type(strings).__name__}")
+    if t.mode not in MODES:
+        raise ValueError(f'mode must be "conditional" or "plain", got {_echo(t.mode)}')
+
+
 def _require_bits(name: str, value: object) -> None:
     """Refuse ``value`` unless it is a bit string, by the argument's name."""
     if not isinstance(value, str) or value.strip("01"):
@@ -261,7 +279,7 @@ def deficiency_report(
 ) -> DeficiencyReport:
     """Deficiency d and horizon-truncated extension deficiency dbar per prefix;
     ``horizon`` and ``c`` must be natural numbers."""
-    _require_kind(ComplexityTable, t=t)
+    _require_table(t)
     _require_naturals(horizon=horizon, c=c)
     _require_bits("omega prefix", omega_prefix)
     if horizon < len(omega_prefix):
@@ -296,7 +314,7 @@ def deficiency_family(
     converts to text is refused, since the family's epsilon could not be
     written.
     """
-    _require_kind(ComplexityTable, t=t)
+    _require_table(t)
     if not (isinstance(n_range, (tuple, list)) and len(n_range) == 2):
         raise ValueError(f"n_range must be a pair (n_min, n_max), got {_echo(n_range)}")
     n_min, n_max = n_range
@@ -337,7 +355,6 @@ def randomness_report(t: ComplexityTable, omega_prefix: str, c: int) -> Randomne
     """All n with C(prefix of length n) >= n - c; a finite stand-in for
     "infinitely many", so the largest qualifying n is reported alongside;
     ``c`` must be a natural number."""
-    _require_kind(ComplexityTable, t=t)
     _require_naturals(c=c)
     _require_bits("omega prefix", omega_prefix)
     problems = counting_violations(t)

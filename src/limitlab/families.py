@@ -107,6 +107,7 @@ EVENT_CLASS = {
     SemimeasureFamilyPresentation: ValueEvent,
     OpenFamilyPresentation: IntervalEvent,
 }
+PRESENTATIONS = tuple(EVENT_CLASS)
 
 
 class ValidationReport(namedtuple("ValidationReport", "problems", defaults=((),))):
@@ -138,6 +139,7 @@ def breakpoints(p: Presentation) -> list[int]:
 
     Contains 0, every single index and its successor, and every tail start.
     """
+    _require_kind(PRESENTATIONS, p=p)
     points = {0}
     for ev in p.events:
         if not _well_formed(ev.spec):
@@ -159,6 +161,7 @@ def _rule(p: Presentation):
     kind's budget on the unfinished member at ``n``: the problem text, or
     ``None`` within budget.
     """
+    _require_kind(PRESENTATIONS, p=p)
     if isinstance(p, SetFamilyPresentation):
 
         def excess(n, member):
@@ -178,22 +181,20 @@ def _rule(p: Presentation):
                 return f"{kind} violated at n={_int_text(n)}: {what} mass {mass} > 1"
 
         return {}, _max_merge, _same, excess
-    if isinstance(p, OpenFamilyPresentation):
-        depth = max_event_interval_length(p)
+    depth = max_event_interval_length(p)
 
-        def grow(events, ranges):
-            return _union(ranges + _ranges([ev.interval for ev in events], depth))
+    def grow(events, ranges):
+        return _union(ranges + _ranges([ev.interval for ev in events], depth))
 
-        def excess(n, ranges):
-            # mu(U_n) = points / 2^depth > num / den, decided on integers
-            points = sum(b - a for a, b in ranges)
-            if points * p.epsilon.denominator > p.epsilon.numerator << depth:
-                mu, eps = _fraction_text(Fraction(points, 1 << depth)), _fraction_text(p.epsilon)
-                n = _int_text(n)
-                return f"measure bound violated at n={n}: mu(U_n) = {mu} > epsilon = {eps}"
+    def excess(n, ranges):
+        # mu(U_n) = points / 2^depth > num / den, decided on integers
+        points = sum(b - a for a, b in ranges)
+        if points * p.epsilon.denominator > p.epsilon.numerator << depth:
+            mu, eps = _fraction_text(Fraction(points, 1 << depth)), _fraction_text(p.epsilon)
+            n = _int_text(n)
+            return f"measure bound violated at n={n}: mu(U_n) = {mu} > epsilon = {eps}"
 
-        return [], grow, lambda ranges: _clopen(ranges, depth), excess
-    raise TypeError(f"not a presentation: {type(p).__name__}")
+    return [], grow, lambda ranges: _clopen(ranges, depth), excess
 
 
 def _same(member):
@@ -326,11 +327,13 @@ def _require_naturals(**arguments: object) -> None:
             raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
 
 
-def _require_kind(kind: type, **arguments: object) -> None:
-    """Refuse the first of ``arguments`` that is not a ``kind``, by name."""
+def _require_kind(kind: type | tuple[type, ...], **arguments: object) -> None:
+    """Refuse, by name, the first of ``arguments`` not of ``kind`` (a class or tuple of classes)."""
     for name, value in arguments.items():
         if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+            *others, last = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+            shown = f"{', '.join(others)} or {last}" if others else last
+            raise ValueError(f"{name} must be a {shown}, got {type(value).__name__}")
 
 
 def _rational(value) -> bool:
@@ -366,9 +369,8 @@ def _structural_problems(p: Presentation) -> list[str]:
     before its type is checked, so a mistyped field is a problem, not an error."""
     problems = []
     cap = max_interval_depth()
-    event_cls = next((ev for cls, ev in EVENT_CLASS.items() if isinstance(p, cls)), None)
-    if event_cls is None:
-        raise TypeError(f"not a presentation: {type(p).__name__}")
+    _require_kind(PRESENTATIONS, p=p)
+    event_cls = next(ev for cls, ev in EVENT_CLASS.items() if isinstance(p, cls))
     universe = set()
     if isinstance(p, SetFamilyPresentation):
         if not _natural(p.k):

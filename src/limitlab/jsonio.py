@@ -456,14 +456,14 @@ def parse_complexity_table(text: str) -> ComplexityTable:
     The line form may open with "mode plain" or "mode conditional"
     (conditional is the default).
     """
-    from .complexity import ComplexityTable
+    from .complexity import MODES, ComplexityTable
     body = text.lstrip()
     if body.startswith(("{", "[")):
         obj = _object(_loads(body, "table"), "table", frozenset(("conditionMode", "entries")),
                       "table JSON must be an object with an 'entries' list")
         mode = obj.get("conditionMode", "conditional")
         raw = obj.get("entries")
-        if mode not in ("conditional", "plain") or not isinstance(raw, list):
+        if mode not in MODES or not isinstance(raw, list):
             raise ValueError("table JSON needs 'conditionMode' and an 'entries' list")
         by_condition = defaultdict(dict)
         for row in raw:
@@ -496,7 +496,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             continue
         fields = line.split()
         if fields[0] == "mode":
-            if len(fields) != 2 or fields[1] not in ("conditional", "plain"):
+            if len(fields) != 2 or fields[1] not in MODES:
                 raise ValueError(f"line {no}: mode must be conditional or plain")
             mode = fields[1]
             continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cantor import _clopen, _int_text, _lift, _union, max_interval_depth
+from .cantor import ClopenSet, _clopen, _echo, _int_text, _lift, _union, max_interval_depth
 from .families import _guarantee, _require_kind, _require_naturals
 
 
@@ -39,10 +39,17 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
     Requires a witness length at least the deepest interval in play, so that
     the leftmost string avoiding the final U is guaranteed to exist, and at
     most the interval depth cap, so that the witness is no longer than any
-    interval may be.  ``instance`` must be a :class:`ForcingInstance` and
-    ``witness_length`` a natural number.
+    interval may be.  ``instance`` must be a :class:`ForcingInstance` whose
+    ``initial_u`` is a ``ClopenSet`` and whose ``queries`` are ``(str, ClopenSet)``
+    pairs, and ``witness_length`` a natural number.
     """
     _require_kind(ForcingInstance, instance=instance)
+    _require_kind(ClopenSet, initial_u=instance.initial_u)
+    _require_kind((list, tuple), queries=instance.queries)
+    for pair in instance.queries:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], ClopenSet)):
+            raise ValueError(f"queries must hold (str, ClopenSet) pairs, got {_echo(pair)}")
     _require_naturals(witness_length=witness_length)
     deepest, (u, *queries) = _lift(instance.initial_u, *(q for _, q in instance.queries))
     full = [(0, 1 << deepest)]

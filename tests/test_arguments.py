@@ -1,7 +1,8 @@
 """Every public construction ends one of three ways whatever a scalar or record
-argument holds: a result, a ``ValidationError``, or a ``ValueError`` whose words
-name the argument.  Never a ``TypeError`` or an ``AttributeError``, and never the
-interpreter's refusal to write an int of too many digits."""
+argument, or a record's field, holds: a result, a ``ValidationError``, or a
+``ValueError`` whose words name the argument or the field.  Never a ``TypeError``
+or an ``AttributeError``, and never the interpreter's refusal to write an int of
+too many digits."""
 
 import re
 from fractions import Fraction
@@ -34,6 +35,26 @@ def trace():
 # (the words by which a refusal names the argument, or the bound it crossed, and the
 # call given the value in its place)
 CALLS = {
+    "cover_sets-p": (("p",), lambda v: ll.cover_sets(v)),
+    "cover_semimeasure-p": (("p",), lambda v: ll.cover_semimeasure(v, EIGHTHS)),
+    "cover_open-p": (("p",), lambda v: ll.cover_open(v, 3)),
+    "cover_open_strong-p": (("p",), lambda v: ll.cover_open_strong(v, 1)),
+    "decompose_liminf-p": (("p",), lambda v: ll.decompose_liminf(v)),
+    "members-p": (("p",), lambda v: ll.members(v)),
+    "liminf_family-p": (("p",), lambda v: ll.liminf_family(v)),
+    "validate-p": (("p",), lambda v: ll.validate(v)),
+    "family_at-p": (("p",), lambda v: ll.family_at(v, 0)),
+    "breakpoints-p": (("p",), lambda v: ll.breakpoints(v)),
+    "cover_to_complexity_bounds-p": (("p",), lambda v: ll.cover_to_complexity_bounds(v, 1)),
+    "counting_violations-t": (("t",), lambda v: ll.counting_violations(v)),
+    "ComplexityTable-by_condition": (
+        ("by_condition",), lambda v: ll.deficiency_report(ll.ComplexityTable(v), "01", 3, 0)),
+    "ComplexityTable-mode": (
+        ("mode",), lambda v: ll.randomness_report(table()._replace(mode=v), "01", 0)),
+    "ForcingInstance-initial_u": (("initial_u",), lambda v: ll.force(ll.ForcingInstance(
+        v, (("q", ll.interval("1")),)), 2)),
+    "ForcingInstance-queries": (
+        ("queries",), lambda v: ll.force(ll.ForcingInstance(ll.interval("0"), v), 2)),
     "cover_sets-nmax": (("nmax",), lambda v: ll.cover_sets(fixture("set_family.jsonl"), v)),
     "cover_semimeasure-grid": (
         ("grid",), lambda v: ll.cover_semimeasure(fixture("semimeasure_flat.jsonl"), v)),
@@ -90,6 +111,8 @@ UNBOUNDED = {
 }
 # None is their default: up to the last breakpoint
 DEFAULT_NONE = {"cover_sets-nmax", "cover_semimeasure-nmax", "cover_open-nmax", "members-nmax"}
+# an empty list is a valid value: no queries to answer
+EMPTY_VALID = {"ForcingInstance-queries"}
 
 
 @pytest.mark.parametrize("call,value", [
@@ -107,8 +130,10 @@ def test_an_odd_argument_ends_one_of_three_ways(call, value):
         assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text, re.IGNORECASE)
                    for name in names), text
     else:
-        # no value is coerced: only a natural too long to write, or a default, runs
-        assert value == "10**5000" or value == "None" and call in DEFAULT_NONE
+        # no value is coerced: only a natural too long to write, a default, or an
+        # empty list where one is valid, runs
+        assert (value == "10**5000" or value == "None" and call in DEFAULT_NONE
+                or value == "list" and call in EMPTY_VALID)
 
 
 HUGE = 10**5000

@@ -513,6 +513,19 @@ def test_plain_mode_uses_condition_zero():
     assert report.qualifying == (0, 1, 2)  # length 3 compresses below 3
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: ll.deficiency_report(t, "0", 1, 0), lambda t: ll.randomness_report(t, "0", 0),
+    lambda t: ll.deficiency_family(t, 0, (1, 2)), ll.counting_violations,
+], ids=["deficiency_report", "randomness_report", "deficiency_family", "counting_violations"])
+def test_a_table_of_odd_fields_is_refused_by_the_field(call):
+    # an unknown mode was once read as plain; a condition's odd dict is named by its condition
+    t = ll.complexity_table(2, 2)
+    with pytest.raises(ValueError, match='^mode must be "conditional" or "plain", got \'bogus\'$'):
+        call(t._replace(mode="bogus"))
+    with pytest.raises(ValueError, match=r"^by_condition\[1\] must be a dict, got list$"):
+        call(t._replace(by_condition={**t.by_condition, 1: []}))
+
+
 @pytest.mark.parametrize("mode", ["conditional", "plain"])
 def test_lookups_read_the_condition_of_the_mode(mode):
     # a string is looked up under its length (conditional) or under 0 (plain), and

@@ -116,7 +116,8 @@ def test_family_at_set_examples():
     )
     assert ll.family_at(p, 1) == frozenset()
     assert ll.family_at(p, 5) == {"0"}
-    with pytest.raises(TypeError, match="^not a presentation: tuple$"):
+    kinds = "SetFamilyPresentation, SemimeasureFamilyPresentation or OpenFamilyPresentation"
+    with pytest.raises(ValueError, match=f"^p must be a {kinds}, got tuple$"):
         ll.family_at(tuple(p), 5)
 
 

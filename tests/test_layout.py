@@ -1,9 +1,9 @@
 """Lint checks on ``src/limitlab`` that need only the standard library's ``ast``:
 every import is used, every private module-level name is referenced, every
-parameter not named ``_x`` is read by its function or lambda, the package's
-``__all__`` lists exactly the names of its ``__init__``'s lazy ``_EXPORTS`` table,
-each defined by the module the table names, and each of those names is read by
-the library or a demo, not only by tests.
+parameter not named ``_x`` is read by its function or lambda, and each name of
+the package ``__init__``'s lazy ``_EXPORTS`` table, the one list of its exports
+(``__all__`` is built from it), is tabled once, defined by the module the table
+names, and read by the library or a demo, not only by tests.
 No module holds an ``assert`` statement, which ``python -O`` would drop,
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
 and no two ``raise ValueError`` refusals word the same message.  Records stay
@@ -96,30 +96,24 @@ def literal(path, name):
 
 
 def exported(path):
-    """The ``__all__`` list of a package ``__init__``."""
-    return literal(path, "__all__")
+    """The names of a package ``__init__``'s lazy ``_EXPORTS`` table (``{module: names}``)."""
+    return [name for names in literal(path, "_EXPORTS").values() for name in names]
 
 
 def export_drift(path):
-    """``(tabled but not listed, listed but not tabled, listed twice, tabled twice,
-    (module, name) of each tabled name its module does not define)`` for a package
-    ``__init__``'s ``_EXPORTS`` table (``{module: names}``) and its ``__all__``."""
-    listed, table = exported(path), literal(path, "_EXPORTS")
-    tabled = [name for names in table.values() for name in names]
+    """``(tabled twice, (module, name) of each tabled name its module does not define)``
+    for a package ``__init__``'s ``_EXPORTS`` table, the one list of its exports."""
+    tabled = exported(path)
     undefined = [
-        (module, name) for module, names in table.items()
+        (module, name) for module, names in literal(path, "_EXPORTS").items()
         for name in sorted(set(names) - set(defined_names(parsed(path.parent / f"{module}.py"))))
     ]
-    return (
-        sorted(set(tabled) - set(listed)), sorted(set(listed) - set(tabled)),
-        sorted({name for name in listed if listed.count(name) > 1}),
-        sorted({name for name in tabled if tabled.count(name) > 1}), undefined,
-    )
+    return sorted({name for name in tabled if tabled.count(name) > 1}), undefined
 
 
 def orphan_exports(package, readers):
-    """The names of ``package``'s ``__all__`` that none of ``readers`` reads as
-    a name, an attribute or an import."""
+    """The names of ``package``'s ``_EXPORTS`` table that none of ``readers`` reads
+    as a name, an attribute or an import."""
     read = set()
     for path in readers:
         tree = parsed(path)
@@ -318,8 +312,14 @@ def test_every_parameter_is_read(path):
 
 
 def test_all_lists_exactly_the_package_imports():
-    # __getattr__ imports each name from the module its _EXPORTS entry names
-    assert export_drift(Path(limitlab.__file__)) == ([], [], [], [], [])
+    # __all__ is built from _EXPORTS, and __getattr__ imports each name from the
+    # module its _EXPORTS entry names
+    package = Path(limitlab.__file__)
+    assert export_drift(package) == ([], [])
+    assert limitlab.__all__ == sorted(exported(package))
+    starred = {}
+    exec("from limitlab import *", starred)
+    assert sorted(starred.keys() - {"__builtins__"}) == limitlab.__all__
     home = {name: module for module, names in limitlab._EXPORTS.items() for name in names}
     assert [
         name for name in limitlab.__all__
@@ -451,23 +451,16 @@ def test_the_checks_catch_leftovers(tmp_path):
     (tmp_path / "b.py").write_text("class Record: pass\n")
     package.write_text(
         "_EXPORTS = {'a': ('kept', 'dropped', 'lent'), 'b': ('Record', 'kept')}\n"
-        "__all__ = ['Record', 'kept', 'lent', 'stale', 'kept']\n"
+        "__all__ = sorted({name for names in _EXPORTS.values() for name in names})\n"
     )
-    assert export_drift(package) == (
-        ["dropped"], ["stale"], ["kept"], ["kept"], [("a", "lent"), ("b", "kept")]
-    )
+    assert export_drift(package) == (["kept"], [("a", "lent"), ("b", "kept")])
     reader = tmp_path / "reader.py"
     reader.write_text(
         "from .a import kept\n"
         "import b\n"
-        "b.Record(stale)\n"
+        "b.Record(lent)\n"
     )
-    package.write_text(
-        "from .a import kept, orphan\n"
-        "from .b import Record\n"
-        "__all__ = ['Record', 'kept', 'orphan', 'stale']\n"
-    )
-    assert orphan_exports(package, [reader]) == ["orphan"]
+    assert orphan_exports(package, [reader]) == ["dropped"]
     uncalled = uncalled_exports([lambda: limitlab.tail(1)])  # classes are not counted
     assert "tail" not in uncalled and {"single", "cover_sets"} <= uncalled
     assert "ClopenSet" not in uncalled

@@ -39,6 +39,15 @@ def test_force_rejects_full_initial_set():
         ll.force(ll.ForcingInstance(initial_u=ll.FULL, queries=()), 4)
 
 
+def test_force_refuses_a_query_that_is_no_labelled_clopen_set():
+    words = r"^queries must hold \(str, ClopenSet\) pairs, got \('q', '0'\)$"
+    with pytest.raises(ValueError, match=words):
+        ll.force(ll.ForcingInstance(initial_u=ll.EMPTY, queries=[("q", "0")]), 2)
+    # a pair may be a list, as JSON would give it
+    instance = ll.ForcingInstance(initial_u=ll.interval("0"), queries=[["T", ll.interval("1")]])
+    assert ll.force(instance, 2).answers == (("T", "halts"),)
+
+
 def test_force_rejects_short_witness():
     instance = ll.ForcingInstance(initial_u=ll.interval("000"), queries=())
     with pytest.raises(ValueError):
