@@ -33,8 +33,6 @@ from typing import Iterable, Optional
 
 DEFAULT_MAX_DEPTH = 64
 
-_BITS = frozenset("01")
-
 
 def max_interval_depth() -> int:
     """Current cap on interval depth (LIMITLAB_MAX_DEPTH overrides 64)."""
@@ -93,18 +91,30 @@ def _fraction_text(value: Fraction) -> str:
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
+def _not_bits(x: str) -> str:
+    """The refusal of a string ``x`` that holds a character other than 0 and 1."""
+    return f"bit string may contain only 0 and 1, got {_echo(x)}"
+
+
 def check_bit_string(x: str, cap: Optional[int] = None) -> str:
     """Validate a finite bit string of depth at most ``cap`` (by default
     :func:`max_interval_depth`); returns it unchanged."""
     if not isinstance(x, str):
         raise ValueError(f"bit string expected, got {type(x).__name__}")
-    if set(x) - _BITS:
-        raise ValueError(f"bit string may contain only 0 and 1, got {_echo(x)}")
+    if x.strip("01"):
+        raise ValueError(_not_bits(x))
     if cap is None:
         cap = max_interval_depth()
     if len(x) > cap:
         raise ValueError(f"interval {_echo(x)} deeper than the configured cap {cap}")
     return x
+
+
+def _require_depth(what: str, length: int) -> None:
+    """Refuse a natural ``length``, named ``what``, above :func:`max_interval_depth`."""
+    cap = max_interval_depth()
+    if length > cap:
+        raise ValueError(f"{what} {_int_text(length)} exceeds the interval depth cap {cap}")
 
 
 def _name(value: int, length: int) -> str:
@@ -276,8 +286,12 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # the only one left: more digits than the interpreter's limit
-        limit = f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
-        raise _TooManyDigits(f"integer text has more digits than {limit}") from None
+        raise _TooManyDigits(f"integer text has more digits than {_digit_limit()}") from None
+
+
+def _digit_limit() -> str:
+    """The interpreter's limit on integer text, as a refusal of longer text names it."""
+    return f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -74,12 +74,15 @@ def exact_complexity(x: str, condition: int) -> int:
     _require_naturals(condition=condition)
     if not isinstance(x, str) or x.strip("01"):
         raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
-    if len(x) > EXACT_COMPLEXITY_BOUND:
-        raise ValueError(
-            f"string of length {len(x)} exceeds the enumeration bound "
-            f"{EXACT_COMPLEXITY_BOUND}"
-        )
+    _require_enumerable("string of length", len(x))
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
+
+
+def _require_enumerable(what: str, length: int) -> None:
+    """Refuse a natural ``length``, named ``what``, above ``EXACT_COMPLEXITY_BOUND``."""
+    if length > EXACT_COMPLEXITY_BOUND:
+        raise ValueError(
+            f"{what} {_int_text(length)} exceeds the enumeration bound {EXACT_COMPLEXITY_BOUND}")
 
 
 def _periods(n: int, by_length: list) -> list[int]:
@@ -148,11 +151,7 @@ def complexity_blocks(max_len: int, nmax: int) -> list[tuple]:
     Both arguments must be natural numbers.
     """
     _require_naturals(max_len=max_len, nmax=nmax)
-    if max_len > EXACT_COMPLEXITY_BOUND:
-        raise ValueError(
-            f"max_len {_int_text(max_len)} exceeds the enumeration bound "
-            f"{EXACT_COMPLEXITY_BOUND}"
-        )
+    _require_enumerable("max_len", max_len)
     conditions = range(nmax + 1)
     by_length = [_strings_of_length(n) for n in range(max_len + 1)]
     literal = [(strings, n + 2) for n, strings in enumerate(by_length)]
@@ -196,13 +195,18 @@ def counting_violations(t: ComplexityTable) -> list[str]:
     stop = min(max(tops) + 2, sum(map(len, groups.values())).bit_length())
     for condition in sorted(groups):
         for m in range(stop):
-            count = bisect_left(groups[condition], m)
-            if count >= 2**m:
-                problems.append(
-                    f"counting bound violated at condition {condition}: "
-                    f"{count} strings below complexity {m} (bound 2^{m} = {2**m})"
-                )
+            if text := _too_many(groups[condition], condition, m):
+                problems.append(f"{text} (bound 2^{m} = {2**m})")
     return problems
+
+
+def _too_many(values: list[int], condition: int, m: int) -> Optional[str]:
+    """The counting bound for ``m`` at ``condition``: None when fewer than 2^m of
+    its complexities, the sorted ``values``, are below m, else the failure in words."""
+    count = bisect_left(values, m)
+    if count >= 2**m:
+        return (f"counting bound violated at condition {condition}: "
+                f"{count} strings below complexity {m}")
 
 
 class DeficiencyReport(namedtuple("DeficiencyReport", "per_prefix horizon c")):
@@ -327,14 +331,8 @@ def deficiency_family(
     events: list[IntervalEvent] = []
     for n in range(n_min, n_max + 1):
         m, strings = n - c, t.strings_at(n)
-        if m > 0:
-            count = bisect_left(sorted(strings.values()), m)
-            if count >= 2**m:
-                raise ValueError(
-                    f"counting bound violated at condition {t.condition_at(n)}: "
-                    f"{count} strings below complexity {m}; the family would "
-                    f"exceed measure 2^-{c}"
-                )
+        if m > 0 and (text := _too_many(sorted(strings.values()), t.condition_at(n), m)):
+            raise ValueError(f"{text}; the family would exceed measure 2^-{c}")
         level = [u for u in _strings_of_length(n) if strings[u] < m]
         spec = tail(n) if n == n_max else single(n)
         events.extend(IntervalEvent(stage=n, spec=spec, interval=u) for u in level)
@@ -389,6 +387,7 @@ def cover_to_complexity_bounds(
     takes ceil(log2(count)) bits, which bounds its complexity at that level.
     ``c``, the exponent of the measure bound 2^-c, must be a natural number.
     """
+    _require_kind(OpenFamilyPresentation, p=p)
     _require_naturals(c=c)
     segments = list(members(p))
     if p.granularity is None:

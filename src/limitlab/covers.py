@@ -62,9 +62,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
 
-from .cantor import EMPTY, ClopenSet, _int_text, _ranges, _require_writable_power
+from .cantor import EMPTY, ClopenSet, _ranges, _require_depth, _require_writable_power
 from .cantor import _strings_of_length
-from .cantor import _fraction_text, max_interval_depth, normalize
+from .cantor import _fraction_text, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -72,6 +72,7 @@ from .families import (
     _floor,
     _guarantee,
     _raise,
+    _require_kind,
     _require_naturals,
     _require_rationals,
     _unit_grid,
@@ -138,6 +139,7 @@ def cover_sets(p: SetFamilyPresentation, nmax: Optional[int] = None) -> CoverSet
     so the accepted elements contain the liminf; they all live in the final
     tail member, so there are fewer than 2^k of them.
     """
+    _require_kind(SetFamilyPresentation, p=p)
     segments = list(members(p, nmax))
     point = {u: t for t, u in enumerate(p.universe)}
     # no copy outgrows the universe, so a larger k changes no decision
@@ -183,6 +185,7 @@ def cover_semimeasure(
     empty table, which keeps them below the final working tables, hence
     within the same mass budget.
     """
+    _require_kind(SemimeasureFamilyPresentation, p=p)
     rgrid = _unit_grid(grid)
     segments = list(members(p, nmax))
     missing = sorted({ev.value for ev in p.events}.difference(rgrid), reverse=True)
@@ -263,6 +266,7 @@ def cover_open(
     subset of the final tail member, so its measure obeys the budget.
     ``lmax`` must be a natural number, and so must ``nmax`` when given.
     """
+    _require_kind(OpenFamilyPresentation, p=p)
     _require_naturals(lmax=lmax)
     segments = list(members(p, nmax))
     deepest = max_event_interval_length(p)
@@ -270,9 +274,7 @@ def cover_open(
         raise ValueError(
             f"Lmax = {lmax} is below the deepest event interval ({deepest})"
         )
-    cap = max_interval_depth()
-    if lmax > cap:
-        raise ValueError(f"Lmax = {_int_text(lmax)} exceeds the interval depth cap {cap}")
+    _require_depth("Lmax =", lmax)
     # canonical intervals are disjoint, so summing their point masks unites them
     bases = [
         sum((1 << b) - (1 << a) for a, b in _ranges(member.intervals, lmax))
@@ -300,6 +302,7 @@ def decompose_liminf(p: OpenFamilyPresentation) -> list[ClopenSet]:
     inside a segment U_{i-1} = U_i contains the intersection of U_i.., so
     only a segment's first index can receive a nonempty part.
     """
+    _require_kind(OpenFamilyPresentation, p=p)
     return _parts(p, list(members(p)))
 
 
@@ -326,6 +329,7 @@ def cover_open_strong(
     (epsilon' - epsilon) / 2^(i+1); at desk scale every part is clopen, so it
     is covered exactly and the whole slack budget is reported unconsumed.
     """
+    _require_kind(OpenFamilyPresentation, p=p)
     _require_rationals(epsilon_prime=epsilon_prime)
     segments = list(members(p))  # validates p before its epsilon is read
     epsilon_prime = Fraction(epsilon_prime)

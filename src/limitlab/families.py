@@ -333,7 +333,8 @@ def _require_kind(kind: type | tuple[type, ...], **arguments: object) -> None:
         if not isinstance(value, kind):
             *others, last = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
             shown = f"{', '.join(others)} or {last}" if others else last
-            raise ValueError(f"{name} must be a {shown}, got {type(value).__name__}")
+            article = "an" if shown[0] in "AEIOUaeiou" else "a"
+            raise ValueError(f"{name} must be {article} {shown}, got {type(value).__name__}")
 
 
 def _rational(value) -> bool:

@@ -15,9 +15,9 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cantor import _echo
-from .families import SemimeasureFamilyPresentation, ValueEvent, _require_kind, _require_naturals
-from .families import _unit_grid, single, tail
+from .cantor import _echo, _fraction_text
+from .families import SemimeasureFamilyPresentation, ValueEvent, _natural, _require_kind
+from .families import _require_naturals, _unit_grid, single, tail
 
 Slot = Optional[int]
 
@@ -33,9 +33,7 @@ class PartialTrace(namedtuple("PartialTrace", "prefix period")):
         if not period:
             raise ValueError("period must be nonempty")
         for slot in prefix + period:
-            if slot is not None and (
-                not isinstance(slot, int) or isinstance(slot, bool) or slot < 0
-            ):
+            if slot is not None and not _natural(slot):
                 raise ValueError(f"trace values must be naturals or None, got {_echo(slot)}")
         return super().__new__(cls, prefix, period)
 
@@ -82,9 +80,7 @@ def running_frequency(trace: PartialTrace, n: int) -> dict[int, Fraction]:
 def _grid_floor(value: Fraction, grid: Sequence[Fraction]) -> Fraction:
     i = bisect_right(grid, value)
     if i == 0:
-        raise ValueError(
-            f"grid has no value at or below {value.numerator}/{value.denominator}"
-        )
+        raise ValueError(f"grid has no value at or below {_fraction_text(value)}")
     return grid[i - 1]
 
 

@@ -37,15 +37,14 @@ they come.  The CSV writer of the table fills the same runs.
 from __future__ import annotations
 
 import json
-import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .cantor import ClopenSet, _TooManyDigits, _echo, format_fraction, normalize, parse_fraction
-from .cantor import parse_int
+from .cantor import ClopenSet, _TooManyDigits, _digit_limit, _echo, _not_bits, format_fraction
+from .cantor import normalize, parse_fraction, parse_int
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
     EVENT_CLASS,
@@ -210,21 +209,20 @@ def _run_pieces(runs: Iterable, template, sep: str, quote) -> Iterator[str]:
             lead = sep
 
 
-def _one_line(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
 def _parse_spec(obj: dict, where: str) -> IndexSpec:
     kind = obj.get("kind")
     if kind not in ("single", "tail"):
         raise ValueError(f"{where}: index spec needs kind single|tail and a natural index")
-    return IndexSpec(kind, _require_int(obj, "index", where))
+    return IndexSpec(kind, _field(obj, "index", where, int))
 
 
-def _require_str(obj: dict, key: str, where: str) -> str:
+def _field(obj: dict, key: str, where: str, kind: type) -> Any:
+    """``obj[key]``, refused by name unless it is a ``kind``, ``str`` or ``int``: the
+    exact type, as ``json.loads`` makes no subclasses and a bool is no int."""
     value = obj.get(key)
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: missing or non-string field {_echo(key)}")
+    if type(value) is not kind:
+        shown = "integer" if kind is int else "string"
+        raise ValueError(f"{where}: missing or non-{shown} field {_echo(key)}")
     return value
 
 
@@ -237,13 +235,6 @@ def _object(value: Any, where: str, known: frozenset, refusal: str) -> dict:
     if not known.issuperset(value):
         key = next(key for key in value if key not in known)
         raise ValueError(f"{where}: unknown field {_echo(key)}")
-    return value
-
-
-def _require_int(obj: dict, key: str, where: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{where}: missing or non-integer field {_echo(key)}")
     return value
 
 
@@ -270,8 +261,8 @@ def _loads(text: str, where: str) -> Any:
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
     except ValueError:  # the only other: an int literal longer than the interpreter converts
-        limit = f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
-        raise ValueError(f"{where}: an integer literal has more digits than {limit}") from None
+        raise ValueError(
+            f"{where}: an integer literal has more digits than {_digit_limit()}") from None
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -297,14 +288,14 @@ def parse_presentation(text: str) -> Presentation:
         where = f"line {no}"
         refusal = f"{where}: event must be a JSON object"
         obj = _object(_loads(line, where), where, event_keys, refusal)
-        stage, spec = _require_int(obj, "stage", where), _parse_spec(obj, where)
-        payload = [_LOAD.get(key, _same)(_require_str(obj, key, where)) for key in payload_keys]
+        stage, spec = _field(obj, "stage", where, int), _parse_spec(obj, where)
+        payload = [_LOAD.get(key, _same)(_field(obj, key, where, str)) for key in payload_keys]
         events.append(event_cls(stage, spec, *payload))
     if cls is SetFamilyPresentation:
         universe = header.get("universe")
         if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
             raise ValueError("header: 'universe' must be a list of strings")
-        fields = {"k": _require_int(header, "k", "header"), "universe": tuple(universe)}
+        fields = {"k": _field(header, "k", "header", int), "universe": tuple(universe)}
     elif cls is SemimeasureFamilyPresentation:
         fields = {"tree": header.get("tree", False)}
         if not isinstance(fields["tree"], bool):
@@ -321,7 +312,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise ValueError("header: 'granularity' must be a list of [n, c] pairs")
             granularity = tuple((n, c) for n, c in granularity)
         fields = {
-            "epsilon": parse_fraction(_require_str(header, "epsilon", "header")),
+            "epsilon": parse_fraction(_field(header, "epsilon", "header", str)),
             "granularity": granularity,
         }
     return cls(events=tuple(events), **fields)
@@ -336,15 +327,13 @@ def dump_presentation(p: Presentation) -> str:
     if kind is None:
         raise TypeError(f"not a presentation: {type(p).__name__}")
     _, header_keys, payload_keys = _EVENT_LOGS[kind]
-    lines = [_one_line({"type": kind, **_fields(p, header_keys)})]
+    lines = [{"type": kind, **_fields(p, header_keys)}]
     lines.extend(
-        _one_line(
-            {"stage": ev.stage, "kind": ev.spec.kind, "index": ev.spec.index,
-             **_fields(ev, payload_keys)}
-        )
+        {"stage": ev.stage, "kind": ev.spec.kind, "index": ev.spec.index,
+         **_fields(ev, payload_keys)}
         for ev in p.events
     )
-    return "\n".join(lines) + "\n"
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
 def _region(s: ClopenSet) -> dict:
@@ -361,10 +350,12 @@ def report_to_json(report: ValidationReport) -> dict:
 
 def liminf_to_json(p: Presentation, member) -> dict:
     if isinstance(p, SetFamilyPresentation):
-        return {"type": "set-family", "elements": sorted(member)}
-    if isinstance(p, SemimeasureFamilyPresentation):
-        return {"type": "semimeasure-family", "values": _values(member)}
-    return {"type": "open-family", **_region(member)}
+        body = {"elements": sorted(member)}
+    elif isinstance(p, SemimeasureFamilyPresentation):
+        body = {"values": _values(member)}
+    else:
+        body = _region(member)
+    return {"type": _KIND_OF[type(p)], **body}
 
 
 def _threshold_runs(runs: tuple, row) -> Runs:
@@ -447,7 +438,6 @@ def parse_trace(text: str) -> PartialTrace:
 
 
 _EMPTY_BITS = "-"
-_NOT_BITS = "bit string may contain only 0 and 1, got "
 
 
 def parse_complexity_table(text: str) -> ComplexityTable:
@@ -480,7 +470,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         # one C-level pass over every string: deleting the bits leaves nothing
         if "".join(chain.from_iterable(by_condition.values())).encode().translate(None, b"01"):
             i = next(i for i, row in enumerate(raw) if row[0].strip("01"))
-            raise ValueError(f"table entry #{i}: {_NOT_BITS}{_echo(raw[i][0])}")
+            raise ValueError(f"table entry #{i}: {_not_bits(raw[i][0])}")
         # a pair given twice: name its second entry
         if sum(map(len, by_condition.values())) < len(raw):
             first: dict = {}
@@ -505,7 +495,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         bits, cond_text, value_text = fields
         bits = "" if bits == _EMPTY_BITS else bits
         if bits.strip("01"):
-            raise ValueError(f"line {no}: {_NOT_BITS}{_echo(bits)}")
+            raise ValueError(f"line {no}: {_not_bits(bits)}")
         try:
             cond, value = parse_int(cond_text), parse_int(value_text)
         except _TooManyDigits as exc:
@@ -564,8 +554,7 @@ def bounds_to_json(bounds: dict[str, int]) -> dict:
 # The CSV writers render the rows of the matching JSON payload, in its order,
 # as text pieces.
 def _csv(header: tuple[str, ...], rows) -> list[str]:
-    line = ",".join(["{}"] * len(header)) + "\n"
-    return [line.format(*header), "".join(starmap(line.format, rows))]
+    return [",".join(header) + "\n", "".join(",".join(map(format, row)) + "\n" for row in rows)]
 
 
 def _csv_bits(column):

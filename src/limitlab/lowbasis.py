@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cantor import ClopenSet, _clopen, _echo, _int_text, _lift, _union, max_interval_depth
+from .cantor import ClopenSet, _clopen, _echo, _lift, _require_depth, _union
 from .families import _guarantee, _require_kind, _require_naturals
 
 
@@ -60,11 +60,7 @@ def force(instance: ForcingInstance, witness_length: int) -> ForcingOutcome:
         raise ValueError(
             f"witness length {witness_length} below the deepest interval ({deepest})"
         )
-    cap = max_interval_depth()
-    if witness_length > cap:
-        raise ValueError(
-            f"witness length {_int_text(witness_length)} exceeds the interval depth cap {cap}"
-        )
+    _require_depth("witness length", witness_length)
     answers = []
     for (label, _), query in zip(instance.queries, queries):
         merged = _union(u + query)

@@ -152,3 +152,33 @@ def test_a_refusal_names_ints_too_long_to_write_by_their_digits(construct, words
     with pytest.raises(ValueError) as refused:
         construct()
     assert str(refused.value).startswith(words)
+
+
+# the kind of presentation each construction takes, as its refusal of another names it
+TAKES = {
+    "cover_sets": "a SetFamilyPresentation",
+    "cover_semimeasure": "a SemimeasureFamilyPresentation",
+    "cover_open": "an OpenFamilyPresentation",
+    "cover_open_strong": "an OpenFamilyPresentation",
+    "decompose_liminf": "an OpenFamilyPresentation",
+    "cover_to_complexity_bounds": "an OpenFamilyPresentation",
+}
+# a valid presentation of each kind
+KINDS = {
+    "SetFamilyPresentation": "set_family.jsonl",
+    "SemimeasureFamilyPresentation": "semimeasure_flat.jsonl",
+    "OpenFamilyPresentation": "open_family.jsonl",
+}
+
+
+@pytest.mark.parametrize("call,kind", [
+    (call, kind) for call in sorted(TAKES) for kind in KINDS if not TAKES[call].endswith(kind)
+])
+def test_a_presentation_of_another_kind_is_refused_by_name(call, kind):
+    # the CLI refuses the wrong kind before it calls a construction; the construction
+    # refuses it too, before it reads a field that kind lacks
+    p = fixture(KINDS[kind])
+    assert type(p).__name__ == kind and ll.validate(p).ok
+    with pytest.raises(ValueError) as refused:
+        CALLS[f"{call}-p"][1](p)
+    assert str(refused.value) == f"p must be {TAKES[call]}, got {kind}"

@@ -6,12 +6,15 @@ the package ``__init__``'s lazy ``_EXPORTS`` table, the one list of its exports
 names, and read by the library or a demo, not only by tests.
 No module holds an ``assert`` statement, which ``python -O`` would drop,
 only ``cantor._echo`` writes a value with ``!r``, so every echo is cut short,
-and no two ``raise ValueError`` refusals word the same message.  Records stay
+no two ``raise ValueError`` refusals word the same message, and no string
+constant of 20 or more characters (docstrings and the package's ``_EXPORTS``
+aside) is written in two functions, so each message fragment has one owner
+that every site calls.  Records stay
 cheap: none is a ``typing.NamedTuple``, and every tuple subclass declares
 ``__slots__ = ()``, so its instances carry no ``__dict__``.  Only ``complexity``
 reads a table's flat ``entries`` dict; the rest reads its per-condition dicts.
-No module reads a ``.format`` attribute but ``jsonio._csv``, whose template is
-built from constants, so no template is ever built from artifact text.  Only
+No module reads a ``.format`` attribute, so no text is ever read as a
+template.  Only
 ``cli._end_process`` names ``os._exit`` or ``atexit``, and nothing freezes the
 heap with ``gc.freeze``: a library call never ends the process.  One check is
 not read off the source: the golden command lines, run in-process under
@@ -151,16 +154,17 @@ def asserts(path):
     return [node.lineno for node in ast.walk(parsed(path)) if isinstance(node, ast.Assert)]
 
 
-def found_in_functions(path, matches):
-    """``(function, line)`` of each node of a module that ``matches``, the
-    function being the innermost one around it (None at module level)."""
+def found_in_functions(path, matches, shown=lambda node: node.lineno):
+    """``(function, shown(node))``, by default ``(function, line)``, of each node
+    of a module that ``matches``, the function being the innermost one around
+    it (None at module level)."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if matches(node):
-            found.append((function, node.lineno))
+            found.append((function, shown(node)))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -194,6 +198,35 @@ def repeated_refusals(paths):
         for template, line in sorted(refusals(path), key=lambda found: found[1]):
             where.setdefault(template, []).append((path.name, line))
     return [(template, places) for template, places in where.items() if len(places) > 1]
+
+
+def long_texts(path):
+    """``(function, text)`` of each string constant of 20 or more characters in a
+    module, an f-string's literal parts included, but for docstrings (strings
+    standing as statements) and a package ``__init__``'s ``_EXPORTS`` table."""
+    left_out = {
+        (node.lineno, node.col_offset) for statement in ast.walk(parsed(path))
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant)
+        or path.name == "__init__.py" and isinstance(statement, ast.Assign)
+        and [getattr(t, "id", None) for t in statement.targets] == ["_EXPORTS"]
+        for node in ast.walk(statement) if isinstance(node, ast.Constant)
+    }
+    return found_in_functions(
+        path,
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and len(node.value) >= 20 and (node.lineno, node.col_offset) not in left_out,
+        shown=lambda node: node.value,
+    )
+
+
+def repeated_texts(paths):
+    """``(text, [(module, function), ...])`` of each text of :func:`long_texts`
+    written in more than one function, module level counting as one."""
+    where = {}
+    for path in paths:
+        for function, text in long_texts(path):
+            where.setdefault(text, set()).add((path.name, function))
+    return [(text, sorted(places, key=str)) for text, places in where.items() if len(places) > 1]
 
 
 def format_reads(path):
@@ -272,6 +305,12 @@ def test_each_refusal_is_worded_once():
     assert repeated_refusals(MODULES) == []
 
 
+def test_each_message_fragment_is_written_once():
+    # a fragment of a message that two functions write is a rule stated twice:
+    # one owner words it, and every site calls the owner
+    assert repeated_texts(MODULES) == []
+
+
 def test_records_are_plain_namedtuples():
     # every run imports them: a typing.NamedTuple class costs more to build, and
     # a tuple subclass without __slots__ gives each instance a dict
@@ -288,10 +327,10 @@ def test_only_complexity_reads_the_flat_table_view():
     assert [(name, line) for name, line in found if name != "complexity.py"] == []
 
 
-def test_only_the_csv_header_template_is_formatted():
-    # a template built from artifact text would read its braces as fields
-    found = {(path.name, function) for path in MODULES for function, _ in format_reads(path)}
-    assert found == {("jsonio.py", "_csv")}
+def test_no_module_formats_a_template():
+    # a template built from artifact text would read its braces as fields; rows are
+    # joined from each value's format() text instead
+    assert [(path.name, found) for path in MODULES for found in format_reads(path)] == []
 
 
 def test_only_the_process_entry_ends_the_process():
@@ -423,6 +462,14 @@ def test_the_checks_catch_leftovers(tmp_path):
         "    from gc import freeze\n"
         "    atexit.register(freeze)\n"
         "    os._exit(code)\n"
+        "def once(x):\n"
+        "    'a docstring of twenty characters or more'\n"
+        "    return f'{x}: twice in one function', f'{x}: twice in one function'\n"
+        "def shared(x):\n"
+        "    'a docstring of twenty characters or more'\n"
+        "    return f'{x}: a fragment two functions write', 'short text', x\n"
+        "def again(x):\n"
+        "    return [x, ': a fragment two functions write', 'short text']\n"
     )
     assert unused_imports(leftover) == [("json", 2), ("path", 4)]
     assert list(imported(leftover, marked=True)) == [("chain", 3), ("re", 9)]
@@ -442,6 +489,9 @@ def test_the_checks_catch_leftovers(tmp_path):
     assert entries_reads(leftover) == [38]
     assert format_reads(leftover) == [("fill", 40)]
     assert process_endings(leftover) == [("leave", 42), ("leave", 43), ("leave", 43), ("leave", 44)]
+    assert repeated_texts([leftover]) == [
+        (": a fragment two functions write", [("leftover.py", "again"), ("leftover.py", "shared")]),
+    ]
     spec = importlib.util.spec_from_file_location("leftover", leftover)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
