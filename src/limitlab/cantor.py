@@ -20,7 +20,8 @@ or meets the interval of ``x``, and how much of it, is a set operation with
 ``interval(x)``.
 
 All measures are :class:`fractions.Fraction`; no floating point is used
-anywhere in the package.
+anywhere in the package.  Every module imports this one, so it also holds the
+value gates (natural, exact rational, bit string, record kind) for all of them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 DEFAULT_MAX_DEPTH = 64
 
@@ -115,6 +117,46 @@ def _require_depth(what: str, length: int) -> None:
     cap = max_interval_depth()
     if length > cap:
         raise ValueError(f"{what} {_int_text(length)} exceeds the interval depth cap {cap}")
+
+
+def _natural(value) -> bool:
+    """A natural number is an ``int`` at least 0, never a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _require_naturals(**arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not a natural number, by name."""
+    for name, value in arguments.items():
+        if not _natural(value):
+            raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
+
+
+def _rational(value) -> bool:
+    """An exact rational is a ``Fraction`` or an ``int`` that is not a ``bool``."""
+    return isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_rationals(**arguments: object) -> None:
+    """Refuse the first of ``arguments`` that is not an exact rational, by name."""
+    for name, value in arguments.items():
+        if not _rational(value):
+            raise ValueError(f"{name} must be an exact rational, got {_echo(value)}")
+
+
+def _require_bits(name: str, value: object) -> None:
+    """Refuse ``value`` unless it is a bit string, by the argument's name."""
+    if not isinstance(value, str) or value.strip("01"):
+        raise ValueError(f"{name} must be a bit string, got {_echo(value)}")
+
+
+def _require_kind(kind: type | tuple[type, ...], **arguments: object) -> None:
+    """Refuse, by name, the first of ``arguments`` not of ``kind`` (a class or tuple of classes)."""
+    for name, value in arguments.items():
+        if not isinstance(value, kind):
+            *others, last = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
+            shown = f"{', '.join(others)} or {last}" if others else last
+            article = "an" if shown[0] in "AEIOUaeiou" else "a"
+            raise ValueError(f"{name} must be {article} {shown}, got {type(value).__name__}")
 
 
 def _name(value: int, length: int) -> str:
@@ -207,10 +249,12 @@ class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
         return self.intervals == ("",)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
+        _require_kind(ClopenSet, other=other)
         depth, (a, b) = _lift(self, other)
         return _clopen(_union(a + b), depth)
 
     def intersection(self, other: "ClopenSet") -> "ClopenSet":
+        _require_kind(ClopenSet, other=other)
         depth, (a, b) = _lift(self, other)
         return _clopen(_gaps(_gaps(a, depth) + _gaps(b, depth), depth), depth)
 
@@ -219,6 +263,7 @@ class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
         return _clopen(_gaps(a, depth), depth)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
+        _require_kind(ClopenSet, other=other)
         depth, (a, b) = _lift(self, other)
         return _clopen(_gaps(_gaps(a, depth) + b, depth), depth)
 
@@ -236,8 +281,8 @@ class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
 
     def leftmost_avoiding(self, length: int) -> Optional[str]:
         """Least string of the given length whose interval misses this set."""
-        if length < 0:
-            raise ValueError("length must be a natural number")
+        _require_naturals(length=length)
+        _require_depth("length", length)
         depth, (ranges,) = _lift(self, depth=length)
         shift = depth - length
         for a, b in _gaps(ranges, depth):
@@ -258,7 +303,10 @@ FULL = ClopenSet(("",))
 
 
 def normalize(intervals: Iterable[str]) -> ClopenSet:
-    """Canonical clopen set denoting the union of the given intervals."""
+    """Canonical clopen set denoting the union of the given intervals, an iterable
+    of bit strings; a ``str`` is refused, not read as its characters."""
+    if isinstance(intervals, str) or not isinstance(intervals, Iterable):
+        raise ValueError(f"intervals must be an iterable of bit strings, got {_echo(intervals)}")
     cap = max_interval_depth()
     checked = [check_bit_string(x, cap) for x in intervals]
     depth = max(map(len, checked), default=0)
@@ -313,9 +361,13 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Serialize a rational as "num/den" (denominator always present)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    """Serialize an exact rational as "num/den" (denominator always present)."""
+    _require_rationals(value=value)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # a term of more digits than the interpreter writes
+        shown = _fraction_text(value)
+        raise ValueError(f"value {shown} has more digits than {_digit_limit()}") from None
 
 
 def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:

@@ -25,13 +25,11 @@ from itertools import repeat
 from typing import Iterable, Optional
 
 from .cantor import _echo, _fraction_text, _int_text, _require_writable_power
-from .cantor import _strings_of_length
+from .cantor import _require_bits, _require_kind, _require_naturals, _strings_of_length
 from .families import (
     IntervalEvent,
     OpenFamilyPresentation,
     _guarantee,
-    _require_kind,
-    _require_naturals,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     members,
     single,
@@ -72,8 +70,7 @@ def exact_complexity(x: str, condition: int) -> int:
     ``condition`` must be a natural number.
     """
     _require_naturals(condition=condition)
-    if not isinstance(x, str) or x.strip("01"):
-        raise ValueError(f"M0 outputs bit strings only, got {_echo(x)}")
+    _require_bits("x", x)
     _require_enumerable("string of length", len(x))
     return 2 + _least_period(x) if len(x) == condition >= 1 else len(x) + 2
 
@@ -205,7 +202,7 @@ def _too_many(values: list[int], condition: int, m: int) -> Optional[str]:
     its complexities, the sorted ``values``, are below m, else the failure in words."""
     count = bisect_left(values, m)
     if count >= 2**m:
-        return (f"counting bound violated at condition {condition}: "
+        return (f"counting bound violated at condition {_int_text(condition)}: "
                 f"{count} strings below complexity {m}")
 
 
@@ -243,12 +240,6 @@ def _require_table(t: object) -> None:
             raise ValueError(f"{shown} must be a dict, got {type(strings).__name__}")
     if t.mode not in MODES:
         raise ValueError(f'mode must be "conditional" or "plain", got {_echo(t.mode)}')
-
-
-def _require_bits(name: str, value: object) -> None:
-    """Refuse ``value`` unless it is a bit string, by the argument's name."""
-    if not isinstance(value, str) or value.strip("01"):
-        raise ValueError(f"{name} must be a bit string, got {_echo(value)}")
 
 
 def _require_all_strings(t: ComplexityTable, lengths: range) -> None:

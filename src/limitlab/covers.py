@@ -64,7 +64,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _ranges, _require_depth, _require_writable_power
 from .cantor import _strings_of_length
-from .cantor import _fraction_text, normalize
+from .cantor import _fraction_text, _require_kind, _require_naturals, _require_rationals, normalize
 from .families import (
     OpenFamilyPresentation,
     SemimeasureFamilyPresentation,
@@ -72,9 +72,6 @@ from .families import (
     _floor,
     _guarantee,
     _raise,
-    _require_kind,
-    _require_naturals,
-    _require_rationals,
     _unit_grid,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,

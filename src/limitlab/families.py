@@ -34,6 +34,7 @@ from typing import Optional, Union
 
 from .cantor import _clopen, _echo, _int_text, _ranges, _union, check_bit_string
 from .cantor import _fraction_text, max_interval_depth
+from .cantor import _natural, _rational, _require_kind, _require_naturals
 
 
 class IndexSpec(namedtuple("IndexSpec", "kind index")):
@@ -313,40 +314,6 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     for u, r in table.items():
         closed.update(_raise(closed, u, r)[0])
     return closed
-
-
-def _natural(value) -> bool:
-    """A natural number is an ``int`` at least 0, never a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _require_naturals(**arguments: object) -> None:
-    """Refuse the first of ``arguments`` that is not a natural number, by name."""
-    for name, value in arguments.items():
-        if not _natural(value):
-            raise ValueError(f"{name} must be a natural number, got {_echo(value)}")
-
-
-def _require_kind(kind: type | tuple[type, ...], **arguments: object) -> None:
-    """Refuse, by name, the first of ``arguments`` not of ``kind`` (a class or tuple of classes)."""
-    for name, value in arguments.items():
-        if not isinstance(value, kind):
-            *others, last = [k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,))]
-            shown = f"{', '.join(others)} or {last}" if others else last
-            article = "an" if shown[0] in "AEIOUaeiou" else "a"
-            raise ValueError(f"{name} must be {article} {shown}, got {type(value).__name__}")
-
-
-def _rational(value) -> bool:
-    """An exact rational is a ``Fraction`` or an ``int`` that is not a ``bool``."""
-    return isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require_rationals(**arguments: object) -> None:
-    """Refuse the first of ``arguments`` that is not an exact rational, by name."""
-    for name, value in arguments.items():
-        if not _rational(value):
-            raise ValueError(f"{name} must be an exact rational, got {_echo(value)}")
 
 
 def _unit_grid(grid: object) -> list[Fraction]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .cantor import ClopenSet, _clopen, _echo, _lift, _require_depth, _union
-from .families import _guarantee, _require_kind, _require_naturals
+from .cantor import _require_kind, _require_naturals
+from .families import _guarantee
 
 
 class ForcingInstance(namedtuple("ForcingInstance", "initial_u queries")):

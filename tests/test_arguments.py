@@ -69,7 +69,7 @@ CALLS = {
     "complexity_blocks-nmax": (("nmax",), lambda v: ll.complexity_blocks(2, v)),
     "complexity_table-max_len": (("max_len",), lambda v: ll.complexity_table(v, 2)),
     "complexity_table-nmax": (("nmax",), lambda v: ll.complexity_table(2, v)),
-    "exact_complexity-x": (("bit strings",), lambda v: ll.exact_complexity(v, 2)),
+    "exact_complexity-x": (("x",), lambda v: ll.exact_complexity(v, 2)),
     "exact_complexity-condition": (("condition",), lambda v: ll.exact_complexity("01", v)),
     "run_m0-program": (("program",), lambda v: ll.run_m0(v, 2)),
     "run_m0-condition": (("condition",), lambda v: ll.run_m0("011", v)),
@@ -102,6 +102,12 @@ CALLS = {
     "trace_to_family-trace": (("trace",), lambda v: ll.trace_to_family(v, 4, EIGHTHS)),
     "trace_to_family-nmax": (("nmax",), lambda v: ll.trace_to_family(trace(), v, EIGHTHS)),
     "trace_to_family-grid": (("grid",), lambda v: ll.trace_to_family(trace(), 4, v)),
+    "union-other": (("other",), lambda v: ll.interval("0").union(v)),
+    "intersection-other": (("other",), lambda v: ll.interval("0").intersection(v)),
+    "difference-other": (("other",), lambda v: ll.interval("0").difference(v)),
+    "leftmost_avoiding-length": (("length",), lambda v: ll.interval("0").leftmost_avoiding(v)),
+    "normalize-intervals": (("intervals",), lambda v: ll.normalize(v)),
+    "format_fraction-value": (("value",), lambda v: ll.format_fraction(v)),
 }
 # these build one record per unit of the value, which item 2 of ROADMAP.md is to bound,
 # and run_m0's periodic mode prints as many bits as its condition
@@ -111,8 +117,10 @@ UNBOUNDED = {
 }
 # None is their default: up to the last breakpoint
 DEFAULT_NONE = {"cover_sets-nmax", "cover_semimeasure-nmax", "cover_open-nmax", "members-nmax"}
-# an empty list is a valid value: no queries to answer
-EMPTY_VALID = {"ForcingInstance-queries"}
+# an empty list is a valid value: no queries to answer, no intervals to join
+EMPTY_VALID = {"ForcingInstance-queries", "normalize-intervals"}
+# a negative int is a valid value: a rational may be negative
+NEGATIVE_VALID = {"format_fraction-value"}
 
 
 @pytest.mark.parametrize("call,value", [
@@ -131,9 +139,10 @@ def test_an_odd_argument_ends_one_of_three_ways(call, value):
                    for name in names), text
     else:
         # no value is coerced: only a natural too long to write, a default, or an
-        # empty list where one is valid, runs
+        # empty list or a negative int where one is valid, runs
         assert (value == "10**5000" or value == "None" and call in DEFAULT_NONE
-                or value == "list" and call in EMPTY_VALID)
+                or value == "list" and call in EMPTY_VALID
+                or value == "-1" and call in NEGATIVE_VALID)
 
 
 HUGE = 10**5000
@@ -146,9 +155,12 @@ SHOWN, SHOWN_NEXT = ll.cantor._int_text(HUGE), ll.cantor._int_text(HUGE + 1)
      f"granularity c({SHOWN}) = {SHOWN_NEXT} exceeds the level {SHOWN}"),
     (lambda: ll.deficiency_family(table(), 0, (HUGE + 1, HUGE)),
      f"bad length range ({SHOWN_NEXT}, {SHOWN})"),
-], ids=["granularity", "length-range"])
+    (lambda: ll.randomness_report(ll.ComplexityTable({HUGE: {"0": 0, "1": 0}}), "", 0),
+     f"counting bound violated at condition {SHOWN}: 2 strings below complexity 1"),
+], ids=["granularity", "length-range", "counting-bound"])
 def test_a_refusal_names_ints_too_long_to_write_by_their_digits(construct, words):
-    # both ints are valid where they stand; only their order is refused
+    # each int is valid where it stands; only their order, or the count of strings
+    # below complexity 1 under the condition, is refused
     with pytest.raises(ValueError) as refused:
         construct()
     assert str(refused.value).startswith(words)

@@ -179,7 +179,7 @@ def test_leftmost_avoiding_examples():
     assert ll.EMPTY.leftmost_avoiding(2) == "00"
     assert ll.FULL.leftmost_avoiding(2) is None
     assert ll.normalize(["0", "10"]).leftmost_avoiding(2) == "11"
-    with pytest.raises(ValueError, match="^length must be a natural number$"):
+    with pytest.raises(ValueError, match="^length must be a natural number, got -1$"):
         ll.EMPTY.leftmost_avoiding(-1)
 
 
