@@ -21,7 +21,8 @@ or meets the interval of ``x``, and how much of it, is a set operation with
 
 All measures are :class:`fractions.Fraction`; no floating point is used
 anywhere in the package.  Every module imports this one, so it also holds the
-value gates (natural, exact rational, bit string, record kind) for all of them.
+value gates (natural, exact rational, grid, bit string, record kind) for all of
+them, and the one refusal of a number too long to write (:func:`_too_long`).
 """
 
 from __future__ import annotations
@@ -93,25 +94,6 @@ def _fraction_text(value: Fraction) -> str:
     return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
-def _not_bits(x: str) -> str:
-    """The refusal of a string ``x`` that holds a character other than 0 and 1."""
-    return f"bit string may contain only 0 and 1, got {_echo(x)}"
-
-
-def check_bit_string(x: str, cap: Optional[int] = None) -> str:
-    """Validate a finite bit string of depth at most ``cap`` (by default
-    :func:`max_interval_depth`); returns it unchanged."""
-    if not isinstance(x, str):
-        raise ValueError(f"bit string expected, got {type(x).__name__}")
-    if x.strip("01"):
-        raise ValueError(_not_bits(x))
-    if cap is None:
-        cap = max_interval_depth()
-    if len(x) > cap:
-        raise ValueError(f"interval {_echo(x)} deeper than the configured cap {cap}")
-    return x
-
-
 def _require_depth(what: str, length: int) -> None:
     """Refuse a natural ``length``, named ``what``, above :func:`max_interval_depth`."""
     cap = max_interval_depth()
@@ -143,10 +125,25 @@ def _require_rationals(**arguments: object) -> None:
             raise ValueError(f"{name} must be an exact rational, got {_echo(value)}")
 
 
-def _require_bits(name: str, value: object) -> None:
-    """Refuse ``value`` unless it is a bit string, by the argument's name."""
+def _unit_grid(grid: object) -> list[Fraction]:
+    """A grid, a list or tuple of exact rationals in [0, 1], sorted without repeats;
+    anything else is refused."""
+    if not (isinstance(grid, (list, tuple)) and all(map(_rational, grid))):
+        raise ValueError(f"grid must be a list or tuple of exact rationals, got {_echo(grid)}")
+    values = sorted(set(map(Fraction, grid)))
+    outside = [v for v in values if not 0 <= v <= 1]
+    if outside:
+        raise ValueError(f"grid value {_fraction_text(outside[0])} outside [0, 1]")
+    return values
+
+
+def _require_bits(name: str, value: object, cap: Optional[int] = None) -> None:
+    """Refuse ``value`` unless it is a bit string, by the argument's or field's name;
+    given a ``cap``, refuse one longer than ``cap`` too."""
     if not isinstance(value, str) or value.strip("01"):
         raise ValueError(f"{name} must be a bit string, got {_echo(value)}")
+    if cap is not None and len(value) > cap:
+        raise ValueError(f"{name} {_echo(value)} deeper than the configured cap {cap}")
 
 
 def _require_kind(kind: type | tuple[type, ...], **arguments: object) -> None:
@@ -218,7 +215,7 @@ def _clopen(ranges: list[tuple[int, int]], depth: int) -> "ClopenSet":
             shift = size.bit_length() - 1
             out.append(_name(a >> shift, depth - shift))
             a += size
-    return ClopenSet(tuple(out))
+    return tuple.__new__(ClopenSet, (tuple(out),))
 
 
 def _lift(*sets: "ClopenSet", depth: int = 0) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -227,15 +224,33 @@ def _lift(*sets: "ClopenSet", depth: int = 0) -> tuple[int, list[list[tuple[int,
     return depth, [_ranges(s.intervals, depth) for s in sets]
 
 
-class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
+class ClopenSet(namedtuple("ClopenSet", "intervals")):
     """Canonical finite union of basic intervals.
 
     ``intervals`` is always a lexicographically sorted prefix-free antichain
-    with every sibling pair merged; construct instances via :func:`normalize`
-    or the set operations below rather than by hand.
+    with every sibling pair merged.  Building one checks and canonicalizes the
+    given intervals, an iterable of bit strings, through ``__new__``, ``_make``
+    and so ``_replace``; a ``str`` is refused, not read as its characters.
     """
 
     __slots__ = ()
+
+    def __new__(cls, intervals: Iterable[str] = ()) -> "ClopenSet":
+        if isinstance(intervals, str) or not isinstance(intervals, Iterable):
+            raise ValueError(
+                f"intervals must be an iterable of bit strings, got {_echo(intervals)}")
+        cap = max_interval_depth()
+        intervals = list(intervals)
+        for x in intervals:
+            _require_bits("interval", x, cap)
+        depth = max(map(len, intervals), default=0)
+        # _clopen's set is a one-item tuple: its canonical intervals
+        return tuple.__new__(cls, _clopen(_union(_ranges(intervals, depth)), depth))
+
+    @classmethod
+    def _make(cls, iterable) -> "ClopenSet":
+        # namedtuple's _make (and so _replace) builds with tuple.__new__, skipping the check
+        return cls(*iterable)
 
     def measure(self) -> Fraction:
         """Exact uniform measure: 2^-len per interval, summed as integers at the deepest scale."""
@@ -298,24 +313,21 @@ class ClopenSet(namedtuple("ClopenSet", "intervals", defaults=((),))):
         return f"ClopenSet([{body}])"
 
 
-EMPTY = ClopenSet(())
-FULL = ClopenSet(("",))
+# built without the check, which reads LIMITLAB_MAX_DEPTH: importing reads no setting
+EMPTY = tuple.__new__(ClopenSet, ((),))
+FULL = tuple.__new__(ClopenSet, (("",),))
 
 
 def normalize(intervals: Iterable[str]) -> ClopenSet:
     """Canonical clopen set denoting the union of the given intervals, an iterable
     of bit strings; a ``str`` is refused, not read as its characters."""
-    if isinstance(intervals, str) or not isinstance(intervals, Iterable):
-        raise ValueError(f"intervals must be an iterable of bit strings, got {_echo(intervals)}")
-    cap = max_interval_depth()
-    checked = [check_bit_string(x, cap) for x in intervals]
-    depth = max(map(len, checked), default=0)
-    return _clopen(_union(_ranges(checked, depth)), depth)
+    return ClopenSet(intervals)
 
 
 def interval(x: str) -> ClopenSet:
     """The basic interval named by ``x``."""
-    return ClopenSet((check_bit_string(x),))
+    _require_bits("interval", x, max_interval_depth())
+    return tuple.__new__(ClopenSet, ((x,),))
 
 
 class _TooManyDigits(ValueError):
@@ -334,12 +346,14 @@ def parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # the only one left: more digits than the interpreter's limit
-        raise _TooManyDigits(f"integer text has more digits than {_digit_limit()}") from None
+        raise _TooManyDigits(_too_long("integer text")) from None
 
 
-def _digit_limit() -> str:
-    """The interpreter's limit on integer text, as a refusal of longer text names it."""
-    return f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+def _too_long(what: str) -> str:
+    """The refusal of ``what``, a number of more digits than the interpreter
+    converts to or from text; only an interpreter with such a limit calls it."""
+    limit = sys.get_int_max_str_digits()
+    return f"{what} has more digits than sys.get_int_max_str_digits() = {limit}"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -367,7 +381,7 @@ def format_fraction(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # a term of more digits than the interpreter writes
         shown = _fraction_text(value)
-        raise ValueError(f"value {shown} has more digits than {_digit_limit()}") from None
+        raise ValueError(_too_long(f"value {shown}")) from None
 
 
 def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:
@@ -377,7 +391,4 @@ def _require_writable_power(exponent: int, what: str, factor: int = 1) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     top = 10**limit
     if limit and (exponent >= top.bit_length() or factor << exponent >= top):
-        raise ValueError(
-            f"{what} needs more than {limit} digits, "
-            "the interpreter's limit for integer text (sys.get_int_max_str_digits)"
-        )
+        raise ValueError(_too_long(what))

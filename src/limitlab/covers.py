@@ -63,7 +63,7 @@ from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .cantor import EMPTY, ClopenSet, _ranges, _require_depth, _require_writable_power
-from .cantor import _strings_of_length
+from .cantor import _strings_of_length, _unit_grid
 from .cantor import _fraction_text, _require_kind, _require_naturals, _require_rationals, normalize
 from .families import (
     OpenFamilyPresentation,
@@ -72,7 +72,6 @@ from .families import (
     _floor,
     _guarantee,
     _raise,
-    _unit_grid,
     family_at,  # noqa: F401  (perfbench --trace 1 looks it up by name, else AttributeError)
     max_event_interval_length,
     members,

@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cantor import _clopen, _echo, _int_text, _ranges, _union, check_bit_string
+from .cantor import _clopen, _echo, _int_text, _ranges, _union, _require_bits
 from .cantor import _fraction_text, max_interval_depth
 from .cantor import _natural, _rational, _require_kind, _require_naturals
 
@@ -316,18 +316,6 @@ def tree_closure(table: dict[str, Fraction]) -> dict[str, Fraction]:
     return closed
 
 
-def _unit_grid(grid: object) -> list[Fraction]:
-    """A grid, a list or tuple of exact rationals in [0, 1], sorted without repeats;
-    anything else is refused."""
-    if not (isinstance(grid, (list, tuple)) and all(map(_rational, grid))):
-        raise ValueError(f"grid must be a list or tuple of exact rationals, got {_echo(grid)}")
-    values = sorted(set(map(Fraction, grid)))
-    outside = [v for v in values if not 0 <= v <= 1]
-    if outside:
-        raise ValueError(f"grid value {_fraction_text(outside[0])} outside [0, 1]")
-    return values
-
-
 def _well_formed(spec) -> bool:
     return isinstance(spec, IndexSpec) and spec.kind in ("single", "tail") and _natural(spec.index)
 
@@ -349,7 +337,7 @@ def _structural_problems(p: Presentation) -> list[str]:
             items = ()
         for u in items:
             try:
-                check_bit_string(u, cap)
+                _require_bits("element", u, cap)
             except ValueError as exc:
                 problems.append(f"universe: {exc}")
                 continue
@@ -390,8 +378,9 @@ def _structural_problems(p: Presentation) -> list[str]:
             if not (isinstance(ev.element, str) and ev.element in universe):
                 problems.append(f"{where}: element {_echo(ev.element)} not in the universe")
         else:
+            field = "interval" if isinstance(ev, IntervalEvent) else "element"
             try:
-                check_bit_string(ev.interval if isinstance(ev, IntervalEvent) else ev.element, cap)
+                _require_bits(field, getattr(ev, field), cap)
             except ValueError as exc:
                 problems.append(f"{where}: {exc}")
         if isinstance(ev, ValueEvent):

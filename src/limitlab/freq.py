@@ -15,8 +15,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cantor import _echo, _fraction_text, _natural, _require_kind, _require_naturals
-from .families import SemimeasureFamilyPresentation, ValueEvent, _unit_grid, single, tail
+from .cantor import _echo, _fraction_text, _natural, _require_kind, _require_naturals, _unit_grid
+from .families import SemimeasureFamilyPresentation, ValueEvent, single, tail
 
 Slot = Optional[int]
 

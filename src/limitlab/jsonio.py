@@ -43,7 +43,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .cantor import ClopenSet, _TooManyDigits, _digit_limit, _echo, _not_bits, format_fraction
+from .cantor import ClopenSet, _TooManyDigits, _echo, _require_bits, _too_long, format_fraction
 from .cantor import normalize, parse_fraction, parse_int
 from .covers import CoverOpenSet, CoverSemimeasure, CoverSet
 from .families import (
@@ -212,7 +212,7 @@ def _run_pieces(runs: Iterable, template, sep: str, quote) -> Iterator[str]:
 def _parse_spec(obj: dict, where: str) -> IndexSpec:
     kind = obj.get("kind")
     if kind not in ("single", "tail"):
-        raise ValueError(f"{where}: index spec needs kind single|tail and a natural index")
+        raise ValueError(f"{where}: index spec kind must be single or tail, got {_echo(kind)}")
     return IndexSpec(kind, _field(obj, "index", where, int))
 
 
@@ -261,8 +261,7 @@ def _loads(text: str, where: str) -> Any:
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
     except ValueError:  # the only other: an int literal longer than the interpreter converts
-        raise ValueError(
-            f"{where}: an integer literal has more digits than {_digit_limit()}") from None
+        raise ValueError(_too_long(f"{where}: an integer literal")) from None
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -467,10 +466,12 @@ def parse_complexity_table(text: str) -> ComplexityTable:
             except (TypeError, ValueError):
                 raise ValueError(f"bad table entry {_echo(row)}") from None
             by_condition[cond][bits] = value
-        # one C-level pass over every string: deleting the bits leaves nothing
-        if "".join(chain.from_iterable(by_condition.values())).encode().translate(None, b"01"):
+        # one C-level pass over every string: deleting the bits leaves nothing; a lone
+        # surrogate (JSON "\ud800") is encoded too, so its entry is named
+        strings = "".join(chain.from_iterable(by_condition.values()))
+        if strings.encode(errors="surrogatepass").translate(None, b"01"):
             i = next(i for i, row in enumerate(raw) if row[0].strip("01"))
-            raise ValueError(f"table entry #{i}: {_not_bits(raw[i][0])}")
+            _require_bits(f"table entry #{i}: bits", raw[i][0])
         # a pair given twice: name its second entry
         if sum(map(len, by_condition.values())) < len(raw):
             first: dict = {}
@@ -495,7 +496,7 @@ def parse_complexity_table(text: str) -> ComplexityTable:
         bits, cond_text, value_text = fields
         bits = "" if bits == _EMPTY_BITS else bits
         if bits.strip("01"):
-            raise ValueError(f"line {no}: {_not_bits(bits)}")
+            _require_bits(f"line {no}: bits", bits)
         try:
             cond, value = parse_int(cond_text), parse_int(value_text)
         except _TooManyDigits as exc:

@@ -107,6 +107,8 @@ CALLS = {
     "difference-other": (("other",), lambda v: ll.interval("0").difference(v)),
     "leftmost_avoiding-length": (("length",), lambda v: ll.interval("0").leftmost_avoiding(v)),
     "normalize-intervals": (("intervals",), lambda v: ll.normalize(v)),
+    "interval-x": (("interval",), lambda v: ll.interval(v)),
+    "ClopenSet-intervals": (("intervals",), lambda v: ll.ClopenSet(v).measure()),
     "format_fraction-value": (("value",), lambda v: ll.format_fraction(v)),
 }
 # these build one record per unit of the value, which item 2 of ROADMAP.md is to bound,
@@ -118,7 +120,7 @@ UNBOUNDED = {
 # None is their default: up to the last breakpoint
 DEFAULT_NONE = {"cover_sets-nmax", "cover_semimeasure-nmax", "cover_open-nmax", "members-nmax"}
 # an empty list is a valid value: no queries to answer, no intervals to join
-EMPTY_VALID = {"ForcingInstance-queries", "normalize-intervals"}
+EMPTY_VALID = {"ForcingInstance-queries", "normalize-intervals", "ClopenSet-intervals"}
 # a negative int is a valid value: a rational may be negative
 NEGATIVE_VALID = {"format_fraction-value"}
 

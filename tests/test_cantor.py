@@ -44,6 +44,19 @@ def test_normalize_empty():
     assert ll.normalize([]).intervals == ()
 
 
+def test_the_constructor_make_and_replace_canonicalize_and_check():
+    # building a ClopenSet is normalize: a str is refused, not read as its characters
+    assert ll.ClopenSet(["1", "0"]) == ll.FULL and ll.ClopenSet() == ll.EMPTY
+    assert ll.ClopenSet._make([("00", "01", "011")]).intervals == ("0",)
+    replaced = ll.FULL._replace(intervals=["10", "11"])
+    assert replaced == ll.interval("1") and type(replaced) is ll.ClopenSet
+    for intervals in ["01", None, ["2"], ["0" * (ll.max_interval_depth() + 1)]]:
+        with pytest.raises(ValueError):
+            ll.ClopenSet(intervals)
+        with pytest.raises(ValueError):
+            ll.EMPTY._replace(intervals=intervals)
+
+
 def test_normalize_sibling_merge_to_full():
     assert ll.normalize(["0", "1"]).intervals == ("",)
 

@@ -160,7 +160,7 @@ def test_validate_names_a_negative_index_by_its_record(tmp_path, capsys):
         ),
         (
             '{"type": "set-family", "k": 1, "universe": ["2"]}\n',
-            "universe: bit string may contain only 0 and 1, got '2'",
+            "universe: element must be a bit string, got '2'",
         ),
         ('{"type": "open-family", "epsilon": "-1/2"}\n', "epsilon must be nonnegative, got -1/2"),
         (
@@ -175,7 +175,7 @@ def test_validate_names_a_negative_index_by_its_record(tmp_path, capsys):
         (
             '{"type": "semimeasure-family", "tree": false}\n'
             '{"stage": 0, "kind": "tail", "index": 0, "element": "2", "value": "1/2"}\n',
-            "event #0: bit string may contain only 0 and 1, got '2'",
+            "event #0: element must be a bit string, got '2'",
         ),
         (
             '{"type": "set-family", "k": 1, "universe": ["0", "0"]}\n'
@@ -229,7 +229,8 @@ def test_cover_sets_refuses_a_repeated_universe_entry(tmp_path, capsys):
             '{"initialU": [], "queries": [{"label": "T"}]}',
             "query #0 needs 'intervals': a list of bit strings",
         ),
-        (["lowbasis", "--witness-length", "2"], '{"initialU": [1]}', "bit string expected, got int"),
+        (["lowbasis", "--witness-length", "2"], '{"initialU": [1]}',
+         "interval must be a bit string, got 1"),
         (["freq"], "[1]", "trace must be a JSON object with 'prefix' and 'period'"),
         (["freq"], '{"prefix": []}', "trace needs list fields 'prefix' and 'period'"),
         (["validate"], "", "empty event log: a header line is required"),
@@ -363,7 +364,7 @@ def test_a_long_interval_is_cut_short_in_the_problem_line(tmp_path, capsys):
         '{"type": "open-family", "epsilon": "1/2"}\n'
         '{"stage": 0, "kind": "tail", "index": 0, "interval": "%s"}\n' % LONG_TEXT
     )
-    problem = f"event #0: bit string may contain only 0 and 1, got {CUT_SHORT}"
+    problem = f"event #0: interval must be a bit string, got {CUT_SHORT}"
     code, body = run(["validate", "--input", str(source)], tmp_path)
     assert (code, capsys.readouterr().err) == (1, problem + "\n")
     assert json.loads(body)["problems"] == [problem]
@@ -380,6 +381,18 @@ def test_a_long_index_is_cut_short_in_the_problem_line(tmp_path, capsys):
     code, body = run(["validate", "--input", str(source)], tmp_path)
     assert (code, capsys.readouterr().err) == (1, problem + "\n")
     assert json.loads(body)["problems"] == [problem]
+
+
+def test_an_index_spec_of_another_kind_is_refused_by_its_kind(tmp_path, capsys):
+    # the reader checks the kind; a negative index reaches validate, which names it
+    source = tmp_path / "family.jsonl"
+    source.write_text(
+        '{"type": "set-family", "k": 1, "universe": ["0"]}\n'
+        '{"stage": 0, "kind": "both", "index": 0, "element": "0"}\n'
+    )
+    assert run(["validate", "--input", str(source)], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == (
+        "error: line 2: index spec kind must be single or tail, got 'both'\n")
 
 
 def key_mutants(value):
@@ -535,7 +548,7 @@ def test_a_non_bit_table_string_is_refused_naming_its_entry(name, tmp_path, caps
     for text, place, bits in mutants:
         source.write_text(text)
         assert run(OBJECT_INPUTS["table.json"] + ["--input", str(source)], tmp_path) == (2, b"")
-        want = f"error: {place}: bit string may contain only 0 and 1, got {bits!r}\n"
+        want = f"error: {place}: bits must be a bit string, got {bits!r}\n"
         assert capsys.readouterr().err == want, text
     assert len(mutants) > 20
     if name.endswith(".json"):
@@ -545,6 +558,17 @@ def test_a_non_bit_table_string_is_refused_naming_its_entry(name, tmp_path, caps
             source.write_text(json.dumps({**value, "entries": value["entries"] + [row]}))
             assert run(OBJECT_INPUTS[name] + ["--input", str(source)], tmp_path) == (2, b"")
             assert capsys.readouterr().err == f"error: bad table entry {row!r}\n"
+
+
+def test_a_lone_surrogate_table_string_is_refused_naming_its_entry(tmp_path, capsys):
+    # JSON can escape a lone surrogate, which UTF-8 cannot encode
+    source = tmp_path / "table.json"
+    source.write_text(
+        '{"conditionMode": "conditional", "entries": [["0", 0, 1], ["\\ud800", 0, 1]]}')
+    argv = ["randomness-report", "--input", str(source), "--omega", "0", "--c", "0"]
+    assert run(argv, tmp_path) == (2, b"")
+    assert capsys.readouterr().err == (
+        "error: table entry #1: bits must be a bit string, got '\\ud800'\n")
 
 
 @pytest.mark.parametrize("name", ["semimeasure_flat.jsonl", "semimeasure_tree.jsonl"])
@@ -1216,9 +1240,8 @@ def test_deficiency_family_refuses_a_length_too_long_to_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines() == [
-        "error: length 20000 (--nmin or --horizon) is too large: the count 2^20000 needs "
-        f"more than {sys.get_int_max_str_digits()} digits, the interpreter's limit for "
-        "integer text (sys.get_int_max_str_digits)"
+        "error: length 20000 (--nmin or --horizon) is too large: the count 2^20000 has "
+        f"more digits than sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
     ]
     assert run(argv + ["3", "--nmax", "3"], tmp_path) == (2, b"")
     assert capsys.readouterr().err == "error: table is missing 8 of the 8 strings of length 3\n"
@@ -1236,8 +1259,8 @@ def test_cover_open_strong_refuses_a_slack_too_long_to_write(tmp_path, capsys):
     assert run(argv, tmp_path) == (2, b"")
     assert capsys.readouterr().err.splitlines() == [
         "error: the slack (epsilon' - epsilon) / 2^14301 at the last breakpoint 14300 "
-        f"(--epsilon-prime) needs more than {sys.get_int_max_str_digits()} digits, the "
-        "interpreter's limit for integer text (sys.get_int_max_str_digits)"
+        "(--epsilon-prime) has more digits than sys.get_int_max_str_digits() = "
+        f"{sys.get_int_max_str_digits()}"
     ]
 
 
@@ -1245,9 +1268,8 @@ def test_complexity_bounds_decides_a_large_c_without_writing_it(tmp_path, capsys
     argv = ["complexity-bounds", "--input", str(FIXTURES / "open_family_levels.jsonl")]
     assert run(argv + ["--c", "20000"], tmp_path) == (2, b"")
     assert capsys.readouterr().err.splitlines() == [
-        "error: c = 20000 (--c) is too large: the bound 2^-20000 needs more than "
-        f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for integer text "
-        "(sys.get_int_max_str_digits)"
+        "error: c = 20000 (--c) is too large: the bound 2^-20000 has more digits than "
+        f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
     ]
     assert run(argv + ["--c", "2"], tmp_path) == (2, b"")
     assert capsys.readouterr().err == (
@@ -1578,6 +1600,19 @@ def test_process_entry_writes_the_goldens(flags, tmp_path):
                     interpreter_flags=flags, stdout=subprocess.PIPE)
     assert (done.returncode, done.stdout) == (2, "")
     assert "unrecognized arguments: --k 3" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_a_bad_depth_cap_is_refused_only_by_a_command_that_reads_it(monkeypatch):
+    # a fresh process imports with the setting in place: importing reads no setting,
+    # so a command that builds no interval runs, and validate refuses the setting
+    monkeypatch.setenv("LIMITLAB_MAX_DEPTH", "junk")
+    done = limitlab("complexity", "--lmax", "2", "--nmax", "2", stdout=subprocess.PIPE)
+    want = (GOLDEN / "complexity.json").read_bytes()
+    assert (done.returncode, done.stdout.encode(), done.stderr) == (0, want, "")
+    done = limitlab("validate", "--input", str(FIXTURES / "set_family.jsonl"),
+                    stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: LIMITLAB_MAX_DEPTH must be an integer, got 'junk'\n")
 
 
 def test_a_profiled_process_entry_prints_its_table(tmp_path):

@@ -439,10 +439,7 @@ def test_constructions_refuse_a_non_natural_argument_by_name(call, value):
 
 
 HUGE = "1000...0 (5001 digits)"  # how a message names 10**5000, which str() refuses
-BEYOND_TEXT = (
-    "needs more than 4300 digits, the interpreter's limit for integer text "
-    "(sys.get_int_max_str_digits)"
-)
+BEYOND_TEXT = "has more digits than sys.get_int_max_str_digits() = 4300"
 
 
 @pytest.mark.parametrize(

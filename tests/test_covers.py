@@ -394,7 +394,7 @@ def test_cover_open_strong_refuses_exactly_the_slacks_too_long_to_write(epsilon_
             except ValueError as exc:
                 assert str(exc).startswith(
                     f"the slack (epsilon' - epsilon) / 2^{last + 1} at the last breakpoint {last} "
-                    "(--epsilon-prime) needs more than 640 digits"
+                    "(--epsilon-prime) has more digits than sys.get_int_max_str_digits() = 640"
                 )
                 refused.append(last)
             else:
